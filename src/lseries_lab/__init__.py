@@ -32,8 +32,6 @@ from .cgeom import (
 )
 from .characters import (
     DirichletCharacter,
-    char_value,
-    conductor,
     enumerate_characters,
     enumerate_real_characters,
     kronecker_symbol,

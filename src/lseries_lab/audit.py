@@ -35,14 +35,15 @@ relative misfit must stay below 1e-6.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .characters import DirichletCharacter, enumerate_real_characters
-from .lseries import LPoint, as_lpoint, scan_zeros
+from .lseries import LPoint, _terms, as_lpoint, scan_zeros
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
+    VARIANTS,
     IsotropicVectorError,
     build_vectors,
     formal_cosine,
@@ -174,16 +175,13 @@ def _claim_reconstruct(claim_id, chi, s, truncations, variant) -> ClaimResult:
     )
 
 
-VARIANT_ORDER = (AMPLITUDE_CHI, PHASE_CHI)
-
-
 def _claim_factorization(chi, s, truncations) -> ClaimResult:
     evidence = []
     notes = []
     worst = 0.0
     for n in truncations:
         row = [n]
-        for variant in (AMPLITUDE_CHI, PHASE_CHI):
+        for variant in VARIANTS:
             vectors = build_vectors(chi, s, n, variant)
             dot = sum((a * p for a, p in zip(vectors.a_vec, vectors.p_vec)), 0j)
             try:
@@ -206,7 +204,7 @@ def _claim_factorization(chi, s, truncations) -> ClaimResult:
         notes.append(f"max relative residual {worst:.3e}")
     return ClaimResult(
         claim_id="EQ45_FACTORIZATION",
-        inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variants": list(VARIANT_ORDER)},
+        inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variants": list(VARIANTS)},
         evidence=evidence,
         verdict=verdict,
         note="; ".join(notes),
@@ -240,19 +238,15 @@ def _claim_chi4_sum(chi, truncations) -> ClaimResult:
     ns, padded = _growth_truncations(truncations)
     q = chi.modulus
     evidence = []
+    total = 0.0
+    done = 0
     for n in ns:
-        # chi(n)^4 at t = 0: |chi(n)|^4 = 1 on units for real chi; for a
-        # general character the 4th power is still 1 exactly on units iff
-        # the value order divides 4 -- the evidence records the real part.
-        total = 0.0
-        for k in range(1, n + 1):
-            v = chi.value_exact(k)
-            if v == 0:
-                continue
-            if isinstance(v, int):
-                total += 1.0  # (+/-1)^4
-            else:
-                total += (chi.value_complex(k) ** 4).real
+        # chi(k)^4 at t = 0, summed on from the previous truncation: exactly
+        # 1 on units when the value order divides 4 (always for real chi),
+        # so the total counts units; otherwise it records the real part.
+        for _, term in _terms(chi, LPoint(0.0, 0.0), n + 1, 4, start=done + 1):
+            total += term.real
+        done = n
         evidence.append((n, total))
     expected_slope = sum(1 for a in range(q) if gcd(a, q) == 1) / q
     slope, intercept, misfit = _fit_linear([e[0] for e in evidence], [e[1] for e in evidence])

@@ -29,9 +29,12 @@ __all__ = [
     "AppendixCheck",
     "CVector",
     "DimensionMismatchError",
+    "IsotropicVectorError",
     "TriangleReport",
     "bilinear_dot",
     "cosine_theorem_check",
+    "formal_cosine",
+    "formal_norm",
     "formal_norm_sq",
     "principal_sqrt",
     "triangle_area",
@@ -42,6 +45,10 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Raised when two vectors of different dimensions are paired."""
+
+
+class IsotropicVectorError(ValueError):
+    """A vector with formal norm exactly zero has no formal cosine."""
 
 
 @dataclass(frozen=True)
@@ -115,21 +122,44 @@ def cosine_theorem_check(a: CVector, b: CVector, c: CVector) -> tuple:
     return lhs_half, dot, abs(lhs_half - dot)
 
 
-def triangle_area(a: CVector, b: CVector, c: CVector) -> complex:
-    """Formal area principal_sqrt(|AB|^2 |AC|^2 - (AB . AC)^2) / 2."""
-    ab, ac = b - a, c - a
-    gram = formal_norm_sq(ab) * formal_norm_sq(ac) - bilinear_dot(ab, ac) ** 2
+def formal_norm(vec) -> complex:
+    """principal_sqrt(sum v_k^2) of a sequence; may be 0 (isotropic) or non-real."""
+    return principal_sqrt(sum((v * v for v in vec), 0j))
+
+
+def formal_cosine(u, v) -> complex:
+    """Bilinear dot of two sequences of numbers over the product of their
+    formal norms.
+
+    Raises IsotropicVectorError if either formal norm is exactly zero --
+    e.g. (1, i) is a nonzero isotropic vector.
+    """
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dimensions differ: {len(u)} vs {len(v)}")
+    norm_u = formal_norm(u)
+    if norm_u == 0:
+        raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
+    norm_v = formal_norm(v)
+    if norm_v == 0:
+        raise IsotropicVectorError("second vector is isotropic (formal norm 0)")
+    dot = sum((a * b for a, b in zip(u, v)), 0j)
+    return dot / (norm_u * norm_v)
+
+
+def _area_from_pair(u: CVector, v: CVector) -> complex:
+    """Formal area of the triangle spanned by the sides u and v."""
+    gram = formal_norm_sq(u) * formal_norm_sq(v) - bilinear_dot(u, v) ** 2
     return principal_sqrt(gram) / 2
 
 
-def _formal_cos(u: CVector, v: CVector) -> complex:
-    nu = principal_sqrt(formal_norm_sq(u))
-    nv = principal_sqrt(formal_norm_sq(v))
-    return bilinear_dot(u, v) / (nu * nv)
+def triangle_area(a: CVector, b: CVector, c: CVector) -> complex:
+    """Formal area principal_sqrt(|AB|^2 |AC|^2 - (AB . AC)^2) / 2."""
+    return _area_from_pair(b - a, c - a)
 
 
 def triangle_report(a: CVector, b: CVector, c: CVector) -> TriangleReport:
-    """Full bilinear triangle data for the points A, B, C."""
+    """Full bilinear triangle data for the points A, B, C (an isotropic side
+    raises IsotropicVectorError from its cosine)."""
     ab, ac, bc = b - a, c - a, c - b
     return TriangleReport(
         ab_sq=formal_norm_sq(ab),
@@ -137,9 +167,9 @@ def triangle_report(a: CVector, b: CVector, c: CVector) -> TriangleReport:
         bc_sq=formal_norm_sq(bc),
         dot_ab_ac=bilinear_dot(ab, ac),
         dot_ac_bc=bilinear_dot(ac, bc),
-        cos_ab_ac=_formal_cos(ab, ac),
-        cos_ac_bc=_formal_cos(ac, bc),
-        area=triangle_area(a, b, c),
+        cos_ab_ac=formal_cosine(ab.components, ac.components),
+        cos_ac_bc=formal_cosine(ac.components, bc.components),
+        area=_area_from_pair(ab, ac),
     )
 
 
@@ -225,11 +255,6 @@ def _expected_value(spec) -> complex:
     return complex(spec)
 
 
-def _area_from_pair(u: CVector, v: CVector) -> complex:
-    gram = formal_norm_sq(u) * formal_norm_sq(v) - bilinear_dot(u, v) ** 2
-    return principal_sqrt(gram) / 2
-
-
 def verify_appendix(expected: dict | None = None) -> list[AppendixCheck]:
     """Recompute every golden example quantity and compare to the table.
 
@@ -243,9 +268,8 @@ def verify_appendix(expected: dict | None = None) -> list[AppendixCheck]:
     for example, (a, b, c) in APPENDIX_POINTS.items():
         ab, ac, bc = b - a, c - a, c - b
         lhs_a, dot_a, _ = cosine_theorem_check(a, b, c)
-        # Cosine theorem at the (AC, BC) pairing: sides AC, BC with third AB.
-        lhs_c = (formal_norm_sq(ac) + formal_norm_sq(bc) - formal_norm_sq(ab)) / 2
-        dot_c = bilinear_dot(ac, bc)
+        # At vertex C: CA . CB equals AC . BC (both sides negated).
+        lhs_c, dot_c, _ = cosine_theorem_check(c, a, b)
         computed = {
             "ab_sq": formal_norm_sq(ab),
             "ac_sq": formal_norm_sq(ac),

@@ -6,7 +6,8 @@ smallest primitive root for odd prime powers and the {-1, 5} generator pair
 for 2^k with k >= 3.  Each character value is stored exactly -- as an integer
 in {-1, 0, +1} when the character is real, and otherwise as an (order,
 exponent) pair (d, k) meaning exp(2*pi*i*k/d).  No floating point enters until
-a value is explicitly converted with :meth:`DirichletCharacter.value_complex`.
+a value is explicitly converted by ``_to_number`` (which
+:meth:`DirichletCharacter.value_complex` and the L-series term tables share).
 
 The Kronecker symbol lives here as well; for fundamental discriminants it is
 an independent construction of the real primitive characters and is used to
@@ -16,7 +17,7 @@ cross-check the enumeration.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -25,8 +26,6 @@ from typing import Iterator, Sequence, Union
 __all__ = [
     "CharacterValue",
     "DirichletCharacter",
-    "char_value",
-    "conductor",
     "enumerate_characters",
     "enumerate_real_characters",
     "kronecker_symbol",
@@ -138,6 +137,15 @@ def _value_rotation(v: CharacterValue) -> Fraction:
     return Fraction(k, d)
 
 
+def _to_number(v: CharacterValue):
+    """An exact value as a number: 0 and +/-1 stay ints, a root of unity
+    (d, k) becomes the complex float exp(2*pi*i*k/d), one exponential."""
+    if isinstance(v, int):
+        return v
+    d, k = v
+    return cmath.exp(2j * cmath.pi * k / d)
+
+
 def _multiply_values(u: CharacterValue, v: CharacterValue) -> CharacterValue:
     if u == 0 or v == 0:
         return 0
@@ -207,11 +215,7 @@ class DirichletCharacter:
 
     def value_complex(self, n: int) -> complex:
         """chi(n) as a complex float."""
-        v = self.values[n % self.modulus]
-        if isinstance(v, int):
-            return complex(v)
-        d, k = v
-        return cmath.exp(2j * cmath.pi * k / d)
+        return complex(_to_number(self.values[n % self.modulus]))
 
     def to_json_dict(self) -> dict:
         """The documented JSON form: values as ints or [order, exponent] pairs."""
@@ -222,16 +226,6 @@ class DirichletCharacter:
             "conductor": self.conductor,
             "values": [v if isinstance(v, int) else [v[0], v[1]] for v in self.values],
         }
-
-
-def char_value(chi: DirichletCharacter, n: int) -> CharacterValue:
-    """chi(n) for any integer n, via the period-q table."""
-    return chi.value_exact(n)
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    """Smallest modulus of a character inducing chi (stored at construction)."""
-    return chi.conductor
 
 
 def principal_character(q: int) -> DirichletCharacter:

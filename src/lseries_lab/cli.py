@@ -10,7 +10,8 @@ Commands
 * ``geom verify-appendix``  -- recompute the golden bilinear-geometry table;
                                exit 1 on any mismatch.
 * ``pappus check -q Q -k K -s S -N N`` -- solid-of-revolution identity audit.
-* ``audit -q Q -k K -s S -N N1,N2,...`` -- the eight-claim truncation audit.
+* ``audit -q Q -k K -s S -N N1,N2,...`` -- the eight-claim truncation audit;
+                               exit 1 if the zero scan saw a sign change.
 * ``survey --qmax Q``       -- min |L| survey over all real non-principal
                                characters; exit 1 if any row saw a sign change.
 
@@ -19,7 +20,7 @@ Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
 complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
 success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors.
+2 for usage or domain errors, 3 for an internal arithmetic failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10), ``default_n``
@@ -57,6 +58,7 @@ FORMATS = ("json", "csv", "table")
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,8 @@ def _cmd_audit(args, config: Config, out) -> int:
     headers = ["claim_id", "verdict", "evidence_points", "note"]
     rows = [[c.claim_id, c.verdict, len(c.evidence), c.note] for c in claims]
     _emit(headers, rows, [c.to_json_dict() for c in claims], args.format, out)
-    return EXIT_OK
+    found = any(c.verdict == audit_mod.VERDICT_SIGN_CHANGE_FOUND for c in claims)
+    return EXIT_FINDING if found else EXIT_OK
 
 
 def _cmd_survey(args, config: Config, out) -> int:
@@ -481,6 +484,9 @@ def main(argv=None, out=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

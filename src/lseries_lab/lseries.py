@@ -1,9 +1,14 @@
 """Dirichlet L-series: truncated sums, continued evaluation, zero scanning.
 
+Every series term in the package (partial sums, step profiles, volumes,
+factor vectors, phase and chi^4 sums) comes from one private kernel,
+``_terms``: chi(n)^m * n^(-m s) with n^-s = n^-sigma * (cos(t ln n) -
+i sin(t ln n)), chi(n)^m read from a residue table converted once per call.
+
 Three evaluation routes, each tagged on the result:
 
-* ``partial_sum`` -- the plain truncation sum(chi(n) * n^-s, n <= N) with
-  n^-s = n^-sigma * (cos(t ln n) - i sin(t ln n)), summed in index order.
+* ``partial_sum`` -- the plain truncation sum(chi(n) * n^-s, n <= N), summed
+  in index order.
 * ``evaluate`` with method ``hurwitz`` -- the exact rearrangement
   L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q) where each
   zeta(s, x) is computed by Euler-Maclaurin summation (default shift 20,
@@ -24,9 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence, Union
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _multiply_values, _to_number
 
 __all__ = [
     "ContinuationRangeError",
@@ -96,31 +102,38 @@ class LEvaluation:
     err_estimate: float
 
 
+def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
+    """chi(a)^m for a in [0, q): the exact power, converted once -- 0 and +/-1
+    stay ints (so real terms stay real), any other root of unity costs one exp."""
+    powers = chi.values if m == 1 else [reduce(_multiply_values, [v] * m) for v in chi.values]
+    return powers if chi.is_real else [_to_number(v) for v in powers]
+
+
+def _terms(chi: DirichletCharacter, s: LPoint, stop: int, m: int = 1, start: int = 1):
+    """Yield (n, chi(n)^m * n^(-m s)) for the units n in [start, stop), in
+    order; at t = 0 no logarithm is taken and real chi gives real floats."""
+    q = chi.modulus
+    table = _residue_table(chi, m)
+    sigma, t = m * s.sigma, m * s.t
+    for n in range(start, stop):
+        v = table[n % q]
+        if v:
+            amp = n ** (-sigma)
+            if t:
+                angle = t * math.log(n)
+                amp = complex(amp * math.cos(angle), -amp * math.sin(angle))
+            yield n, v * amp
+
+
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order."""
     s = as_lpoint(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    q = chi.modulus
-    values = chi.values
-    if s.t == 0.0 and chi.is_real:
-        total = 0.0
-        for n in range(1, n_terms + 1):
-            v = values[n % q]
-            if v:
-                total += v * n ** (-s.sigma)
-        return complex(total, 0.0)
-    sigma, t = s.sigma, s.t
-    total = 0j
-    for n in range(1, n_terms + 1):
-        if values[n % q] == 0:
-            continue
-        amp = n ** (-sigma)
-        angle = t * math.log(n)
-        total += chi.value_complex(n) * complex(
-            amp * math.cos(angle), -amp * math.sin(angle)
-        )
-    return total
+    total = 0.0
+    for _, term in _terms(chi, s, n_terms + 1):
+        total += term
+    return complex(total)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 (exact), and B_2j / (2j)! as floats.
@@ -213,11 +226,9 @@ def _grouped_at_one(chi: DirichletCharacter, blocks: int = 64, pairs: int = 4) -
     Returns (value, err_estimate, terms_used).
     """
     q = chi.modulus
-    real = chi.is_real
-    vals = [
-        (chi.values[a % q] if real else chi.value_complex(a)) for a in range(1, q + 1)
-    ]
-    total = 0.0 if real else 0j
+    table = _residue_table(chi)
+    vals = [table[a % q] for a in range(1, q + 1)]
+    total = 0.0 if chi.is_real else 0j
     for j in range(blocks):
         base = j * q
         for a, v in enumerate(vals, start=1):
@@ -255,17 +266,16 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
         raise ContinuationRangeError(
             f"sigma = {s.sigma} is outside the supported range sigma > -1"
         )
-    real_axis = s.t == 0.0 and chi.is_real
-    acc = 0.0 if real_axis else 0j
+    table = _residue_table(chi)
+    acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
     abs_acc = 0.0
     err = 0.0
     shift_used = _DEFAULT_SHIFT
     for a in range(1, q + 1):
-        v_exact = chi.values[a % q]
-        if v_exact == 0:
+        v = table[a % q]
+        if v == 0:
             continue
         z, e, shift_used = _hurwitz_with_error(s, a / q, tol)
-        v = v_exact if real_axis else chi.value_complex(a)
         acc += v * z
         abs_acc += abs(z)
         err += e

@@ -9,8 +9,9 @@ length-N vectors in either of two ways:
   p_vec[n] = chi(n) * n^-it carries the character.
 
 In both variants a_vec[k] * p_vec[k] = chi(k+1) * (k+1)^-s, so the bilinear
-dot of the pair reproduces the truncation (``reconstruct_identity``).  Formal
-norms and cosines use the unconjugated pairing from :mod:`lseries_lab.cgeom`;
+dot of the pair reproduces the truncation (``reconstruct_identity``); the
+bare factors are the terms of the trivial character mod 1.  Formal norms and
+cosines are the unconjugated forms of :mod:`lseries_lab.cgeom`, re-exported;
 a vector whose formal norm is exactly zero is *isotropic* and has no cosine
 (that is a distinct error, not a division blowup).  ``phase_series_sums``
 exposes the raw phase partial sums (sum cos(t ln n), sum sin(t ln n)); at
@@ -20,12 +21,11 @@ divergence witness the audit module fits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .characters import DirichletCharacter
-from .cgeom import principal_sqrt
-from .lseries import LPoint, as_lpoint, partial_sum
+from .characters import DirichletCharacter, principal_character
+from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
+from .lseries import LPoint, _terms, as_lpoint, partial_sum
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -44,9 +44,7 @@ AMPLITUDE_CHI = "amplitude_chi"
 PHASE_CHI = "phase_chi"
 VARIANTS = (AMPLITUDE_CHI, PHASE_CHI)
 
-
-class IsotropicVectorError(ValueError):
-    """A vector with formal norm exactly zero has no formal cosine."""
+_TRIVIAL = principal_character(1)
 
 
 @dataclass(frozen=True)
@@ -69,49 +67,19 @@ def build_vectors(
         raise ValueError(f"need at least one term, got {n_terms}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    sigma, t = s.sigma, s.t
-    a_vec = []
-    p_vec = []
-    for n in range(1, n_terms + 1):
-        amp = n ** (-sigma)
-        if t == 0.0:
-            phase = complex(1.0, 0.0)
-        else:
-            angle = t * math.log(n)
-            phase = complex(math.cos(angle), -math.sin(angle))
-        value = chi.value_complex(n)
-        if variant == AMPLITUDE_CHI:
-            a_vec.append(value * amp)
-            p_vec.append(phase)
-        else:
-            a_vec.append(complex(amp, 0.0))
-            p_vec.append(value * phase)
-    return ResolutionVectors(
-        n_terms=n_terms, variant=variant, a_vec=tuple(a_vec), p_vec=tuple(p_vec), s=s
-    )
 
+    def factor(character, point):
+        vec = [0j] * n_terms
+        for n, f in _terms(character, point, n_terms + 1):
+            vec[n - 1] = complex(f)
+        return tuple(vec)
 
-def formal_norm(vec) -> complex:
-    """principal_sqrt(sum v_k^2); may be 0 (isotropic) or non-real."""
-    return principal_sqrt(sum((v * v for v in vec), 0j))
-
-
-def formal_cosine(u, v) -> complex:
-    """Bilinear dot over the product of formal norms.
-
-    Raises IsotropicVectorError if either formal norm is exactly zero --
-    e.g. (1, i) is a nonzero isotropic vector.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    norm_u = formal_norm(u)
-    if norm_u == 0:
-        raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
-    norm_v = formal_norm(v)
-    if norm_v == 0:
-        raise IsotropicVectorError("second vector is isotropic (formal norm 0)")
-    dot = sum((a * b for a, b in zip(u, v)), 0j)
-    return dot / (norm_u * norm_v)
+    amplitude, phase = LPoint(s.sigma, 0.0), LPoint(0.0, s.t)
+    if variant == AMPLITUDE_CHI:
+        a_vec, p_vec = factor(chi, amplitude), factor(_TRIVIAL, phase)
+    else:
+        a_vec, p_vec = factor(_TRIVIAL, amplitude), factor(chi, phase)
+    return ResolutionVectors(n_terms=n_terms, variant=variant, a_vec=a_vec, p_vec=p_vec, s=s)
 
 
 def reconstruct_identity(
@@ -136,10 +104,7 @@ def phase_series_sums(t: float, n_terms: int) -> tuple:
         raise ValueError(f"need at least one term, got {n_terms}")
     if t == 0.0:
         return float(n_terms), 0.0
-    cos_sum = 0.0
-    sin_sum = 0.0
-    for n in range(1, n_terms + 1):
-        angle = t * math.log(n)
-        cos_sum += math.cos(angle)
-        sin_sum += math.sin(angle)
-    return cos_sum, sin_sum
+    total = 0j  # sum of n^-it = cos(t ln n) - i sin(t ln n)
+    for _, term in _terms(_TRIVIAL, LPoint(0.0, t), n_terms + 1):
+        total += term
+    return total.real, -total.imag

@@ -17,6 +17,7 @@ from lseries_lab.cgeom import (
     APPENDIX_POINTS,
     CVector,
     DimensionMismatchError,
+    IsotropicVectorError,
     bilinear_dot,
     cosine_theorem_check,
     formal_norm_sq,
@@ -194,6 +195,11 @@ class TestGoldenExamples:
         denom = principal_sqrt(-2 - 2j) * principal_sqrt(-10 + 2j)
         assert abs(report.cos_ac_bc - 6 / denom) < 1e-14
         assert abs(4 * report.area**2 + report.dot_ab_ac**2 - report.ab_sq * report.ac_sq) < 1e-12
+
+    def test_report_isotropic_side_is_a_distinct_error(self):
+        # AB = (1, i) has formal norm 0, so cos(AB, AC) is undefined.
+        with pytest.raises(IsotropicVectorError):
+            triangle_report(CVector([0, 0]), CVector([1, 1j]), CVector([2, 0]))
 
 
 class TestVerifyAppendix:

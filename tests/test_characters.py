@@ -18,8 +18,6 @@ import pytest
 
 from lseries_lab.characters import (
     DirichletCharacter,
-    char_value,
-    conductor,
     enumerate_characters,
     enumerate_real_characters,
     kronecker_symbol,
@@ -129,7 +127,7 @@ class TestEnumeration:
         assert len(chars) == 1
         assert chars[0].is_principal
         assert chars[0].values == (1,)
-        assert char_value(chars[0], 12345) == 1
+        assert chars[0].value_exact(12345) == 1
 
     def test_q4_two_real_characters(self):
         chars = enumerate_real_characters(4)
@@ -188,8 +186,8 @@ class TestEnumeration:
                 vm = values[m]
                 for n in range(m, q):
                     assert values[m * n % q] == vm * values[n]
-            # periodicity through char_value
-            assert all(char_value(chi, n + q) == values[n % q] for n in range(0, q, max(1, q // 7)))
+            # periodicity through value_exact
+            assert all(chi.value_exact(n + q) == values[n % q] for n in range(0, q, max(1, q // 7)))
             # non-principal characters sum to zero over a period
             if not chi.is_principal:
                 assert sum(values) == 0
@@ -284,11 +282,11 @@ class TestKronecker:
 class TestConductor:
     def test_principal_always_one(self):
         for q in (1, 2, 6, 12, 45):
-            assert conductor(principal_character(q)) == 1
+            assert principal_character(q).conductor == 1
 
     def test_primitive_mod4(self):
         chi = enumerate_real_characters(4)[1]
-        assert conductor(chi) == 4
+        assert chi.conductor == 4
 
     def test_induced_mod8_from_mod4(self):
         base = enumerate_real_characters(4)[1]
@@ -296,7 +294,7 @@ class TestConductor:
             base.values[n % 4] if gcd(n, 8) == 1 else 0 for n in range(8)
         )
         induced = DirichletCharacter.from_values(8, values)
-        assert conductor(induced) == 4
+        assert induced.conductor == 4
 
     @pytest.mark.parametrize("q", [1, 3, 4, 8, 9, 12, 16, 24, 36, 40])
     def test_pairwise_oracle(self, q):
@@ -313,7 +311,7 @@ class TestConductor:
                 return True
 
             oracle = min(f for f in range(1, q + 1) if q % f == 0 and induced_modulus(f))
-            assert conductor(chi) == oracle
+            assert chi.conductor == oracle
 
     def test_conductor_divides_modulus(self):
         for q in range(1, 50):

@@ -11,6 +11,7 @@ import pytest
 from lseries_lab import cgeom
 from lseries_lab.cli import (
     EXIT_FINDING,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     Config,
@@ -278,6 +279,17 @@ class TestScanCommand:
         assert len(payload["brackets"]) == 1
         assert abs(payload["brackets"][0]["root"] - 0.55) < 1e-8
 
+    def test_internal_arithmetic_failure_is_not_a_finding(self, monkeypatch, capsys):
+        def fake_evaluate(chi, s, *, tol=1e-10):
+            return LEvaluation(
+                value=complex(0.5, 1.0), method="hurwitz", n_used=1, err_estimate=1e-15
+            )
+
+        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
+        code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1")
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: non-real L-value")
+
     def test_non_real_axis_scan_window_error(self, capsys):
         code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--lo", "0", "--hi", "1")
         assert code == EXIT_USAGE
@@ -371,6 +383,25 @@ class TestAuditCommand:
         headers, rows = parse_csv(text)
         assert headers == ["claim_id", "verdict", "evidence_points", "note"]
         assert len(rows) == 8
+
+    def test_sign_change_exits_finding(self, monkeypatch):
+        def fake_evaluate(chi, s, *, tol=1e-10):
+            sigma = as_lpoint(s).sigma
+            return LEvaluation(
+                value=complex(sigma - 0.55, 0.0),
+                method="hurwitz",
+                n_used=1,
+                err_estimate=1e-15,
+            )
+
+        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
+        code, text = run_cli(
+            "audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "10,100",
+            "--grid-step", "0.1", "--format", "json",
+        )
+        assert code == EXIT_FINDING
+        (scan,) = [c for c in json.loads(text) if c["claim_id"] == "NONVANISHING_SCAN"]
+        assert scan["verdict"] == "sign-change-found"
 
     def test_unsorted_truncations_rejected(self, capsys):
         code, _ = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "1000,100")

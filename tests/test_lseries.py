@@ -26,6 +26,8 @@ from lseries_lab.lseries import (
     _bisect_sign_change,
     _grouped_at_one,
     _hurwitz_with_error,
+    _residue_table,
+    _terms,
     as_lpoint,
     evaluate,
     hurwitz_zeta,
@@ -88,6 +90,28 @@ class TestPartialSum:
     def test_real_character_real_axis_is_real(self):
         value = partial_sum(CHI3, 0.25, 777)
         assert value.imag == 0.0
+
+
+class TestTermKernel:
+    def test_residue_table_is_value_complex_bit_for_bit(self):
+        for chi in enumerate_characters(13) + enumerate_characters(16):
+            table = _residue_table(chi)
+            assert all(complex(table[a]) == chi.value_complex(a) for a in range(chi.modulus))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("s", [0.5, complex(0.5, 3.0)])
+    def test_powered_terms_match_brute_force_on_units(self, m, s):
+        for chi in enumerate_characters(5) + enumerate_characters(12):
+            terms = dict(_terms(chi, as_lpoint(s), 40, m, start=7))
+            units = [n for n in range(7, 40) if chi.values[n % chi.modulus] != 0]
+            assert list(terms) == units
+            for n in units:
+                want = chi.value_complex(n) ** m * n ** (-m * complex(s))
+                assert abs(terms[n] - want) <= 1e-14
+
+    def test_fourth_power_of_order_four_character_is_exact(self):
+        for chi in enumerate_characters(5):
+            assert _residue_table(chi, 4) == [0, 1, 1, 1, 1]
 
 
 class TestAsLPoint:
@@ -219,7 +243,7 @@ class TestEvaluate:
                     ev = evaluate(chi, s)
                     ps = partial_sum(chi, s, n_terms)
                     bound = n_terms ** (1.0 - sigma) / (sigma - 1.0)
-                    assert abs(ev.value - ps) <= 2.0 * bound + 1e-9, (q, chi.index, s)
+                    assert abs(ev.value - ps) <= 2.0 * bound + 1e-9, (q, chi.values, s)
 
     def test_returns_evaluation_record(self):
         ev = evaluate(CHI4, 3.0)

@@ -8,6 +8,10 @@ Hand-computed oracles:
   chi mod 4 at s = 0 with N = 4 -> heights (1, 0, -1, 0), area zero;
   chi mod 4 at s = 1/2 with N = 4 -> S = 1 - 1/sqrt(3),
     W = sum over odd n <= 4 of 1/n = 1 + 1/3 = 4/3.
+
+The closed-form barycenter is checked against a test-local oracle: midpoint
+quadrature of the defining integrals over the step function (panels aligned
+to the unit steps integrate the step data exactly).
 """
 
 import math
@@ -22,7 +26,6 @@ from lseries_lab.rotation import (
     StepProfile,
     ZeroAreaError,
     barycenter,
-    barycenter_quadrature,
     cylinder_volume,
     pappus_check,
     rect_area,
@@ -44,22 +47,33 @@ def make_profile(heights):
     )
 
 
-class TestProfileGeometry:
-    def test_support_interval_and_axis(self):
-        profile = step_profile(CHI4, 0.5, 7)
-        assert (profile.a, profile.b, profile.lower) == (0.0, 7.0, 0.0)
+def _midpoint_quadrature(f, a, b, panels):
+    h = (b - a) / panels
+    return sum((f(a + (i + 0.5) * h) for i in range(panels)), 0j) * h
 
+
+def barycenter_quadrature(profile):
+    """(xi, eta) = (integral(z f) / integral(f), integral(f^2) / (2 integral(f)))
+    by midpoint quadrature of the right-open step function f."""
+    n = profile.n_rects
+
+    def height(z):
+        return profile.heights[math.floor(z)]
+
+    area = _midpoint_quadrature(height, 0.0, float(n), n)
+    if area == 0:
+        raise ZeroAreaError("step profile has total area exactly zero")
+    moment = _midpoint_quadrature(lambda z: z * height(z), 0.0, float(n), n)
+    square = _midpoint_quadrature(lambda z: height(z) ** 2, 0.0, float(n), n)
+    return moment / area, square / (2 * area)
+
+
+class TestProfileGeometry:
     def test_heights_are_series_terms(self):
         profile = step_profile(CHI4, 0.5, 6)
         want = (1.0, 0.0, -(3.0**-0.5), 0.0, 5.0**-0.5, 0.0)
         for got, expected in zip(profile.heights, want):
             assert abs(got - expected) < 1e-15
-
-    def test_height_at_is_right_open(self):
-        profile = make_profile([2.0, 5.0])
-        assert profile.height_at(0.0) == 2.0
-        assert profile.height_at(0.999) == 2.0
-        assert profile.height_at(1.0) == 5.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
