@@ -337,11 +337,14 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
     )
 
 
-def _claim_nonvanishing(chi, grid_step, scan_tol) -> ClaimResult:
-    lo = grid_step
+def _scan_grid(grid_step: float) -> tuple:
+    """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
     points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
-    hi = lo + (points - 1) * grid_step
-    result = scan_zeros(chi, lo, hi, points, scan_tol)
+    return grid_step, grid_step + (points - 1) * grid_step, points
+
+
+def _claim_nonvanishing(chi, grid_step, scan_tol) -> ClaimResult:
+    result = scan_zeros(chi, *_scan_grid(grid_step), scan_tol)
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -435,15 +438,13 @@ def nonvanishing_survey(
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    lo = grid_step
-    points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
-    hi = lo + (points - 1) * grid_step
+    grid = _scan_grid(grid_step)
     rows = []
     for q in range(1, q_max + 1):
         for index, chi in enumerate(enumerate_real_characters(q)):
             if chi.is_principal:
                 continue
-            result = scan_zeros(chi, lo, hi, points, tol)
+            result = scan_zeros(chi, *grid, tol)
             rows.append(
                 SurveyRow(
                     q=q,

@@ -5,8 +5,10 @@ is presented as a direct product over the prime-power factors of q, using the
 smallest primitive root for odd prime powers and the {-1, 5} generator pair
 for 2^k with k >= 3.  Each character value is stored exactly -- as an integer
 in {-1, 0, +1} when the character is real, and otherwise as an (order,
-exponent) pair (d, k) meaning exp(2*pi*i*k/d).  No floating point enters until
-a value is explicitly converted by ``_to_number`` (which
+exponent) pair (d, k) meaning exp(2*pi*i*k/d).  Exact arithmetic is on integer
+exponents e over the group exponent L = lcm(d_i), standing for exp(2*pi*i*e/L),
+and ``from_values`` validates a table by rebuilding it from its generator
+images.  No floating point enters until ``_to_number`` converts a value (which
 :meth:`DirichletCharacter.value_complex` and the L-series term tables share).
 
 The Kronecker symbol lives here as well; for fundamental discriminants it is
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import gcd
-from typing import Iterator, Sequence, Union
+from math import gcd, lcm
+from typing import Sequence, Union
 
 __all__ = [
     "CharacterValue",
@@ -117,24 +118,25 @@ def unit_group_structure(q: int) -> list[tuple[int, int]]:
     return gens
 
 
-def _rotation_to_value(rot: Fraction) -> CharacterValue:
-    """exp(2*pi*i*rot) as an exact value: 1, -1, or an (order, exponent) pair."""
-    rot %= 1
-    if rot == 0:
+def _value(e: int, order: int) -> CharacterValue:
+    """exp(2*pi*i*e/order) as an exact value: 1, -1, or the reduced
+    (order, exponent) pair."""
+    e %= order
+    if e == 0:
         return 1
-    if rot == Fraction(1, 2):
+    if 2 * e == order:
         return -1
-    return (rot.denominator, rot.numerator)
+    g = gcd(e, order)
+    return (order // g, e // g)
 
 
-def _value_rotation(v: CharacterValue) -> Fraction:
-    """Inverse of :func:`_rotation_to_value` for nonzero values."""
-    if v == 1:
-        return Fraction(0)
-    if v == -1:
-        return Fraction(1, 2)
-    d, k = v
-    return Fraction(k, d)
+def _exponent(v: CharacterValue, order: int) -> int:
+    """The e in [0, order) with exp(2*pi*i*e/order) = v, for a nonzero value
+    v; ValueError when v is not a root of unity of order dividing `order`."""
+    d, k = (1, 0) if v == 1 else (2, 1) if v == -1 else v
+    if order % d:
+        raise ValueError(f"{v!r} is not a root of unity of order dividing {order}")
+    return k * (order // d) % order
 
 
 def _to_number(v: CharacterValue):
@@ -144,12 +146,6 @@ def _to_number(v: CharacterValue):
         return v
     d, k = v
     return cmath.exp(2j * cmath.pi * k / d)
-
-
-def _multiply_values(u: CharacterValue, v: CharacterValue) -> CharacterValue:
-    if u == 0 or v == 0:
-        return 0
-    return _rotation_to_value(_value_rotation(u) + _value_rotation(v))
 
 
 def _conductor_of_table(q: int, values: Sequence[CharacterValue]) -> int:
@@ -183,31 +179,34 @@ class DirichletCharacter:
 
     @classmethod
     def from_values(cls, q: int, values: Sequence[CharacterValue]) -> "DirichletCharacter":
-        """Build from an explicit table, validating the character axioms."""
+        """Build from an explicit table in the stored form (0, +/-1, reduced
+        (order, exponent) pairs); ValueError unless it is a character mod q."""
         if q < 1:
             raise ValueError(f"modulus must be >= 1, got {q}")
-        values = tuple(int(v) if isinstance(v, int) or v in (0, 1, -1) else tuple(v) for v in values)
         if len(values) != q:
             raise ValueError(f"value table must have length {q}, got {len(values)}")
+        table = []
         for n, v in enumerate(values):
-            coprime = gcd(n, q) == 1
-            if coprime and v == 0:
-                raise ValueError(f"chi({n}) = 0 but gcd({n}, {q}) = 1")
-            if not coprime and v != 0:
-                raise ValueError(f"chi({n}) != 0 but gcd({n}, {q}) > 1")
+            pair = isinstance(v, (tuple, list)) and len(v) == 2 and all(type(x) is int for x in v)
+            if not (pair and v[0] >= 1 or v in (0, 1, -1)):
+                raise ValueError(f"chi({n}) = {v!r}: not 0, +/-1 or an int pair (order >= 1, exponent)")
+            v = tuple(v) if pair else int(v)
+            if (v == 0) != (gcd(n, q) > 1):
+                raise ValueError(f"chi({n}) = {v!r} but gcd({n}, {q}) = {gcd(n, q)}")
+            table.append(v)
+        values = tuple(table)
         if values[1 % q] != 1:
             raise ValueError("chi(1) must equal 1")
-        for m in range(q):
-            for n in range(m, q):
-                if _multiply_values(values[m], values[n]) != values[(m * n) % q]:
-                    raise ValueError(f"table is not completely multiplicative at ({m}, {n})")
-        return cls(
-            modulus=q,
-            values=values,
-            is_principal=all(v in (0, 1) for v in values),
-            is_real=all(isinstance(v, int) for v in values),
-            conductor=_conductor_of_table(q, values),
-        )
+        # A character is fixed by its generator images: rebuild it and compare.
+        gens = unit_group_structure(q)
+        chi = _build_character(q, _unit_walk(q, gens), [_exponent(values[g], d) for g, d in gens])
+        if chi.values != values:
+            n = next(n for n, (u, v) in enumerate(zip(chi.values, values)) if u != v)
+            raise ValueError(
+                f"not completely multiplicative: chi({n}) = {values[n]!r}, "
+                f"its generator images give {chi.values[n]!r}"
+            )
+        return chi
 
     def value_exact(self, n: int) -> CharacterValue:
         """chi(n) as stored: 0, +/-1, or an (order, exponent) pair."""
@@ -242,50 +241,47 @@ def principal_character(q: int) -> DirichletCharacter:
     )
 
 
-def _build_character(q: int, gens: list[tuple[int, int]], exps: tuple[int, ...]) -> DirichletCharacter:
-    """Character sending generator g_i to exp(2*pi*i * exps[i] / d_i)."""
-    rotations: list = [None] * q
-    rotations[1 % q] = Fraction(0)
-    # Walk the whole group as products of generator powers; each unit is hit once.
-    for powers in product(*(range(d) for _, d in gens)):
-        n = 1 % q
-        rot = Fraction(0)
-        for (g, d), a, c in zip(gens, powers, exps):
-            n = (n * pow(g, a, q)) % q
-            rot += Fraction(c * a, d)
-        rotations[n] = rot % 1
-    values = tuple(
-        0 if rotations[n] is None else _rotation_to_value(rotations[n]) for n in range(q)
-    )
+def _unit_walk(q: int, gens: list[tuple[int, int]]) -> tuple:
+    """(L, units, columns, roots), shared by the characters built in one call:
+    L = lcm(d_i), each unit once as n = prod(g_i^a_i), per generator the column
+    of a_i * L / d_i in unit order, and roots[e] = exact exp(2*pi*i*e/L)."""
+    group_exponent = lcm(*(d for _, d in gens))
+    units, columns = [1 % q], []
+    for g, d in gens:
+        size = len(units)
+        units = [u * p % q for p in [pow(g, a, q) for a in range(d)] for u in units]
+        columns = [column * d for column in columns]
+        columns.append([a * (group_exponent // d) for a in range(d) for _ in range(size)])
+    roots = [_value(e, group_exponent) for e in range(group_exponent)]
+    return group_exponent, units, columns, roots
+
+
+def _build_character(q: int, walk: tuple, exps: Sequence[int]) -> DirichletCharacter:
+    """Character sending generator g_i to exp(2*pi*i * exps[i] / d_i), over a
+    :func:`_unit_walk` of q: chi(n) has exponent sum(exps[i] * column_i[n])."""
+    group_exponent, units, columns, roots = walk
+    logs = [0] * len(units)
+    for c, column in zip(exps, columns):
+        logs = [e + c * a for e, a in zip(logs, column)]
+    values = [0] * q
+    for n, e in zip(units, logs):
+        values[n] = roots[e % group_exponent]
     return DirichletCharacter(
         modulus=q,
-        values=values,
+        values=tuple(values),
         is_principal=all(c == 0 for c in exps),
         is_real=all(isinstance(v, int) for v in values),
         conductor=_conductor_of_table(q, values),
     )
 
 
-def _table_sort_key(chi: DirichletCharacter) -> tuple:
-    """Principal first, then lexicographic by value table, entries compared
-    as (is-zero, rotation fraction) so real and complex values mix under a
-    deterministic total order."""
-    def entry_key(v: CharacterValue):
-        if v == 0:
-            return (1, Fraction(0))
-        return (0, _value_rotation(v))
-
-    return (0 if chi.is_principal else 1, tuple(entry_key(v) for v in chi.values))
-
-
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, principal first, then lexicographic."""
+    """All phi(q) characters mod q, principal first, then lexicographic by exponent over L."""
     gens = unit_group_structure(q)
-    chars = [
-        _build_character(q, gens, exps)
-        for exps in product(*(range(d) for _, d in gens))
-    ]
-    chars.sort(key=_table_sort_key)
+    walk = _unit_walk(q, gens)
+    exponent = {v: e for e, v in enumerate(walk[3] + [0])}  # 0 gets L: after every unit
+    chars = [_build_character(q, walk, exps) for exps in product(*(range(d) for _, d in gens))]
+    chars.sort(key=lambda c: (0 if c.is_principal else 1, tuple(exponent[v] for v in c.values)))
     return chars
 
 
@@ -297,7 +293,8 @@ def enumerate_real_characters(q: int) -> list[DirichletCharacter]:
     """
     gens = unit_group_structure(q)
     choices = [(0, d // 2) if d % 2 == 0 else (0,) for _, d in gens]
-    chars = [_build_character(q, gens, exps) for exps in product(*choices)]
+    walk = _unit_walk(q, gens)
+    chars = [_build_character(q, walk, exps) for exps in product(*choices)]
     chars.sort(key=lambda c: (0 if c.is_principal else 1, c.values))
     return chars
 

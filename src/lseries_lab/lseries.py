@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence, Union
 
-from .characters import DirichletCharacter, _multiply_values, _to_number
+from .characters import DirichletCharacter, _to_number, _value
 
 __all__ = [
     "ContinuationRangeError",
@@ -105,7 +104,9 @@ class LEvaluation:
 def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
     """chi(a)^m for a in [0, q): the exact power, converted once -- 0 and +/-1
     stay ints (so real terms stay real), any other root of unity costs one exp."""
-    powers = chi.values if m == 1 else [reduce(_multiply_values, [v] * m) for v in chi.values]
+    powers = chi.values
+    if m > 1:
+        powers = [v**m if isinstance(v, int) else _value(v[1] * m, v[0]) for v in powers]
     return powers if chi.is_real else [_to_number(v) for v in powers]
 
 

@@ -133,15 +133,15 @@ class PappusReport:
 def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     """Check V = 2 pi eta S at truncation N.
 
-    S comes from the plain truncation sum, V = pi * sum(chi(n)^2 * n^-2s)
-    from the squared character values at 2s (independent arithmetic: never
-    the squared heights), and eta from the barycenter closed form, so the
+    S is the profile area (its heights summed in index order), V = pi *
+    sum(chi(n)^2 * n^-2s) from the squared character values at 2s (never the
+    squared heights), and eta from the barycenter closed form, so the
     residual genuinely compares two computation paths.  Exact zero profile
     area raises ZeroAreaError (propagated from the barycenter).
     """
     s = as_lpoint(s)
     profile = step_profile(chi, s, n_rects)
-    area = partial_sum(chi, s, n_rects)
+    area = sum(profile.heights, 0j)
     volume = math.pi * sum((f for _, f in _terms(chi, s, n_rects + 1, 2)), 0j)
     xi, eta = barycenter(profile)
     residual = abs(volume - 2 * math.pi * eta * area)

@@ -7,7 +7,10 @@ Oracles used here and nowhere in the library:
   for the real character count;
 * the Euler criterion pow(a, (p-1)//2, p) for the Kronecker symbol at odd
   primes;
-* the pairwise induced-modulus predicate for conductors.
+* the pairwise induced-modulus predicate for conductors;
+* Fraction rotations (value = exp(2*pi*i*r), r in [0, 1)) for the order of
+  ``enumerate_characters`` and the complete multiplicativity of complex
+  characters, independent of the library's integer-exponent arithmetic.
 """
 
 from fractions import Fraction
@@ -45,6 +48,14 @@ def brute_real_character_tables(q):
         if all(f[(a * b) % q] == f[a] * f[b] for a in us for b in us):
             tables.append(tuple(f.get(n, 0) for n in range(q)))
     return sorted(set(tables))
+
+
+def rotation(v):
+    """The r in [0, 1) with exp(2*pi*i*r) = v, for a nonzero exact value v."""
+    if isinstance(v, int):
+        return Fraction(0) if v == 1 else Fraction(1, 2)
+    d, k = v
+    return Fraction(k, d) % 1
 
 
 def euler_criterion(d, p):
@@ -171,6 +182,25 @@ class TestEnumeration:
             )
             assert c.is_real == square_rotations_trivial
 
+    @pytest.mark.parametrize("q", range(1, 41))
+    def test_order_is_principal_then_lexicographic_by_rotation(self, q):
+        keys = [
+            (not c.is_principal, tuple((1, 0) if v == 0 else (0, rotation(v)) for v in c.values))
+            for c in enumerate_characters(q)
+        ]
+        assert keys[0][0] is False
+        assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("q", range(1, 41))
+    def test_complete_multiplicativity_on_the_rotation_oracle(self, q):
+        us = units(q)
+        for chi in enumerate_characters(q):
+            assert [v == 0 for v in chi.values] == [gcd(n, q) > 1 for n in range(q)]
+            rot = {n: rotation(chi.values[n]) for n in us}
+            for i, m in enumerate(us):
+                for n in us[i:]:
+                    assert (rot[m] + rot[n] - rot[m * n % q]) % 1 == 0, (chi.values, m, n)
+
     @pytest.mark.parametrize("q", range(1, 101))
     def test_real_character_axioms(self, q):
         for chi in enumerate_real_characters(q):
@@ -223,10 +253,34 @@ class TestFromValues:
             DirichletCharacter.from_values(5, [0, 1, 1, -1, 1])
 
     def test_matches_enumeration(self):
-        for q in (3, 4, 5, 8, 12):
-            for chi in enumerate_real_characters(q):
-                rebuilt = DirichletCharacter.from_values(q, chi.values)
-                assert rebuilt == chi
+        for q in range(1, 41):
+            for chi in enumerate_characters(q):
+                assert DirichletCharacter.from_values(q, chi.values) == chi
+                assert DirichletCharacter.from_values(q, chi.to_json_dict()["values"]) == chi
+
+    @pytest.mark.parametrize("entry", [(0, 1), (3,), "x", 2])
+    def test_rejects_malformed_entry(self, entry):
+        table = [0, 1, entry, (4, 3), -1]
+        with pytest.raises(ValueError, match=r"chi\(2\)"):
+            DirichletCharacter.from_values(5, table)
+
+    def test_rejects_table_corrupted_at_one_non_generator_unit(self):
+        q = 21
+        generators = {g for g, _ in unit_group_structure(q)}
+        roots = [1, -1, (3, 1), (3, 2), (6, 1), (6, 5)]
+        for chi in enumerate_characters(q):
+            for n in units(q):
+                if n == 1 or n in generators:
+                    continue
+                table = list(chi.values)
+                table[n] = next(v for v in roots if v != table[n])
+                with pytest.raises(ValueError, match="not completely multiplicative"):
+                    DirichletCharacter.from_values(q, table)
+
+    def test_rejects_generator_image_of_wrong_order(self):
+        # 2 generates (Z/5Z)^* with order 4, so chi(2) cannot be a primitive 8th root.
+        with pytest.raises(ValueError, match="order dividing 4"):
+            DirichletCharacter.from_values(5, [0, 1, (8, 1), (4, 3), -1])
 
 
 class TestKronecker:
