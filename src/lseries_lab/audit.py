@@ -3,7 +3,10 @@
 ``run_audit`` re-derives each claim below at several truncation points and
 attaches a verdict backed by the recorded evidence.  Claims never raise out
 of the audit: expected per-claim failures (isotropic vectors, zero profile
-area) become notes on that claim only.
+area) become notes on that claim only.  Every truncation quantity is a sum
+over n <= N, so each series (factor vectors, step profile, S_N, V_N, W_N,
+the chi^4 sum) is walked once, up to the largest N, and each smaller
+truncation reads its prefix.
 
 Claim registry (fixed order, fixed IDs -- these are the wire format):
 
@@ -11,8 +14,8 @@ Claim registry (fixed order, fixed IDs -- these are the wire format):
                         truncation sum at every N (identity-exact).
 * EQ3_RECONSTRUCT    -- same for the phase variant.
 * EQ45_FACTORIZATION -- dot = norm * norm * cosine for both variants'
-                        factor pairs (exact by the cosine's definition;
-                        the audit recomputes it anyway).
+                        factor pairs (exact by the cosine's definition, so
+                        the evidence is the rounding of the recombination).
 * PHASE_SUM_DIVERGES_T0   -- at t = 0 the bare phase-cosine sum counts
                         terms: sum(cos(0 ln n), n <= N) = N exactly, so it
                         grows linearly with slope 1 (the 2it-exponent
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .characters import DirichletCharacter, enumerate_real_characters
-from .lseries import LPoint, _terms, as_lpoint, scan_zeros
+from .lseries import LPoint, _running_sums, as_lpoint, scan_zeros
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -49,9 +52,8 @@ from .resolution import (
     formal_cosine,
     formal_norm,
     phase_series_sums,
-    reconstruct_identity,
 )
-from .rotation import ZeroAreaError, pappus_check, transformed_equation_residual
+from .rotation import StepProfile, ZeroAreaError, _pappus_report, step_profile
 
 __all__ = [
     "CLAIM_IDS",
@@ -128,16 +130,6 @@ class ClaimResult:
         }
 
 
-def _fit_linear(xs, ys) -> tuple:
-    """(slope, intercept, max relative misfit) of the least-squares line."""
-    fit = statistics.linear_regression(xs, ys)
-    misfit = max(
-        abs(fit.slope * x + fit.intercept - y) / max(abs(y), 1e-300)
-        for x, y in zip(xs, ys)
-    )
-    return fit.slope, fit.intercept, misfit
-
-
 def _growth_truncations(truncations) -> tuple:
     """Extend to >= 3 points for growth fits: prepend the next decade down
     when possible (cheap), otherwise append the next decade up."""
@@ -154,54 +146,77 @@ def _relative(residual: float, scale: complex) -> float:
     return residual / max(1.0, abs(scale))
 
 
-def _claim_reconstruct(claim_id, chi, s, truncations, variant) -> ClaimResult:
-    evidence = []
-    worst = 0.0
-    for n in truncations:
-        lhs, rhs, residual = reconstruct_identity(chi, s, n, variant)
-        rel = _relative(residual, rhs)
-        worst = max(worst, rel)
-        evidence.append((n, rel))
-    verdict = (
-        VERDICT_IDENTITY_EXACT if worst <= _IDENTITY_REL_TOL else VERDICT_HOLDS_AT_TRUNCATION
+def _identity_verdict(rels, tol: float, notes: list) -> str:
+    """identity-exact when no checked relative residual (None = unchecked)
+    exceeds `tol`; otherwise holds-at-truncation, noting the worst one."""
+    worst = max([0.0, *(rel for rel in rels if rel is not None)])
+    if worst <= tol:
+        return VERDICT_IDENTITY_EXACT
+    notes.append(f"max relative residual {worst:.3e}")
+    return VERDICT_HOLDS_AT_TRUNCATION
+
+
+def _growth_claim(claim_id, inputs, evidence, expected, padded) -> ClaimResult:
+    """diverges-linear when the least-squares line through the (n, total)
+    evidence rows misses every total by less than _FIT_REL_MISFIT relative."""
+    xs = [row[0] for row in evidence]
+    ys = [row[1] for row in evidence]
+    fit = statistics.linear_regression(xs, ys)
+    misfit = max(
+        abs(fit.slope * x + fit.intercept - y) / max(abs(y), 1e-300)
+        for x, y in zip(xs, ys)
     )
-    note = "" if worst <= _IDENTITY_REL_TOL else f"max relative residual {worst:.3e}"
+    linear = misfit < _FIT_REL_MISFIT
+    note = f"fit slope {fit.slope:.12g} (expected {expected}), intercept {fit.intercept:.3g}"
+    if padded:
+        note += "; truncation list extended to 3 points for the growth fit"
+    if not linear:
+        note += f"; fit misfit {misfit:.3e} exceeds {_FIT_REL_MISFIT}"
+    return ClaimResult(
+        claim_id=claim_id,
+        inputs=inputs,
+        evidence=evidence,
+        verdict=VERDICT_DIVERGES_LINEAR if linear else VERDICT_HOLDS_AT_TRUNCATION,
+        note=note,
+    )
+
+
+def _claim_reconstruct(claim_id, chi, s, truncations, variant, dots, series) -> ClaimResult:
+    evidence = [
+        (n, _relative(abs(lhs - rhs), rhs))
+        for n, lhs, rhs in zip(truncations, dots[variant], series)
+    ]
+    notes = []
+    verdict = _identity_verdict((rel for _, rel in evidence), _IDENTITY_REL_TOL, notes)
     return ClaimResult(
         claim_id=claim_id,
         inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variant": variant},
         evidence=evidence,
         verdict=verdict,
-        note=note,
+        note="; ".join(notes),
     )
 
 
-def _claim_factorization(chi, s, truncations) -> ClaimResult:
+def _claim_factorization(chi, s, truncations, pairs, dots) -> ClaimResult:
     evidence = []
     notes = []
-    worst = 0.0
-    for n in truncations:
+    for i, n in enumerate(truncations):
         row = [n]
         for variant in VARIANTS:
-            vectors = build_vectors(chi, s, n, variant)
-            dot = sum((a * p for a, p in zip(vectors.a_vec, vectors.p_vec)), 0j)
+            a_vec, p_vec = pairs[variant][i]
             try:
-                cosine = formal_cosine(vectors.a_vec, vectors.p_vec)
+                cosine = formal_cosine(a_vec, p_vec)
             except IsotropicVectorError as exc:
                 notes.append(f"N={n} {variant}: {exc}")
                 row.append(None)
                 continue
-            product = (
-                formal_norm(vectors.a_vec) * formal_norm(vectors.p_vec) * cosine
-            )
-            rel = _relative(abs(dot - product), dot)
-            worst = max(worst, rel)
-            row.append(rel)
+            dot = dots[variant][i]
+            product = formal_norm(a_vec) * formal_norm(p_vec) * cosine
+            row.append(_relative(abs(dot - product), dot))
         evidence.append(tuple(row))
-    verdict = (
-        VERDICT_IDENTITY_EXACT if worst <= _IDENTITY_REL_TOL else VERDICT_HOLDS_AT_TRUNCATION
+    verdict = _identity_verdict(
+        (rel for row in evidence for rel in row[1:]), _IDENTITY_REL_TOL, notes
     )
-    if worst > _IDENTITY_REL_TOL:
-        notes.append(f"max relative residual {worst:.3e}")
     return ClaimResult(
         claim_id="EQ45_FACTORIZATION",
         inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variants": list(VARIANTS)},
@@ -213,86 +228,44 @@ def _claim_factorization(chi, s, truncations) -> ClaimResult:
 
 def _claim_phase_sum(truncations) -> ClaimResult:
     ns, padded = _growth_truncations(truncations)
-    evidence = []
-    for n in ns:
-        cos_sum, sin_sum = phase_series_sums(0.0, n)
-        evidence.append((n, cos_sum, sin_sum))
-    slope, intercept, misfit = _fit_linear([e[0] for e in evidence], [e[1] for e in evidence])
-    linear = misfit < _FIT_REL_MISFIT
-    verdict = VERDICT_DIVERGES_LINEAR if linear else VERDICT_HOLDS_AT_TRUNCATION
-    note = f"fit slope {slope:.12g} (expected 1), intercept {intercept:.3g}"
-    if padded:
-        note += "; truncation list extended to 3 points for the growth fit"
-    if not linear:
-        note += f"; fit misfit {misfit:.3e} exceeds {_FIT_REL_MISFIT}"
-    return ClaimResult(
-        claim_id="PHASE_SUM_DIVERGES_T0",
-        inputs={"t": 0.0},
-        evidence=evidence,
-        verdict=verdict,
-        note=note,
-    )
+    evidence = [(n, *phase_series_sums(0.0, n)) for n in ns]
+    return _growth_claim("PHASE_SUM_DIVERGES_T0", {"t": 0.0}, evidence, "1", padded)
 
 
 def _claim_chi4_sum(chi, truncations) -> ClaimResult:
     ns, padded = _growth_truncations(truncations)
     q = chi.modulus
-    evidence = []
-    total = 0.0
-    done = 0
-    for n in ns:
-        # chi(k)^4 at t = 0, summed on from the previous truncation: exactly
-        # 1 on units when the value order divides 4 (always for real chi),
-        # so the total counts units; otherwise it records the real part.
-        for _, term in _terms(chi, LPoint(0.0, 0.0), n + 1, 4, start=done + 1):
-            total += term.real
-        done = n
-        evidence.append((n, total))
+    # chi(n)^4 at t = 0 is exactly 1 on units when the value order divides 4
+    # (always for real chi), so the total counts units; otherwise the
+    # evidence records its real part.
+    totals = _running_sums(chi, LPoint(0.0, 0.0), ns, 4)
+    evidence = [(n, total.real) for n, total in zip(ns, totals)]
     expected_slope = sum(1 for a in range(q) if gcd(a, q) == 1) / q
-    slope, intercept, misfit = _fit_linear([e[0] for e in evidence], [e[1] for e in evidence])
-    linear = misfit < _FIT_REL_MISFIT
-    verdict = VERDICT_DIVERGES_LINEAR if linear else VERDICT_HOLDS_AT_TRUNCATION
-    note = (
-        f"fit slope {slope:.12g} (expected phi(q)/q = {expected_slope:.12g}), "
-        f"intercept {intercept:.3g}"
-    )
-    if padded:
-        note += "; truncation list extended to 3 points for the growth fit"
-    if not linear:
-        note += f"; fit misfit {misfit:.3e} exceeds {_FIT_REL_MISFIT}"
-    return ClaimResult(
-        claim_id="CHI4_PHASE_SUM_DIVERGES",
-        inputs={"q": q, "t": 0.0},
-        evidence=evidence,
-        verdict=verdict,
-        note=note,
+    return _growth_claim(
+        "CHI4_PHASE_SUM_DIVERGES",
+        {"q": q, "t": 0.0},
+        evidence,
+        f"phi(q)/q = {expected_slope:.12g}",
+        padded,
     )
 
 
 def _claim_pappus(chi, s, truncations) -> ClaimResult:
+    profile = step_profile(chi, s, truncations[-1])
     evidence = []
     notes = []
-    worst = 0.0
-    checked = 0
-    for n in truncations:
+    for n, square_sum in zip(truncations, _running_sums(chi, s, truncations, 2)):
+        prefix = StepProfile(n, profile.heights[:n], s, chi.modulus)
         try:
-            report = pappus_check(chi, s, n)
+            evidence.append((n, _pappus_report(prefix, square_sum).relative_residual))
         except ZeroAreaError as exc:
             notes.append(f"N={n}: {exc}")
             evidence.append((n, None))
-            continue
-        rel = report.relative_residual
-        worst = max(worst, rel)
-        checked += 1
-        evidence.append((n, rel))
-    if checked == 0:
+    if all(rel is None for _, rel in evidence):
         verdict = VERDICT_HOLDS_AT_TRUNCATION
         notes.append("no truncation was checkable (all had zero profile area)")
-    elif worst <= _PAPPUS_REL_TOL:
-        verdict = VERDICT_IDENTITY_EXACT
     else:
-        verdict = VERDICT_HOLDS_AT_TRUNCATION
-        notes.append(f"max relative residual {worst:.3e}")
+        verdict = _identity_verdict((rel for _, rel in evidence), _PAPPUS_REL_TOL, notes)
     return ClaimResult(
         claim_id="PAPPUS_IDENTITY",
         inputs={"q": chi.modulus, "s": [s.sigma, s.t]},
@@ -304,19 +277,9 @@ def _claim_pappus(chi, s, truncations) -> ClaimResult:
 
 def _claim_positivity(chi, s, truncations) -> ClaimResult:
     # The positivity fact is about the real axis; audit it at (sigma, 0).
-    sigma_point = LPoint(s.sigma, 0.0)
-    evidence = []
-    last = None
-    positive = True
-    nondecreasing = True
-    for n in truncations:
-        _, w = transformed_equation_residual(chi, sigma_point, n)
-        w_real = w.real
-        evidence.append((n, w_real))
-        positive = positive and w_real > 0.0
-        if last is not None and w_real < last:
-            nondecreasing = False
-        last = w_real
+    ws = [w.real for w in _running_sums(chi, LPoint(s.sigma, 0.0), truncations, 2)]
+    positive = all(w > 0.0 for w in ws)
+    nondecreasing = not any(b < a for a, b in zip(ws, ws[1:]))
     notes = []
     if not chi.is_real:
         notes.append("character is not real; positivity is not guaranteed")
@@ -331,10 +294,32 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
     return ClaimResult(
         claim_id="TRANSFORMED_EQ_POSITIVITY",
         inputs={"q": chi.modulus, "sigma": s.sigma},
-        evidence=evidence,
+        evidence=list(zip(truncations, ws)),
         verdict=verdict,
         note="; ".join(notes),
     )
+
+
+def _truncation_claims(chi, s, truncations) -> list:
+    """The seven truncation claims, in registry order.  Each series is made
+    once, at the largest N, and every smaller truncation reads its prefix.
+    The tables die with this frame, before the zero scan runs: an exception
+    raised there would otherwise keep them alive in its traceback."""
+    pairs, dots = {}, {}
+    for variant in VARIANTS:
+        vectors = build_vectors(chi, s, truncations[-1], variant)
+        pairs[variant] = [(vectors.a_vec[:n], vectors.p_vec[:n]) for n in truncations]
+        dots[variant] = [sum((a * p for a, p in zip(*pair)), 0j) for pair in pairs[variant]]
+    series = _running_sums(chi, s, truncations)
+    return [
+        _claim_reconstruct("EQ2_RECONSTRUCT", chi, s, truncations, AMPLITUDE_CHI, dots, series),
+        _claim_reconstruct("EQ3_RECONSTRUCT", chi, s, truncations, PHASE_CHI, dots, series),
+        _claim_factorization(chi, s, truncations, pairs, dots),
+        _claim_phase_sum(truncations),
+        _claim_chi4_sum(chi, truncations),
+        _claim_pappus(chi, s, truncations),
+        _claim_positivity(chi, s, truncations),
+    ]
 
 
 def _scan_grid(grid_step: float) -> tuple:
@@ -390,16 +375,8 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
-    return [
-        _claim_reconstruct("EQ2_RECONSTRUCT", chi, s, truncations, AMPLITUDE_CHI),
-        _claim_reconstruct("EQ3_RECONSTRUCT", chi, s, truncations, PHASE_CHI),
-        _claim_factorization(chi, s, truncations),
-        _claim_phase_sum(truncations),
-        _claim_chi4_sum(chi, truncations),
-        _claim_pappus(chi, s, truncations),
-        _claim_positivity(chi, s, truncations),
-        _claim_nonvanishing(chi, grid_step, scan_tol),
-    ]
+    claims = _truncation_claims(chi, s, truncations)
+    return claims + [_claim_nonvanishing(chi, grid_step, scan_tol)]
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ success / no finding, 1 for a finding (sign change or golden mismatch),
 2 for usage or domain errors, 3 for an internal arithmetic failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
-file overriding the defaults: ``hurwitz_tol`` (default 1e-10), ``default_n``
-(default 10000), ``grid_step`` (default 0.01), ``output_format``
-(default table).  Command-line flags override the config file.
+file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
+``--tol`` of ``lfun eval`` only -- ``lfun scan``, ``audit`` and ``survey``
+always evaluate at 1e-10), ``default_n`` (default 10000), ``grid_step``
+(default 0.01), ``output_format`` (default table).  Command-line flags
+override the config file.
 """
 
 from __future__ import annotations
@@ -170,12 +172,9 @@ def _select_character(q: int, k: int):
 
 
 def _values_cell(chi) -> str:
-    def one(v):
-        if isinstance(v, int):
-            return str(v)
-        return f"({v[0]},{v[1]})"
-
-    return ";".join(one(v) for v in chi.values)
+    """'1;-1;0;(4,1)': entries are ints or (order, exponent) int pairs, so
+    their str forms hold no space but the one after each pair's comma."""
+    return ";".join(map(str, chi.values)).replace(" ", "")
 
 
 def _cmd_characters(args, config: Config, out) -> int:
@@ -183,11 +182,14 @@ def _cmd_characters(args, config: Config, out) -> int:
         raise ValueError(f"modulus must be >= 1, got {args.q}")
     chars = enumerate_real_characters(args.q) if args.real else enumerate_characters(args.q)
     headers = ["q", "index", "real", "principal", "conductor", "values"]
-    rows = [
+    # Each format prints only one of these, and both are large for a large q:
+    # the rows are made lazily, the JSON payload only when it is printed.
+    rows = (
         [c.modulus, i, c.is_real, c.is_principal, c.conductor, _values_cell(c)]
         for i, c in enumerate(chars)
-    ]
-    _emit(headers, rows, [c.to_json_dict() for c in chars], args.format, out)
+    )
+    payload = [c.to_json_dict() for c in chars] if args.format == "json" else None
+    _emit(headers, rows, payload, args.format, out)
     return EXIT_OK
 
 

@@ -4,6 +4,8 @@ Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
 ``_terms``: chi(n)^m * n^(-m s) with n^-s = n^-sigma * (cos(t ln n) -
 i sin(t ln n)), chi(n)^m read from a residue table converted once per call.
+Every truncation sum over those terms is read from ``_running_sums``, which
+walks them once and returns the sum at each of several truncations.
 
 Three evaluation routes, each tagged on the result:
 
@@ -126,15 +128,26 @@ def _terms(chi: DirichletCharacter, s: LPoint, stop: int, m: int = 1, start: int
             yield n, v * amp
 
 
+def _running_sums(chi: DirichletCharacter, s: LPoint, truncations, m: int = 1) -> list:
+    """[sum(chi(n)^m * n^(-m s), n <= N) for N in truncations], N increasing:
+    one walk of the terms in index order, each sum continuing the last."""
+    sums = []
+    total = 0.0
+    done = 0
+    for n in truncations:
+        for _, term in _terms(chi, s, n + 1, m, start=done + 1):
+            total += term
+        done = n
+        sums.append(complex(total))
+    return sums
+
+
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order."""
     s = as_lpoint(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    total = 0.0
-    for _, term in _terms(chi, s, n_terms + 1):
-        total += term
-    return complex(total)
+    return _running_sums(chi, s, [n_terms])[0]
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 (exact), and B_2j / (2j)! as floats.

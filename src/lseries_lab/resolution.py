@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .characters import DirichletCharacter, principal_character
 from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
-from .lseries import LPoint, _terms, as_lpoint, partial_sum
+from .lseries import LPoint, _running_sums, _terms, as_lpoint, partial_sum
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -104,7 +104,5 @@ def phase_series_sums(t: float, n_terms: int) -> tuple:
         raise ValueError(f"need at least one term, got {n_terms}")
     if t == 0.0:
         return float(n_terms), 0.0
-    total = 0j  # sum of n^-it = cos(t ln n) - i sin(t ln n)
-    for _, term in _terms(_TRIVIAL, LPoint(0.0, t), n_terms + 1):
-        total += term
+    total = _running_sums(_TRIVIAL, LPoint(0.0, t), [n_terms])[0]  # sum of n^-it
     return total.real, -total.imag

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .lseries import LPoint, _terms, as_lpoint, partial_sum
+from .lseries import LPoint, _running_sums, _terms, as_lpoint
 
 __all__ = [
     "PappusReport",
@@ -64,7 +64,7 @@ def _term(chi: DirichletCharacter, s, n: int, m: int) -> complex:
     """chi(n)^m * n^(-m s) for one rectangle index n (0 off the units)."""
     if n < 1:
         raise ValueError(f"rectangle index must be >= 1, got {n}")
-    return sum((f for _, f in _terms(chi, as_lpoint(s), n + 1, m, start=n)), 0j)
+    return 0j + next((f for _, f in _terms(chi, as_lpoint(s), n + 1, m, start=n)), 0.0)
 
 
 def rect_area(chi: DirichletCharacter, s, n: int) -> complex:
@@ -141,8 +141,14 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     """
     s = as_lpoint(s)
     profile = step_profile(chi, s, n_rects)
+    return _pappus_report(profile, _running_sums(chi, s, [n_rects], 2)[0])
+
+
+def _pappus_report(profile: StepProfile, square_sum: complex) -> PappusReport:
+    """The Pappus report of a profile, given sum(chi(n)^2 * n^-2s) over its
+    rectangles; shared by ``pappus_check`` and the audit's prefix profiles."""
     area = sum(profile.heights, 0j)
-    volume = math.pi * sum((f for _, f in _terms(chi, s, n_rects + 1, 2)), 0j)
+    volume = math.pi * square_sum
     xi, eta = barycenter(profile)
     residual = abs(volume - 2 * math.pi * eta * area)
     return PappusReport(
@@ -157,6 +163,4 @@ def transformed_equation_residual(chi: DirichletCharacter, s, n_terms: int) -> t
     s = as_lpoint(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    series_sum = partial_sum(chi, s, n_terms)
-    w_sum = sum((f for _, f in _terms(chi, s, n_terms + 1, 2)), 0j)
-    return series_sum, w_sum
+    return _running_sums(chi, s, [n_terms])[0], _running_sums(chi, s, [n_terms], 2)[0]

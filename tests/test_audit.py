@@ -14,9 +14,26 @@ from lseries_lab.audit import (
     nonvanishing_survey,
     run_audit,
 )
-from lseries_lab.characters import enumerate_real_characters
-from lseries_lab.lseries import LEvaluation, as_lpoint
-from lseries_lab.resolution import IsotropicVectorError
+from lseries_lab import lseries, resolution, rotation
+from lseries_lab.characters import enumerate_characters, enumerate_real_characters
+from lseries_lab.lseries import LEvaluation, LPoint, NonRealCharacterError, as_lpoint
+from lseries_lab.resolution import (
+    AMPLITUDE_CHI,
+    PHASE_CHI,
+    VARIANTS,
+    IsotropicVectorError,
+    ResolutionVectors,
+    build_vectors,
+    formal_cosine,
+    formal_norm,
+    reconstruct_identity,
+)
+from lseries_lab.rotation import (
+    StepProfile,
+    ZeroAreaError,
+    pappus_check,
+    transformed_equation_residual,
+)
 
 CHI3 = enumerate_real_characters(3)[1]
 CHI4 = enumerate_real_characters(4)[1]
@@ -217,6 +234,158 @@ class TestNotePaths:
         assert claim.verdict == "sign-change-found"
         assert "root near 0.512" in claim.note
         assert dict(claim.evidence)["sign_changes"] == 1
+
+
+def single_n_evidence(chi, s, truncations):
+    """The evidence of the five prefix-read claims, recomputed one
+    truncation at a time through the public single-N functions."""
+    s = as_lpoint(s)
+    want = {}
+    for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
+        rows = []
+        for n in truncations:
+            _, rhs, residual = reconstruct_identity(chi, s, n, variant)
+            rows.append((n, residual / max(1.0, abs(rhs))))
+        want[claim_id] = rows
+    rows = []
+    for n in truncations:
+        row = [n]
+        for variant in VARIANTS:
+            vectors = build_vectors(chi, s, n, variant)
+            a_vec, p_vec = vectors.a_vec, vectors.p_vec
+            dot = sum((a * p for a, p in zip(a_vec, p_vec)), 0j)
+            try:
+                cosine = formal_cosine(a_vec, p_vec)
+            except IsotropicVectorError:
+                row.append(None)
+                continue
+            product = formal_norm(a_vec) * formal_norm(p_vec) * cosine
+            row.append(abs(dot - product) / max(1.0, abs(dot)))
+        rows.append(tuple(row))
+    want["EQ45_FACTORIZATION"] = rows
+    rows = []
+    for n in truncations:
+        try:
+            rows.append((n, pappus_check(chi, s, n).relative_residual))
+        except ZeroAreaError:
+            rows.append((n, None))
+    want["PAPPUS_IDENTITY"] = rows
+    want["TRANSFORMED_EQ_POSITIVITY"] = [
+        (n, transformed_equation_residual(chi, LPoint(s.sigma, 0.0), n)[1].real)
+        for n in truncations
+    ]
+    return want
+
+
+class TestPrefixEvidence:
+    """Every truncation is read as a prefix of the largest one; the evidence
+    must equal, exactly, what the single-N functions give at each N."""
+
+    @pytest.mark.parametrize(
+        "q,k,s,truncations",
+        [
+            (3, 1, 0.5, [10, 100, 1000]),
+            (4, 1, complex(0.7, 3.0), [7, 50, 333]),
+            (8, 2, complex(1.2, -5.0), [25]),
+            (12, 3, 0.35, [1, 2, 999]),
+            (4, 1, 0.0, [1, 4, 5]),  # zero profile area at N = 4
+        ],
+    )
+    def test_real_character_audit_equals_single_n_functions(self, q, k, s, truncations):
+        chi = enumerate_real_characters(q)[k]
+        results = run_audit(chi, s, truncations)
+        for claim_id, rows in single_n_evidence(chi, s, truncations).items():
+            assert by_id(results, claim_id).evidence == rows, claim_id
+
+    @pytest.mark.parametrize(
+        "q,s,truncations",
+        [
+            (5, 0.5, [10, 100, 1000]),
+            (13, complex(0.6, 4.0), [3, 40, 400]),
+            (7, complex(1.1, -2.5), [77]),
+            (16, 0.0, [1, 4, 16]),
+        ],
+    )
+    def test_complex_character_claims_equal_single_n_functions(self, q, s, truncations):
+        # run_audit aborts on a complex character in its zero scan, so the
+        # truncation claims are read from the helper that runs before it
+        for chi in [c for c in enumerate_characters(q) if not c.is_real][:2]:
+            claims = audit_module._truncation_claims(chi, as_lpoint(s), tuple(truncations))
+            assert tuple(c.claim_id for c in claims) == CLAIM_IDS[:7]
+            for claim_id, rows in single_n_evidence(chi, s, truncations).items():
+                assert by_id(claims, claim_id).evidence == rows, claim_id
+
+
+def count_calls(monkeypatch, functions):
+    """Wrap each function wherever the package holds it; returns call counts."""
+    counts = {}
+    for function in functions:
+        name = function.__name__
+        counts[name] = 0
+
+        def wrapper(*args, _name=name, _function=function, **kwargs):
+            counts[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module in (lseries, resolution, rotation, audit_module):
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+class TestOneWalkPerSeries:
+    def test_each_series_is_built_once_at_the_largest_truncation(self, monkeypatch):
+        built_at = []
+        real_build_vectors = resolution.build_vectors
+
+        def recording_build_vectors(chi, s, n_terms, variant):
+            built_at.append(n_terms)
+            return real_build_vectors(chi, s, n_terms, variant)
+
+        counts = count_calls(
+            monkeypatch,
+            [
+                rotation.step_profile,
+                lseries.partial_sum,
+                resolution.reconstruct_identity,
+                rotation.pappus_check,
+                rotation.transformed_equation_residual,
+            ],
+        )
+        monkeypatch.setattr(audit_module, "build_vectors", recording_build_vectors)
+        monkeypatch.setattr(resolution, "build_vectors", recording_build_vectors)
+        run_audit(CHI4, complex(0.5, 1.0), [10, 100, 1000])
+        assert built_at == [1000, 1000]  # once per variant
+        assert counts == {
+            "step_profile": 1,
+            "partial_sum": 0,
+            "reconstruct_identity": 0,
+            "pappus_check": 0,
+            "transformed_equation_residual": 0,
+        }
+
+    def test_aborting_audit_pins_no_tables(self):
+        # The zero scan raises on a complex character (a known defect); the
+        # traceback it carries must not keep the truncation tables alive.
+        chi = next(c for c in enumerate_characters(5) if not c.is_real)
+        with pytest.raises(NonRealCharacterError) as info:
+            run_audit(chi, complex(0.5, 1.0), [10, 100, 1000])
+        tb = info.value.__traceback__
+        frames = 0
+        while tb is not None:
+            frames += 1
+            for name, value in tb.tb_frame.f_locals.items():
+                if isinstance(value, dict):
+                    items = list(value.values())
+                elif isinstance(value, (list, tuple)):
+                    items = list(value)
+                else:
+                    items = [value]
+                assert not any(
+                    isinstance(item, (StepProfile, ResolutionVectors)) for item in items
+                ), f"{tb.tb_frame.f_code.co_name} holds {name}"
+            tb = tb.tb_next
+        assert frames >= 3  # this test, run_audit, and the scan that raised
 
 
 class TestJsonSchema:

@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from lseries_lab import cgeom
+from lseries_lab import cli as cli_module
+from lseries_lab.characters import DirichletCharacter
 from lseries_lab.cli import (
     EXIT_FINDING,
     EXIT_INTERNAL,
@@ -135,6 +137,19 @@ class TestConfig:
         _, rows = parse_csv(text)
         assert [float(r[2]) for r in rows] == pytest.approx([0.2, 0.4, 0.6, 0.8])
 
+    def test_config_hurwitz_tol_sets_the_lfun_eval_default(self, tmp_path, monkeypatch):
+        # at |t| = 100 the Euler-Maclaurin shift depends on the tolerance
+        argv = ("lfun", "eval", "-q", "4", "-k", "1", "-s", "0.5+100i", "--format", "json")
+        _, text = run_cli(*argv)
+        assert json.loads(text)["n_used"] == 160  # default 1e-10
+        path = tmp_path / "lab.conf"
+        path.write_text("hurwitz_tol=1e-4\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        _, text = run_cli(*argv)
+        assert json.loads(text)["n_used"] == 40
+        _, text = run_cli(*argv, "--tol", "1e-10")  # the flag still wins
+        assert json.loads(text)["n_used"] == 160
+
     def test_config_default_n_shapes_audit_truncations(self, tmp_path, monkeypatch):
         path = tmp_path / "lab.conf"
         path.write_text("default_n=300\n")
@@ -164,6 +179,30 @@ class TestCharactersCommand:
         chars = json.loads(text)
         assert len(chars) == 4
         assert sum(1 for c in chars if not c["real"]) == 2
+
+    def test_values_cell_writes_pairs_without_spaces(self):
+        code, text = run_cli("characters", "5", "--format", "csv")
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        assert [r[5] for r in rows] == [
+            "0;1;1;1;1",
+            "0;1;(4,1);(4,3);-1",
+            "0;1;-1;-1;1",
+            "0;1;(4,3);(4,1);-1",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_builds_only_the_output_its_format_prints(self, fmt, monkeypatch):
+        def unprinted(*args):
+            raise AssertionError(f"--format {fmt} built output it does not print")
+
+        if fmt == "json":
+            monkeypatch.setattr(cli_module, "_values_cell", unprinted)
+        else:
+            monkeypatch.setattr(DirichletCharacter, "to_json_dict", unprinted)
+        code, text = run_cli("characters", "5", "--format", fmt)
+        assert code == EXIT_OK
+        assert "(4,3)" in text or '"values"' in text
 
     def test_table_format(self):
         code, text = run_cli("characters", "4")

@@ -27,6 +27,7 @@ from lseries_lab.lseries import (
     _grouped_at_one,
     _hurwitz_with_error,
     _residue_table,
+    _running_sums,
     _terms,
     as_lpoint,
     evaluate,
@@ -112,6 +113,22 @@ class TestTermKernel:
     def test_fourth_power_of_order_four_character_is_exact(self):
         for chi in enumerate_characters(5):
             assert _residue_table(chi, 4) == [0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("s", [0.5, complex(0.5, 3.0), complex(1.5, -7.0)])
+    def test_running_sums_equal_a_fresh_walk_to_each_truncation(self, m, s):
+        # bit for bit: continuing the previous sum performs the same float
+        # additions, in the same order, as walking again from n = 1
+        truncations = [1, 2, 12, 13, 100, 333]
+        for chi in enumerate_characters(5) + enumerate_characters(12):
+            want = []
+            for stop in truncations:
+                total = 0j
+                for _, term in _terms(chi, as_lpoint(s), stop + 1, m):
+                    total += term
+                want.append(total)
+            assert _running_sums(chi, as_lpoint(s), truncations, m) == want
+            assert [_running_sums(chi, as_lpoint(s), [n], m)[0] for n in truncations] == want
 
 
 class TestAsLPoint:
