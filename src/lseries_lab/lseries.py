@@ -12,9 +12,11 @@ Three evaluation routes, each tagged on the result:
 * ``partial_sum`` -- the plain truncation sum(chi(n) * n^-s, n <= N), summed
   in index order.
 * ``evaluate`` with method ``hurwitz`` -- the exact rearrangement
-  L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q) where each
-  zeta(s, x) is computed by Euler-Maclaurin summation (default shift 20,
-  Bernoulli corrections through B12), valid for sigma > -1, s != 1.
+  L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), every
+  zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
+  B12) at one shift per evaluation: the default 20, doubled until the
+  tolerance is met at the smallest residue 1/q, and so at every residue.
+  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.
 * ``evaluate`` with method ``grouped`` -- at s = 1 for non-principal chi,
   direct summation over complete length-q periods (block sums decay like
   j^-2 because the character sums to zero over a period) plus an
@@ -95,7 +97,8 @@ def as_lpoint(s: Union["LPoint", complex, float, int]) -> LPoint:
 @dataclass(frozen=True)
 class LEvaluation:
     """An L-value with its provenance: method tag (``partial_sum`` /
-    ``hurwitz`` / ``grouped``), term count used, and an error estimate."""
+    ``hurwitz`` / ``grouped``), ``n_used`` (the Euler-Maclaurin shift for
+    ``hurwitz``, the terms summed for ``grouped``), and an error estimate."""
 
     value: complex
     method: str
@@ -168,30 +171,39 @@ _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
 
 
-def _euler_maclaurin_hurwitz(s_num, x: float, shift: int, pairs: int) -> tuple:
-    """Core Euler-Maclaurin sum for zeta(s, x); returns (value, err_estimate).
+def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int) -> list:
+    """Core Euler-Maclaurin sum for zeta(s, x); returns [(value, err_estimate)
+    for x in xs], all at the same shift.
 
-    s_num is a float (real axis) or complex, not equal to 1; x in (0, 1].
+    s_num is a float (real axis) or complex, not equal to 1; each x in (0, 1].
     The error estimate is the magnitude of the first omitted Bernoulli
     correction times a |s|-dependent safety factor, plus a roundoff term.
+    The Bernoulli coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2) and the
+    safety factor depend on s alone, so they are built once per call.
     """
-    acc = 0.0 if isinstance(s_num, float) else 0j
-    for k in range(shift):
-        acc += (k + x) ** (-s_num)
-    w = shift + x
-    acc += w ** (1 - s_num) / (s_num - 1)
-    acc += 0.5 * w ** (-s_num)
+    coeffs = []
     rising = s_num                # s (s+1) ... (s + 2j - 2), built incrementally
-    w_pow = w ** (-s_num - 1)     # w^(-s - 2j + 1)
     for j in range(pairs):
-        acc += _B_OVER_FACT[j] * rising * w_pow
+        coeffs.append(_B_OVER_FACT[j] * rising)
         rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
-        w_pow /= w * w
-    omitted = abs(_B_OVER_FACT[pairs] * rising * w_pow)
+    omitted_coeff = _B_OVER_FACT[pairs] * rising
     sigma = s_num.real if isinstance(s_num, complex) else s_num
     safety = max(1.0, abs(s_num + 2 * pairs + 1) / (sigma + 2 * pairs + 1))
-    err = omitted * safety + _ROUNDOFF * (shift + pairs) * abs(acc)
-    return acc, err
+    results = []
+    for x in xs:
+        acc = 0.0 if isinstance(s_num, float) else 0j
+        for k in range(shift):
+            acc += (k + x) ** (-s_num)
+        w = shift + x
+        acc += w ** (1 - s_num) / (s_num - 1)
+        acc += 0.5 * w ** (-s_num)
+        w_pow = w ** (-s_num - 1)     # w^(-s - 2j + 1)
+        for coeff in coeffs:
+            acc += coeff * w_pow
+            w_pow /= w * w
+        omitted = abs(omitted_coeff * w_pow)
+        results.append((acc, omitted * safety + _ROUNDOFF * (shift + pairs) * abs(acc)))
+    return results
 
 
 def _shift_for_tolerance(s: LPoint, x: float, tol: float, pairs: int) -> int:
@@ -208,9 +220,13 @@ def _shift_for_tolerance(s: LPoint, x: float, tol: float, pairs: int) -> int:
         shift *= 2
 
 
-def _hurwitz_with_error(s: LPoint, x: float, tol: float) -> tuple:
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x must lie in (0, 1], got {x}")
+def _hurwitz(s: LPoint, xs: Sequence[float], tol: float) -> tuple:
+    """([(zeta(s, x), err_estimate) for x in xs], shift): the point is checked
+    and the shift picked once for all of xs.  The truncation estimate falls as
+    x grows (sigma > -1), so the smallest x's shift meets `tol` for every x."""
+    for x in xs:
+        if not 0.0 < x <= 1.0:
+            raise ValueError(f"x must lie in (0, 1], got {x}")
     if s.sigma == 1.0 and s.t == 0.0:
         raise PoleError("zeta(s, x) has a pole at s = 1")
     if s.sigma <= -1.0:
@@ -218,13 +234,13 @@ def _hurwitz_with_error(s: LPoint, x: float, tol: float) -> tuple:
             f"sigma = {s.sigma} is outside the supported range sigma > -1"
         )
     s_num = s.sigma if s.t == 0.0 else s.as_complex()
-    shift = _shift_for_tolerance(s, x, tol, _DEFAULT_PAIRS)
-    return _euler_maclaurin_hurwitz(s_num, x, shift, _DEFAULT_PAIRS) + (shift,)
+    shift = _shift_for_tolerance(s, min(xs), tol, _DEFAULT_PAIRS)
+    return _euler_maclaurin_hurwitz(s_num, xs, shift, _DEFAULT_PAIRS), shift
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = 1e-10) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, s != 1, by Euler-Maclaurin."""
-    value, _, _ = _hurwitz_with_error(as_lpoint(s), x, tol)
+    [(value, _)], _ = _hurwitz(as_lpoint(s), [x], tol)
     return complex(value)
 
 
@@ -276,28 +292,21 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         value, err, terms = _grouped_at_one(chi)
         return LEvaluation(value=value, method="grouped", n_used=terms, err_estimate=err)
-    if s.sigma <= -1.0:
-        raise ContinuationRangeError(
-            f"sigma = {s.sigma} is outside the supported range sigma > -1"
-        )
     table = _residue_table(chi)
+    units = [a for a in range(1, q + 1) if table[a % q]]
+    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
     acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
     abs_acc = 0.0
     err = 0.0
-    shift_used = _DEFAULT_SHIFT
-    for a in range(1, q + 1):
-        v = table[a % q]
-        if v == 0:
-            continue
-        z, e, shift_used = _hurwitz_with_error(s, a / q, tol)
-        acc += v * z
+    for a, (z, e) in zip(units, zetas):
+        acc += table[a % q] * z
         abs_acc += abs(z)
         err += e
     s_num = s.sigma if s.t == 0.0 else s.as_complex()
     prefactor = q ** (-s_num)
     value = prefactor * acc
     err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
-    return LEvaluation(value=complex(value), method="hurwitz", n_used=shift_used, err_estimate=err)
+    return LEvaluation(value=complex(value), method="hurwitz", n_used=shift, err_estimate=err)
 
 
 @dataclass(frozen=True)

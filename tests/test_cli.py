@@ -94,7 +94,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "lab.conf"
         path.write_text("colour=blue\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown config key 'colour'"):
             load_config(environ={"LSERIES_LAB_CONFIG": str(path)})
 
     def test_bad_line_rejected(self, tmp_path):
@@ -173,6 +173,12 @@ class TestCharactersCommand:
         assert rows[0][3] == "True"  # principal first
         assert all(r[2] == "True" for r in rows)
 
+    def test_json_is_one_line(self):
+        code, text = run_cli("characters", "24", "--format", "json")
+        assert code == EXIT_OK
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert len(json.loads(text)) == 8
+
     def test_full_enumeration_includes_complex(self):
         code, text = run_cli("characters", "5", "--format", "json")
         assert code == EXIT_OK
@@ -247,6 +253,11 @@ class TestEvalCommand:
     def test_unparseable_point(self, capsys):
         code, _ = run_cli("lfun", "eval", "-q", "4", "-k", "1", "-s", "nope")
         assert code == EXIT_USAGE
+
+    def test_continuation_range_is_domain_error(self, capsys):
+        code, _ = run_cli("lfun", "eval", "-q", "4", "-k", "1", "-s", "-1.5")
+        assert code == EXIT_USAGE
+        assert "outside the supported range" in capsys.readouterr().err
 
 
 class TestScanCommand:
@@ -332,6 +343,11 @@ class TestScanCommand:
     def test_non_real_axis_scan_window_error(self, capsys):
         code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--lo", "0", "--hi", "1")
         assert code == EXIT_USAGE
+
+    def test_single_grid_point_is_domain_error(self, capsys):
+        code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--grid-points", "1")
+        assert code == EXIT_USAGE
+        assert "at least 2 grid points" in capsys.readouterr().err
 
 
 class TestGeomCommand:

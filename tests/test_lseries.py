@@ -15,7 +15,8 @@ import random
 import mpmath
 import pytest
 
-from lseries_lab.characters import enumerate_characters, enumerate_real_characters
+from lseries_lab import lseries as lseries_mod
+from lseries_lab.characters import _to_number, enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import (
     ContinuationRangeError,
     LEvaluation,
@@ -25,9 +26,11 @@ from lseries_lab.lseries import (
     ScanGridError,
     _bisect_sign_change,
     _grouped_at_one,
-    _hurwitz_with_error,
+    _euler_maclaurin_hurwitz,
+    _hurwitz,
     _residue_table,
     _running_sums,
+    _shift_for_tolerance,
     _terms,
     as_lpoint,
     evaluate,
@@ -157,19 +160,23 @@ class TestHurwitzZeta:
 
     def test_pole_at_one(self):
         for s in (1.0, 1, complex(1.0, 0.0), LPoint(1.0)):
-            with pytest.raises(PoleError):
+            with pytest.raises(PoleError, match="pole at s = 1"):
                 hurwitz_zeta(s, 0.5)
 
     def test_continuation_range(self):
-        with pytest.raises(ContinuationRangeError):
+        with pytest.raises(ContinuationRangeError, match="sigma = -1.0 is outside"):
             hurwitz_zeta(-1.0, 0.5)
-        with pytest.raises(ContinuationRangeError):
+        with pytest.raises(ContinuationRangeError, match="sigma = -2.0 is outside"):
             hurwitz_zeta(complex(-2.0, 5.0), 0.5)
 
     @pytest.mark.parametrize("x", [0.0, -0.25, 1.0001, 2.0])
     def test_x_domain(self, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"x must lie in \(0, 1\], got {x}"):
             hurwitz_zeta(2.0, x)
+
+    def test_bad_x_anywhere_in_a_list_is_rejected(self):
+        with pytest.raises(ValueError, match="got 1.5"):
+            _hurwitz(LPoint(2.0), [0.5, 1.0, 1.5], 1e-10)
 
     def test_x_equals_one_allowed(self):
         assert abs(hurwitz_zeta(2.0, 1.0) - PI2_OVER_6) < 1e-12
@@ -184,15 +191,15 @@ class TestHurwitzZeta:
             s = LPoint(sigma, t)
             if sigma == 1.0 and t == 0.0:
                 continue
-            value, err, _ = _hurwitz_with_error(s, x, 1e-10)
+            [(value, err)], _ = _hurwitz(s, [x], 1e-10)
             ref = mpmath.zeta(mpmath.mpc(sigma, t), x)
             actual = abs(complex(value) - complex(ref))
             assert actual <= 2.0 * err + 1e-12, (sigma, t, x, actual, err)
 
     def test_tighter_tolerance_tightens_the_answer(self):
         # sigma near 0 with small x is the hard corner for the default shift
-        loose, loose_err, _ = _hurwitz_with_error(LPoint(0.05, 0.0), 0.05, 1e-6)
-        tight, tight_err, _ = _hurwitz_with_error(LPoint(0.05, 0.0), 0.05, 1e-13)
+        [(loose, loose_err)], _ = _hurwitz(LPoint(0.05, 0.0), [0.05], 1e-6)
+        [(tight, tight_err)], _ = _hurwitz(LPoint(0.05, 0.0), [0.05], 1e-13)
         assert tight_err <= loose_err
         mpmath.mp.dps = 30
         ref = float(mpmath.zeta(0.05, 0.05))
@@ -267,6 +274,86 @@ class TestEvaluate:
         assert isinstance(ev, LEvaluation)
         assert ev.n_used >= 1
         assert ev.err_estimate >= 0.0
+
+
+def one_x_kernel(s_num, x, shift, pairs):
+    """The single-x Euler-Maclaurin sum written out in its own order: the
+    oracle that the list kernel keeps the same arithmetic for every x."""
+    acc = 0.0 if isinstance(s_num, float) else 0j
+    for k in range(shift):
+        acc += (k + x) ** (-s_num)
+    w = shift + x
+    acc += w ** (1 - s_num) / (s_num - 1)
+    acc += 0.5 * w ** (-s_num)
+    rising = s_num
+    w_pow = w ** (-s_num - 1)
+    for j in range(pairs):
+        acc += lseries_mod._B_OVER_FACT[j] * rising * w_pow
+        rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
+        w_pow /= w * w
+    omitted = abs(lseries_mod._B_OVER_FACT[pairs] * rising * w_pow)
+    sigma = s_num.real if isinstance(s_num, complex) else s_num
+    safety = max(1.0, abs(s_num + 2 * pairs + 1) / (sigma + 2 * pairs + 1))
+    return acc, omitted * safety + lseries_mod._ROUNDOFF * (shift + pairs) * abs(acc)
+
+
+class TestOnePassPerEvaluation:
+    @pytest.mark.parametrize("q", [1, 168])
+    def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_shift_for_tolerance", "_euler_maclaurin_hurwitz"):
+            monkeypatch.setattr(lseries_mod, name, counted(name, getattr(lseries_mod, name)))
+        for chi in enumerate_characters(q)[:3]:
+            for s in (0.5, complex(0.5, 14.0), complex(-0.5, 100.0)):
+                calls.clear()
+                assert evaluate(chi, s).method == "hurwitz"
+                assert sorted(calls) == ["_euler_maclaurin_hurwitz", "_shift_for_tolerance"]
+
+    def test_list_kernel_equals_single_x_calls_bit_for_bit(self):
+        rng = random.Random(20261018)
+        for _ in range(30):
+            sigma = rng.uniform(-0.9, 3.0)
+            s_num = rng.choice([sigma, complex(sigma, rng.uniform(-1000.0, 1000.0))])
+            q = rng.randint(1, 40)
+            xs = [a / q for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            shift = rng.choice([20, 40, 640])
+            got = _euler_maclaurin_hurwitz(s_num, xs, shift, 6)
+            single = [_euler_maclaurin_hurwitz(s_num, [x], shift, 6)[0] for x in xs]
+            oracle = [one_x_kernel(s_num, x, shift, 6) for x in xs]
+            assert repr(got) == repr(single) == repr(oracle), (s_num, q, shift)
+
+    def test_smallest_residue_needs_the_largest_shift(self):
+        # no residue a/q needs a larger shift than the smallest one, 1/q
+        rng = random.Random(5)
+        for _ in range(300):
+            s = LPoint(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
+            q = rng.randint(1, 450)
+            shifts = [_shift_for_tolerance(s, a / q, 1e-10, 6) for a in range(1, q + 1)]
+            assert max(shifts) == shifts[0], (s, q)
+
+    def test_residues_of_two_shift_classes_share_the_larger(self):
+        # here the six largest units a/q alone would need shift 320, the
+        # other 42 need 640: every residue runs at 640 and n_used says so
+        chi = enumerate_characters(168)[3]
+        s = complex(0.5, 454.65)
+        ev = evaluate(chi, s)
+        assert ev.n_used == 640
+        mpmath.mp.dps = 30
+        s_mp = mpmath.mpc(s.real, s.imag)
+        ref = mpmath.mpf(168) ** (-s_mp) * mpmath.fsum(
+            complex(_to_number(v)) * mpmath.zeta(s_mp, mpmath.mpf(a) / 168)
+            for a, v in enumerate(chi.values)
+            if v
+        )
+        assert abs(ev.value - complex(ref)) <= ev.err_estimate
 
 
 class TestBisection:
