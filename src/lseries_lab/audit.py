@@ -41,8 +41,17 @@ import statistics
 from dataclasses import dataclass
 from math import gcd
 
-from .characters import DirichletCharacter, enumerate_real_characters
-from .lseries import LPoint, _running_sums, as_lpoint, scan_zeros
+from .characters import DirichletCharacter, _factorize, enumerate_real_characters
+from .lseries import (
+    LPoint,
+    _evaluate_many,
+    _real_value,
+    _running_sums,
+    _scan_result,
+    _scan_sigmas,
+    as_lpoint,
+    scan_zeros,
+)
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -98,6 +107,7 @@ _PAPPUS_REL_TOL = 1e-9
 _FIT_REL_MISFIT = 1e-6
 _DEFAULT_GRID_STEP = 0.01
 _DEFAULT_SCAN_TOL = 1e-9
+_DEFAULT_HURWITZ_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -328,8 +338,8 @@ def _scan_grid(grid_step: float) -> tuple:
     return grid_step, grid_step + (points - 1) * grid_step, points
 
 
-def _claim_nonvanishing(chi, grid_step, scan_tol) -> ClaimResult:
-    result = scan_zeros(chi, *_scan_grid(grid_step), scan_tol)
+def _claim_nonvanishing(chi, grid_step, scan_tol, hurwitz_tol) -> ClaimResult:
+    result = scan_zeros(chi, *_scan_grid(grid_step), scan_tol, hurwitz_tol=hurwitz_tol)
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -361,13 +371,15 @@ def run_audit(
     *,
     grid_step: float = _DEFAULT_GRID_STEP,
     scan_tol: float = _DEFAULT_SCAN_TOL,
+    hurwitz_tol: float = _DEFAULT_HURWITZ_TOL,
 ) -> list[ClaimResult]:
     """Audit all eight claims for (chi, s) at the given truncation points.
 
     `truncations` must be nonempty and strictly increasing.  Results come
     back in registry order, one ClaimResult per claim, with per-claim notes
     for any expected failure (isotropic vector, zero profile area) -- a
-    single claim's trouble never aborts the audit.
+    single claim's trouble never aborts the audit.  The zero scan evaluates
+    its L-values at tolerance `hurwitz_tol`.
     """
     s = as_lpoint(s)
     truncations = tuple(int(n) for n in truncations)
@@ -376,7 +388,7 @@ def run_audit(
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
     claims = _truncation_claims(chi, s, truncations)
-    return claims + [_claim_nonvanishing(chi, grid_step, scan_tol)]
+    return claims + [_claim_nonvanishing(chi, grid_step, scan_tol, hurwitz_tol)]
 
 
 @dataclass(frozen=True)
@@ -401,10 +413,39 @@ class SurveyRow:
         }
 
 
+def _inducing(chi, index, primitive) -> tuple:
+    """(chi*, its grid values) for the stored primitive chi* mod f = conductor
+    inducing chi: the one agreeing with chi on every unit mod q."""
+    f = chi.conductor
+    for star, pairs in primitive.get(f, ()):
+        if all(v == star.values[n % f] for n, v in enumerate(chi.values) if v):
+            return star, pairs
+    raise ArithmeticError(
+        f"no stored primitive character of conductor {f} induces character {index} mod {chi.modulus}"
+    )
+
+
+def _induced_pairs(chi, star, star_pairs, sigmas) -> list:
+    """Grid values of chi from those of the primitive chi* mod f inducing it:
+    L(sigma, chi) = L(sigma, chi*) * prod(1 - chi*(p) p^-sigma, p | q, p not | f).
+    Each factor lies in (0, 2) for sigma > 0, so signs and brackets carry over."""
+    f = star.modulus
+    removed = [(p, star.values[p % f]) for p, _ in _factorize(chi.modulus) if f % p]
+    pairs = []
+    for sigma, (value, err) in zip(sigmas, star_pairs):
+        factor = 1.0
+        for p, c in removed:
+            factor *= 1.0 - c * p ** -sigma
+        pairs.append((value * factor, err * factor))
+    return pairs
+
+
 def nonvanishing_survey(
     q_max: int,
     grid_step: float = _DEFAULT_GRID_STEP,
     tol: float = _DEFAULT_SCAN_TOL,
+    *,
+    hurwitz_tol: float = _DEFAULT_HURWITZ_TOL,
 ) -> list[SurveyRow]:
     """Scan every real non-principal character with modulus q <= q_max.
 
@@ -412,16 +453,36 @@ def nonvanishing_survey(
     enumeration).  Each row records the grid minimum of |L(sigma, chi)| on
     the grid_step grid in (0, 1) and any sign changes (with bisection
     refinement to `tol` if one ever appears).
+
+    Each modulus is surveyed once.  Its primitive characters (conductor q)
+    share one vector zeta(sigma, a/q) per grid point, evaluated at tolerance
+    `hurwitz_tol`; their rows equal ``scan_zeros`` bit for bit.  An
+    imprimitive character (conductor f < q) takes the grid values of the
+    primitive chi* mod f that induces it times the Euler factors of the
+    primes dividing q but not f, with no Hurwitz call of its own: its values
+    differ from the direct ``scan_zeros`` ones by rounding, well inside their
+    error estimates.  Bisection of any sign change evaluates the character
+    directly.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    grid = _scan_grid(grid_step)
+    sigmas = _scan_sigmas(*_scan_grid(grid_step))
+    primitive = {}  # conductor -> [(chi*, grid values)], for this call only
     rows = []
     for q in range(1, q_max + 1):
-        for index, chi in enumerate(enumerate_real_characters(q)):
-            if chi.is_principal:
-                continue
-            result = scan_zeros(chi, *grid, tol)
+        chars = [(i, c) for i, c in enumerate(enumerate_real_characters(q)) if not c.is_principal]
+        new = [c for _, c in chars if c.conductor == q]
+        if new:
+            columns = [_evaluate_many(new, LPoint(sigma, 0.0), hurwitz_tol) for sigma in sigmas]
+            primitive[q] = [
+                (chi, [_real_value(column[j], sigma) for column, sigma in zip(columns, sigmas)])
+                for j, chi in enumerate(new)
+            ]
+        for index, chi in chars:
+            star, pairs = _inducing(chi, index, primitive)
+            if star is not chi:
+                pairs = _induced_pairs(chi, star, pairs, sigmas)
+            result = _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)
             rows.append(
                 SurveyRow(
                     q=q,

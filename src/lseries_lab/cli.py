@@ -24,10 +24,10 @@ success / no finding, 1 for a finding (sign change or golden mismatch),
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
-``--tol`` of ``lfun eval`` only -- ``lfun scan``, ``audit`` and ``survey``
-always evaluate at 1e-10), ``default_n`` (default 10000), ``grid_step``
-(default 0.01), ``output_format`` (default table).  Command-line flags
-override the config file.
+``--tol`` of ``lfun eval``, and the tolerance of every L-value that ``lfun
+scan``, ``audit`` and ``survey`` evaluate), ``default_n`` (default 10000),
+``grid_step`` (default 0.01), ``output_format`` (default table).
+Command-line flags override the config file.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
     points = args.grid_points
     if points is None:
         points = round((hi - lo) / step) + 1
-    result = scan_zeros(chi, lo, hi, points, args.tol)
+    result = scan_zeros(chi, lo, hi, points, args.tol, hurwitz_tol=config.hurwitz_tol)
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
     rows = [
         [args.q, args.k, repr(sig), repr(val), repr(err)]
@@ -308,7 +308,8 @@ def _cmd_audit(args, config: Config, out) -> int:
     s = parse_complex_s(args.s)
     truncations = args.N
     claims = audit_mod.run_audit(
-        chi, s, truncations, grid_step=args.grid_step, scan_tol=args.tol
+        chi, s, truncations, grid_step=args.grid_step, scan_tol=args.tol,
+        hurwitz_tol=config.hurwitz_tol,
     )
     headers = ["claim_id", "verdict", "evidence_points", "note"]
     rows = [[c.claim_id, c.verdict, len(c.evidence), c.note] for c in claims]
@@ -320,7 +321,9 @@ def _cmd_audit(args, config: Config, out) -> int:
 def _cmd_survey(args, config: Config, out) -> int:
     if args.qmax < 1:
         raise ValueError(f"--qmax must be >= 1, got {args.qmax}")
-    rows_data = audit_mod.nonvanishing_survey(args.qmax, args.grid_step, args.tol)
+    rows_data = audit_mod.nonvanishing_survey(
+        args.qmax, args.grid_step, args.tol, hurwitz_tol=config.hurwitz_tol
+    )
     headers = ["q", "char_index", "min_abs", "argmin_sigma", "sign_changes"]
     rows = [
         [r.q, r.char_index, repr(r.min_abs), repr(r.argmin_sigma), r.sign_changes]

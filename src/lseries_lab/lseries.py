@@ -16,7 +16,9 @@ Three evaluation routes, each tagged on the result:
   zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
   B12) at one shift per evaluation: the default 20, doubled until the
   tolerance is met at the smallest residue 1/q, and so at every residue.
-  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.
+  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.  ``evaluate``
+  is the one-character call of ``_evaluate_many``, which serves several
+  characters mod q at one point from one vector zeta(s, a/q).
 * ``evaluate`` with method ``grouped`` -- at s = 1 for non-principal chi,
   direct summation over complete length-q periods (block sums decay like
   j^-2 because the character sums to zero over a period) plus an
@@ -24,8 +26,9 @@ Three evaluation routes, each tagged on the result:
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
-bisection.  Err estimates propagate: truncation bounds from the
-Euler-Maclaurin remainder plus a floating-point roundoff model.
+bisection (``_scan_result`` does the bracketing for it and for the survey).
+Err estimates propagate: truncation bounds from the Euler-Maclaurin
+remainder plus a floating-point roundoff model.
 """
 
 from __future__ import annotations
@@ -278,6 +281,33 @@ def _grouped_at_one(chi: DirichletCharacter, blocks: int = 64, pairs: int = 4) -
     return complex(value), err, blocks * q
 
 
+def _evaluate_many(chars: Sequence[DirichletCharacter], s: LPoint, tol: float) -> list:
+    """[L(s, chi) for chi in chars] by the Hurwitz rearrangement, for
+    characters sharing one modulus q at one point s != 1: the point is checked,
+    the shift picked and the vector zeta(s, a/q) over the units built once,
+    then each character takes one dot product with it."""
+    q = chars[0].modulus
+    units = [a for a in range(1, q + 1) if chars[0].values[a % q]]
+    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
+    abs_acc = 0.0
+    err = 0.0
+    for z, e in zetas:
+        abs_acc += abs(z)
+        err += e
+    s_num = s.sigma if s.t == 0.0 else s.as_complex()
+    prefactor = q ** (-s_num)
+    err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
+    results = []
+    for chi in chars:
+        table = _residue_table(chi)
+        acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
+        for a, (z, _) in zip(units, zetas):
+            acc += table[a % q] * z
+        value = complex(prefactor * acc)
+        results.append(LEvaluation(value=value, method="hurwitz", n_used=shift, err_estimate=err))
+    return results
+
+
 def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
     """L(s, chi) by the Hurwitz-zeta rearrangement (or grouped periods at 1).
 
@@ -286,27 +316,12 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
     itself (the same Hurwitz routine with x = 1).
     """
     s = as_lpoint(s)
-    q = chi.modulus
     if s.sigma == 1.0 and s.t == 0.0:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         value, err, terms = _grouped_at_one(chi)
         return LEvaluation(value=value, method="grouped", n_used=terms, err_estimate=err)
-    table = _residue_table(chi)
-    units = [a for a in range(1, q + 1) if table[a % q]]
-    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
-    acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
-    abs_acc = 0.0
-    err = 0.0
-    for a, (z, e) in zip(units, zetas):
-        acc += table[a % q] * z
-        abs_acc += abs(z)
-        err += e
-    s_num = s.sigma if s.t == 0.0 else s.as_complex()
-    prefactor = q ** (-s_num)
-    value = prefactor * acc
-    err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
-    return LEvaluation(value=complex(value), method="hurwitz", n_used=shift, err_estimate=err)
+    return _evaluate_many([chi], s, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -349,55 +364,48 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: 
     return 0.5 * (lo + hi)
 
 
-def scan_zeros(
-    chi: DirichletCharacter,
-    lo: float,
-    hi: float,
-    grid_points: int,
-    tol: float = 1e-9,
-) -> ScanResult:
-    """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
-
-    Values are real on the real axis for a real character (the imaginary
-    part is checked against the propagated error estimate).  Consecutive
-    grid values with opposite signs are bracketed and refined by bisection
-    to width <= tol.  The grid minimum of |L| and its sigma are recorded
-    whether or not any sign change exists.
-    """
-    if not chi.is_real:
-        raise NonRealCharacterError("real-axis scanning requires a real character")
+def _scan_sigmas(lo: float, hi: float, grid_points: int) -> tuple:
+    """The uniform grid lo, ..., hi of `grid_points` sigmas in (0, 1)."""
     if grid_points < 2:
         raise ScanGridError(f"need at least 2 grid points, got {grid_points}")
     if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
-
-    def l_real(sigma: float) -> tuple:
-        ev = evaluate(chi, LPoint(sigma, 0.0))
-        if abs(ev.value.imag) > 10.0 * max(ev.err_estimate, 1e-300):
-            raise ArithmeticError(
-                f"non-real L-value {ev.value} for a real character at sigma = {sigma}"
-            )
-        return ev.value.real, ev.err_estimate
-
     step = (hi - lo) / (grid_points - 1)
-    sigmas = tuple(lo + i * step for i in range(grid_points))
-    pairs = [l_real(sigma) for sigma in sigmas]
+    return tuple(lo + i * step for i in range(grid_points))
+
+
+def _real_value(ev: LEvaluation, sigma: float) -> tuple:
+    """(value, err_estimate) of an L-value of a real character on the real
+    axis; ArithmeticError if its imaginary part exceeds the error estimate."""
+    if abs(ev.value.imag) > 10.0 * max(ev.err_estimate, 1e-300):
+        raise ArithmeticError(
+            f"non-real L-value {ev.value} for a real character at sigma = {sigma}"
+        )
+    return ev.value.real, ev.err_estimate
+
+
+def _scan_result(chi, sigmas, pairs, tol: float, hurwitz_tol: float) -> ScanResult:
+    """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
+    consecutive values of opposite signs are bracketed and refined by
+    bisection (evaluating chi directly) to width <= tol, and the grid minimum
+    of |L| is recorded."""
     values = tuple(p[0] for p in pairs)
     errs = tuple(p[1] for p in pairs)
 
+    def l_real(sigma: float) -> float:
+        return _real_value(evaluate(chi, LPoint(sigma, 0.0), tol=hurwitz_tol), sigma)[0]
+
     brackets = []
-    for i in range(grid_points - 1):
+    for i in range(len(sigmas) - 1):
         left, right = values[i], values[i + 1]
         if left == 0.0:
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
             continue
         if (left < 0.0) != (right < 0.0) and right != 0.0:
-            root = _bisect_sign_change(
-                lambda x: l_real(x)[0], sigmas[i], sigmas[i + 1], left, right, tol
-            )
+            root = _bisect_sign_change(l_real, sigmas[i], sigmas[i + 1], left, right, tol)
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
 
-    i_min = min(range(grid_points), key=lambda i: abs(values[i]))
+    i_min = min(range(len(sigmas)), key=lambda i: abs(values[i]))
     return ScanResult(
         sigmas=sigmas,
         values=values,
@@ -406,3 +414,31 @@ def scan_zeros(
         min_abs=abs(values[i_min]),
         argmin_sigma=sigmas[i_min],
     )
+
+
+def scan_zeros(
+    chi: DirichletCharacter,
+    lo: float,
+    hi: float,
+    grid_points: int,
+    tol: float = 1e-9,
+    *,
+    hurwitz_tol: float = 1e-10,
+) -> ScanResult:
+    """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
+
+    Values are real on the real axis for a real character (the imaginary
+    part is checked against the propagated error estimate).  Consecutive
+    grid values with opposite signs are bracketed and refined by bisection
+    to width <= tol.  The grid minimum of |L| and its sigma are recorded
+    whether or not any sign change exists.  Every L-value is evaluated at
+    tolerance `hurwitz_tol`.
+    """
+    if not chi.is_real:
+        raise NonRealCharacterError("real-axis scanning requires a real character")
+    sigmas = _scan_sigmas(lo, hi, grid_points)
+    pairs = [
+        _real_value(evaluate(chi, LPoint(sigma, 0.0), tol=hurwitz_tol), sigma)
+        for sigma in sigmas
+    ]
+    return _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)

@@ -2,6 +2,7 @@
 
 import json
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -449,3 +450,111 @@ class TestSurvey:
         for row in rows:
             # argmin must sit on the 0.1 grid
             assert abs(row.argmin_sigma / 0.1 - round(row.argmin_sigma / 0.1)) < 1e-9
+
+
+def direct_survey(q_max, grid_step):
+    """The survey rows recomputed one character at a time through
+    ``scan_zeros``, the reference path."""
+    rows = []
+    for q in range(1, q_max + 1):
+        for index, chi in enumerate(enumerate_real_characters(q)):
+            if not chi.is_principal:
+                result = lseries.scan_zeros(chi, *audit_module._scan_grid(grid_step), 1e-9)
+                rows.append((chi, result))
+    return rows
+
+
+class TestSharedSurvey:
+    @pytest.mark.parametrize("q_max,grid_step", [(60, 0.05), (30, 0.01)])
+    def test_rows_match_per_character_scans(self, q_max, grid_step):
+        rows = nonvanishing_survey(q_max, grid_step)
+        want = direct_survey(q_max, grid_step)
+        assert len(rows) == len(want)
+        for row, (chi, result) in zip(rows, want):
+            assert (row.q, row.sign_changes) == (chi.modulus, len(result.brackets))
+            assert row.argmin_sigma == result.argmin_sigma
+            if chi.conductor == chi.modulus:
+                assert row.min_abs == result.min_abs, (row.q, row.char_index)
+            else:
+                assert abs(row.min_abs - result.min_abs) <= 1e-9 * max(1.0, result.min_abs)
+
+    def test_euler_factor_route_matches_mpmath(self):
+        # every imprimitive real character with q <= 100, at three sigmas
+        mpmath = pytest.importorskip("mpmath")
+        sigmas = (0.01, 0.3, 0.77)
+        checked = 0
+        for q in range(1, 101):
+            hurwitz = {}  # zeta(sigma, a/q) at 20 digits, shared by the characters mod q
+            for chi in enumerate_real_characters(q):
+                f = chi.conductor
+                if chi.is_principal or f == q:
+                    continue
+                (star,) = [
+                    c for c in enumerate_real_characters(f)
+                    if c.conductor == f
+                    and all(v == c.values[n % f] for n, v in enumerate(chi.values) if v)
+                ]
+                star_pairs = []
+                for sigma in sigmas:
+                    ev = lseries.evaluate(star, sigma)
+                    star_pairs.append((ev.value.real, ev.err_estimate))
+                got = audit_module._induced_pairs(chi, star, star_pairs, sigmas)
+                for sigma, (value, err) in zip(sigmas, got):
+                    with mpmath.workdps(20):
+                        s = mpmath.mpf(sigma)
+                        for a, v in enumerate(chi.values):
+                            if v and (sigma, a) not in hurwitz:
+                                hurwitz[sigma, a] = mpmath.zeta(s, mpmath.mpf(a) / q)
+                        ref = float(mpmath.mpf(q) ** -s * mpmath.fsum(
+                            v * hurwitz[sigma, a] for a, v in enumerate(chi.values) if v
+                        ))
+                    assert abs(value - ref) <= min(err, 1e-12 * max(1.0, abs(ref))), (q, sigma)
+                    checked += 1
+        assert checked == 3 * 177
+
+    def test_one_hurwitz_vector_per_primitive_modulus_and_grid_point(self, monkeypatch):
+        calls = []
+        hurwitz = lseries._hurwitz
+
+        def counted(s, xs, tol):
+            calls.append(len(xs))
+            return hurwitz(s, xs, tol)
+
+        monkeypatch.setattr(lseries, "_hurwitz", counted)
+        assert len(nonvanishing_survey(30, 0.1)) == 50
+        # 17 moduli <= 30 carry a primitive real character; the grid has 9 points
+        assert len(calls) == 17 * 9
+
+    def test_forced_sign_change_is_reported_and_bisected_through_evaluate(self, monkeypatch):
+        root_at = 0.4371
+
+        def fake_value(sigma):
+            return LEvaluation(
+                value=complex(sigma - root_at, 0.0), method="hurwitz", n_used=1, err_estimate=1e-15
+            )
+
+        def fake_many(chars, s, tol):
+            return [fake_value(s.sigma) for _ in chars]
+
+        bisected = set()
+
+        def fake_evaluate(chi, s, *, tol=1e-10):
+            bisected.add((chi.modulus, chi.values))
+            return fake_value(as_lpoint(s).sigma)
+
+        monkeypatch.setattr(audit_module, "_evaluate_many", fake_many)
+        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
+        rows = nonvanishing_survey(12, grid_step=0.1)
+        assert [r.sign_changes for r in rows] == [1] * len(rows)
+        chars = [enumerate_real_characters(r.q)[r.char_index] for r in rows]
+        assert bisected == {(c.modulus, c.values) for c in chars}
+        assert any(c.conductor < c.modulus for c in chars)
+
+    def test_inducing_lookup_miss_is_an_arithmetic_error(self):
+        chi = enumerate_real_characters(9)[1]  # induced from the character mod 3
+        with pytest.raises(ArithmeticError, match="conductor 3 induces character 1 mod 9"):
+            audit_module._inducing(chi, 1, {})
+        wrong = replace(chi, conductor=5)
+        chi5 = enumerate_real_characters(5)[1]
+        with pytest.raises(ArithmeticError, match="conductor 5 induces character 1 mod 9"):
+            audit_module._inducing(wrong, 1, {5: [(chi5, [])]})

@@ -5,11 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from lseries_lab import audit as audit_module
 from lseries_lab import cgeom
 from lseries_lab import cli as cli_module
+from lseries_lab import lseries as lseries_module
 from lseries_lab.characters import DirichletCharacter
 from lseries_lab.cli import (
     EXIT_FINDING,
@@ -484,7 +487,7 @@ class TestSurveyCommand:
     def test_sign_change_exits_finding(self, monkeypatch):
         from lseries_lab.audit import SurveyRow
 
-        def fake_survey(q_max, grid_step=0.01, tol=1e-9):
+        def fake_survey(q_max, grid_step=0.01, tol=1e-9, *, hurwitz_tol=1e-10):
             return [
                 SurveyRow(q=3, char_index=1, min_abs=0.001, argmin_sigma=0.5, sign_changes=1)
             ]
@@ -492,6 +495,65 @@ class TestSurveyCommand:
         monkeypatch.setattr("lseries_lab.audit.nonvanishing_survey", fake_survey)
         code, _ = run_cli("survey", "--qmax", "3")
         assert code == EXIT_FINDING
+
+    @pytest.mark.parametrize("conductor", [2, 5])
+    def test_inducing_lookup_miss_exits_internal(self, conductor, monkeypatch, capsys):
+        # the real non-principal character mod 9 is induced from the one mod
+        # 3; claim a conductor with no stored primitive character (2) or with
+        # one that does not induce it (5): the lookup misses, and that is exit 3
+        real = audit_module.enumerate_real_characters
+
+        def wrong_conductor(q):
+            chars = real(q)
+            if q == 9:
+                chars = [c if c.is_principal else replace(c, conductor=conductor) for c in chars]
+            return chars
+
+        monkeypatch.setattr(audit_module, "enumerate_real_characters", wrong_conductor)
+        code, _ = run_cli("survey", "--qmax", "12", "--format", "csv")
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: no stored primitive character")
+        assert f"of conductor {conductor} induces character 1 mod 9" in err
+
+
+class TestHurwitzTolReachesEveryCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lfun", "scan", "-q", "12", "-k", "2", "--grid-step", "0.1"),
+            ("audit", "-q", "12", "-k", "2", "-s", "0.5", "-N", "10,100", "--grid-step", "0.1"),
+            ("survey", "--qmax", "12", "--grid-step", "0.1"),
+        ],
+    )
+    def test_config_key_sets_every_l_value_tolerance(self, argv, tmp_path, monkeypatch):
+        tols = []
+        hurwitz = lseries_module._hurwitz
+
+        def recorded(s, xs, tol):
+            tols.append(tol)
+            return hurwitz(s, xs, tol)
+
+        monkeypatch.setattr(lseries_module, "_hurwitz", recorded)
+        assert run_cli(*argv)[0] == EXIT_OK
+        assert tols and set(tols) == {1e-10}
+        path = tmp_path / "lab.conf"
+        path.write_text("hurwitz_tol=1e-16\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        tols.clear()
+        assert run_cli(*argv)[0] == EXIT_OK
+        assert tols and set(tols) == {1e-16}
+
+    def test_tighter_tolerance_moves_the_scan(self, tmp_path, monkeypatch):
+        # near sigma = 0 the default shift 20 misses 1e-16, so the values move
+        argv = ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv")
+        _, default = run_cli(*argv)
+        path = tmp_path / "lab.conf"
+        path.write_text("hurwitz_tol=1e-16\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        _, tight = run_cli(*argv)
+        assert parse_csv(tight)[0] == parse_csv(default)[0]
+        assert parse_csv(tight)[1] != parse_csv(default)[1]
 
 
 class TestEntryPoints:
