@@ -42,16 +42,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import (
-    LPoint,
-    _evaluate_many,
-    _real_value,
-    _running_sums,
-    _scan_result,
-    _scan_sigmas,
-    as_lpoint,
-    scan_zeros,
-)
+from .lseries import _DEFAULT_TOL, LPoint, _running_sums, _scan_result, as_lpoint, scan_zeros
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -107,7 +98,6 @@ _PAPPUS_REL_TOL = 1e-9
 _FIT_REL_MISFIT = 1e-6
 _DEFAULT_GRID_STEP = 0.01
 _DEFAULT_SCAN_TOL = 1e-9
-_DEFAULT_HURWITZ_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -371,7 +361,7 @@ def run_audit(
     *,
     grid_step: float = _DEFAULT_GRID_STEP,
     scan_tol: float = _DEFAULT_SCAN_TOL,
-    hurwitz_tol: float = _DEFAULT_HURWITZ_TOL,
+    hurwitz_tol: float = _DEFAULT_TOL,
 ) -> list[ClaimResult]:
     """Audit all eight claims for (chi, s) at the given truncation points.
 
@@ -414,14 +404,15 @@ class SurveyRow:
 
 
 def _inducing(chi, index, primitive) -> tuple:
-    """(chi*, its grid values) for the stored primitive chi* mod f = conductor
+    """(chi*, its scan) for the stored primitive chi* mod f = conductor
     inducing chi: the one agreeing with chi on every unit mod q."""
     f = chi.conductor
-    for star, pairs in primitive.get(f, ()):
+    for star, scan in primitive.get(f, ()):
         if all(v == star.values[n % f] for n, v in enumerate(chi.values) if v):
-            return star, pairs
+            return star, scan
     raise ArithmeticError(
-        f"no stored primitive character of conductor {f} induces character {index} mod {chi.modulus}"
+        f"no stored primitive character of conductor {f} induces character {index} "
+        f"mod {chi.modulus}"
     )
 
 
@@ -445,7 +436,7 @@ def nonvanishing_survey(
     grid_step: float = _DEFAULT_GRID_STEP,
     tol: float = _DEFAULT_SCAN_TOL,
     *,
-    hurwitz_tol: float = _DEFAULT_HURWITZ_TOL,
+    hurwitz_tol: float = _DEFAULT_TOL,
 ) -> list[SurveyRow]:
     """Scan every real non-principal character with modulus q <= q_max.
 
@@ -454,35 +445,32 @@ def nonvanishing_survey(
     the grid_step grid in (0, 1) and any sign changes (with bisection
     refinement to `tol` if one ever appears).
 
-    Each modulus is surveyed once.  Its primitive characters (conductor q)
-    share one vector zeta(sigma, a/q) per grid point, evaluated at tolerance
-    `hurwitz_tol`; their rows equal ``scan_zeros`` bit for bit.  An
-    imprimitive character (conductor f < q) takes the grid values of the
-    primitive chi* mod f that induces it times the Euler factors of the
-    primes dividing q but not f, with no Hurwitz call of its own: its values
-    differ from the direct ``scan_zeros`` ones by rounding, well inside their
-    error estimates.  Bisection of any sign change evaluates the character
-    directly.
+    Primitive characters (conductor q) are scanned by ``scan_zeros`` with
+    L-values at tolerance `hurwitz_tol`.  An imprimitive character
+    (conductor f < q) takes the grid values of the primitive chi* mod f that
+    induces it, scanned earlier in the same call, times the Euler factors of
+    the primes dividing q but not f, with no Hurwitz call of its own: its
+    values differ from the direct ``scan_zeros`` ones by rounding, well inside
+    their error estimates.  Bisection of any sign change evaluates the
+    character directly.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    sigmas = _scan_sigmas(*_scan_grid(grid_step))
-    primitive = {}  # conductor -> [(chi*, grid values)], for this call only
+    grid = _scan_grid(grid_step)
+    primitive = {}  # conductor -> [(chi*, its ScanResult)], for this call only
     rows = []
     for q in range(1, q_max + 1):
-        chars = [(i, c) for i, c in enumerate(enumerate_real_characters(q)) if not c.is_principal]
-        new = [c for _, c in chars if c.conductor == q]
-        if new:
-            columns = [_evaluate_many(new, LPoint(sigma, 0.0), hurwitz_tol) for sigma in sigmas]
-            primitive[q] = [
-                (chi, [_real_value(column[j], sigma) for column, sigma in zip(columns, sigmas)])
-                for j, chi in enumerate(new)
-            ]
-        for index, chi in chars:
-            star, pairs = _inducing(chi, index, primitive)
-            if star is not chi:
-                pairs = _induced_pairs(chi, star, pairs, sigmas)
-            result = _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)
+        for index, chi in enumerate(enumerate_real_characters(q)):
+            if chi.is_principal:
+                continue
+            if chi.conductor == q:
+                result = scan_zeros(chi, *grid, tol, hurwitz_tol=hurwitz_tol)
+                primitive.setdefault(q, []).append((chi, result))
+            else:
+                star, scan = _inducing(chi, index, primitive)
+                star_pairs = zip(scan.values, scan.err_estimates)
+                pairs = _induced_pairs(chi, star, star_pairs, scan.sigmas)
+                result = _scan_result(chi, scan.sigmas, pairs, tol, hurwitz_tol)
             rows.append(
                 SurveyRow(
                     q=q,

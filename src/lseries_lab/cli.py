@@ -42,7 +42,7 @@ import sys
 from . import audit as audit_mod
 from . import cgeom
 from .characters import enumerate_characters, enumerate_real_characters
-from .lseries import evaluate, scan_zeros
+from .lseries import _DEFAULT_TOL, evaluate, scan_zeros
 from .rotation import pappus_check
 
 __all__ = ["Config", "load_config", "main", "run"]
@@ -60,7 +60,7 @@ EXIT_INTERNAL = 3
 class Config:
     """Run defaults; see the module docstring for the config-file keys."""
 
-    hurwitz_tol: float = 1e-10
+    hurwitz_tol: float = _DEFAULT_TOL
     default_n: int = 10_000
     grid_step: float = 0.01
     output_format: str = "table"

@@ -16,9 +16,7 @@ Three evaluation routes, each tagged on the result:
   zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
   B12) at one shift per evaluation: the default 20, doubled until the
   tolerance is met at the smallest residue 1/q, and so at every residue.
-  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.  ``evaluate``
-  is the one-character call of ``_evaluate_many``, which serves several
-  characters mod q at one point from one vector zeta(s, a/q).
+  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.
 * ``evaluate`` with method ``grouped`` -- at s = 1 for non-principal chi,
   direct summation over complete length-q periods (block sums decay like
   j^-2 because the character sums to zero over a period) plus an
@@ -172,6 +170,7 @@ _B_OVER_FACT = [float(b) / math.factorial(2 * (j + 1)) for j, b in enumerate(_BE
 _DEFAULT_SHIFT = 20
 _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
+_DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
 
 
 def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int) -> list:
@@ -241,7 +240,7 @@ def _hurwitz(s: LPoint, xs: Sequence[float], tol: float) -> tuple:
     return _euler_maclaurin_hurwitz(s_num, xs, shift, _DEFAULT_PAIRS), shift
 
 
-def hurwitz_zeta(s, x: float, *, tol: float = 1e-10) -> complex:
+def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, s != 1, by Euler-Maclaurin."""
     [(value, _)], _ = _hurwitz(as_lpoint(s), [x], tol)
     return complex(value)
@@ -281,34 +280,7 @@ def _grouped_at_one(chi: DirichletCharacter, blocks: int = 64, pairs: int = 4) -
     return complex(value), err, blocks * q
 
 
-def _evaluate_many(chars: Sequence[DirichletCharacter], s: LPoint, tol: float) -> list:
-    """[L(s, chi) for chi in chars] by the Hurwitz rearrangement, for
-    characters sharing one modulus q at one point s != 1: the point is checked,
-    the shift picked and the vector zeta(s, a/q) over the units built once,
-    then each character takes one dot product with it."""
-    q = chars[0].modulus
-    units = [a for a in range(1, q + 1) if chars[0].values[a % q]]
-    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
-    abs_acc = 0.0
-    err = 0.0
-    for z, e in zetas:
-        abs_acc += abs(z)
-        err += e
-    s_num = s.sigma if s.t == 0.0 else s.as_complex()
-    prefactor = q ** (-s_num)
-    err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
-    results = []
-    for chi in chars:
-        table = _residue_table(chi)
-        acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
-        for a, (z, _) in zip(units, zetas):
-            acc += table[a % q] * z
-        value = complex(prefactor * acc)
-        results.append(LEvaluation(value=value, method="hurwitz", n_used=shift, err_estimate=err))
-    return results
-
-
-def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
+def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
     """L(s, chi) by the Hurwitz-zeta rearrangement (or grouped periods at 1).
 
     Raises PoleError at s = 1 for principal chi, and ContinuationRangeError
@@ -316,12 +288,27 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = 1e-10) -> LEvaluation:
     itself (the same Hurwitz routine with x = 1).
     """
     s = as_lpoint(s)
+    q = chi.modulus
     if s.sigma == 1.0 and s.t == 0.0:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         value, err, terms = _grouped_at_one(chi)
         return LEvaluation(value=value, method="grouped", n_used=terms, err_estimate=err)
-    return _evaluate_many([chi], s, tol)[0]
+    table = _residue_table(chi)
+    units = [a for a in range(1, q + 1) if table[a % q]]
+    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
+    acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
+    abs_acc = 0.0
+    err = 0.0
+    for a, (z, e) in zip(units, zetas):
+        acc += table[a % q] * z
+        abs_acc += abs(z)
+        err += e
+    s_num = s.sigma if s.t == 0.0 else s.as_complex()
+    prefactor = q ** (-s_num)
+    value = prefactor * acc
+    err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
+    return LEvaluation(value=complex(value), method="hurwitz", n_used=shift, err_estimate=err)
 
 
 @dataclass(frozen=True)
@@ -364,19 +351,10 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: 
     return 0.5 * (lo + hi)
 
 
-def _scan_sigmas(lo: float, hi: float, grid_points: int) -> tuple:
-    """The uniform grid lo, ..., hi of `grid_points` sigmas in (0, 1)."""
-    if grid_points < 2:
-        raise ScanGridError(f"need at least 2 grid points, got {grid_points}")
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
-    step = (hi - lo) / (grid_points - 1)
-    return tuple(lo + i * step for i in range(grid_points))
-
-
-def _real_value(ev: LEvaluation, sigma: float) -> tuple:
-    """(value, err_estimate) of an L-value of a real character on the real
-    axis; ArithmeticError if its imaginary part exceeds the error estimate."""
+def _real_l(chi: DirichletCharacter, sigma: float, tol: float) -> tuple:
+    """(L(sigma, chi), err_estimate) for real chi on the real axis; the
+    imaginary part is checked against the propagated error estimate."""
+    ev = evaluate(chi, LPoint(sigma, 0.0), tol=tol)
     if abs(ev.value.imag) > 10.0 * max(ev.err_estimate, 1e-300):
         raise ArithmeticError(
             f"non-real L-value {ev.value} for a real character at sigma = {sigma}"
@@ -393,7 +371,7 @@ def _scan_result(chi, sigmas, pairs, tol: float, hurwitz_tol: float) -> ScanResu
     errs = tuple(p[1] for p in pairs)
 
     def l_real(sigma: float) -> float:
-        return _real_value(evaluate(chi, LPoint(sigma, 0.0), tol=hurwitz_tol), sigma)[0]
+        return _real_l(chi, sigma, hurwitz_tol)[0]
 
     brackets = []
     for i in range(len(sigmas) - 1):
@@ -423,7 +401,7 @@ def scan_zeros(
     grid_points: int,
     tol: float = 1e-9,
     *,
-    hurwitz_tol: float = 1e-10,
+    hurwitz_tol: float = _DEFAULT_TOL,
 ) -> ScanResult:
     """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
 
@@ -436,9 +414,11 @@ def scan_zeros(
     """
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
-    sigmas = _scan_sigmas(lo, hi, grid_points)
-    pairs = [
-        _real_value(evaluate(chi, LPoint(sigma, 0.0), tol=hurwitz_tol), sigma)
-        for sigma in sigmas
-    ]
+    if grid_points < 2:
+        raise ScanGridError(f"need at least 2 grid points, got {grid_points}")
+    if not (0.0 < lo < hi < 1.0):
+        raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
+    step = (hi - lo) / (grid_points - 1)
+    sigmas = tuple(lo + i * step for i in range(grid_points))
+    pairs = [_real_l(chi, sigma, hurwitz_tol) for sigma in sigmas]
     return _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)

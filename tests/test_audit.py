@@ -512,7 +512,7 @@ class TestSharedSurvey:
                     checked += 1
         assert checked == 3 * 177
 
-    def test_one_hurwitz_vector_per_primitive_modulus_and_grid_point(self, monkeypatch):
+    def test_hurwitz_calls_only_for_primitive_characters(self, monkeypatch):
         calls = []
         hurwitz = lseries._hurwitz
 
@@ -522,8 +522,9 @@ class TestSharedSurvey:
 
         monkeypatch.setattr(lseries, "_hurwitz", counted)
         assert len(nonvanishing_survey(30, 0.1)) == 50
-        # 17 moduli <= 30 carry a primitive real character; the grid has 9 points
-        assert len(calls) == 17 * 9
+        # 19 of the 50 rows are primitive, one scan_zeros each on the 9-point
+        # grid; the 31 imprimitive rows make no Hurwitz call
+        assert len(calls) == 19 * 9
 
     def test_forced_sign_change_is_reported_and_bisected_through_evaluate(self, monkeypatch):
         root_at = 0.4371
@@ -533,16 +534,12 @@ class TestSharedSurvey:
                 value=complex(sigma - root_at, 0.0), method="hurwitz", n_used=1, err_estimate=1e-15
             )
 
-        def fake_many(chars, s, tol):
-            return [fake_value(s.sigma) for _ in chars]
-
         bisected = set()
 
         def fake_evaluate(chi, s, *, tol=1e-10):
             bisected.add((chi.modulus, chi.values))
             return fake_value(as_lpoint(s).sigma)
 
-        monkeypatch.setattr(audit_module, "_evaluate_many", fake_many)
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
         rows = nonvanishing_survey(12, grid_step=0.1)
         assert [r.sign_changes for r in rows] == [1] * len(rows)
@@ -557,4 +554,4 @@ class TestSharedSurvey:
         wrong = replace(chi, conductor=5)
         chi5 = enumerate_real_characters(5)[1]
         with pytest.raises(ArithmeticError, match="conductor 5 induces character 1 mod 9"):
-            audit_module._inducing(wrong, 1, {5: [(chi5, [])]})
+            audit_module._inducing(wrong, 1, {5: [(chi5, None)]})

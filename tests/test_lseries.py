@@ -356,53 +356,6 @@ class TestOnePassPerEvaluation:
         assert abs(ev.value - complex(ref)) <= ev.err_estimate
 
 
-def one_character_evaluate(chi, s, tol=1e-10):
-    """``evaluate`` written out for one character, as it was before the
-    shared-vector path: the oracle that ``_evaluate_many`` keeps its
-    arithmetic and order for every character."""
-    q = chi.modulus
-    table = _residue_table(chi)
-    units = [a for a in range(1, q + 1) if table[a % q]]
-    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
-    acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
-    abs_acc = 0.0
-    err = 0.0
-    for a, (z, e) in zip(units, zetas):
-        acc += table[a % q] * z
-        abs_acc += abs(z)
-        err += e
-    s_num = s.sigma if s.t == 0.0 else s.as_complex()
-    prefactor = q ** (-s_num)
-    err = abs(prefactor) * (err + lseries_mod._ROUNDOFF * abs_acc)
-    return LEvaluation(complex(prefactor * acc), "hurwitz", shift, err)
-
-
-class TestSharedVector:
-    def test_every_character_equals_its_one_character_evaluation_bit_for_bit(self):
-        rng = random.Random(20261018)
-        cases = [(q, LPoint(rng.uniform(-0.9, 3.0), t)) for q in range(1, 41) for t in (0.0, 0.0, 14.0)]
-        cases += [(rng.randint(150, 450), LPoint(0.5, rng.uniform(1.0, 1000.0))) for _ in range(4)]
-        for q, s in cases:
-            chars = enumerate_characters(q)[:12]
-            got = lseries_mod._evaluate_many(chars, s, 1e-10)
-            for chi, ev in zip(chars, got):
-                want = one_character_evaluate(chi, s)
-                assert repr(ev) == repr(want) == repr(evaluate(chi, s)), (q, s, chi.values)
-
-    def test_one_vector_per_call(self, monkeypatch):
-        calls = []
-        hurwitz = lseries_mod._hurwitz
-
-        def counted(s, xs, tol):
-            calls.append(xs)
-            return hurwitz(s, xs, tol)
-
-        monkeypatch.setattr(lseries_mod, "_hurwitz", counted)
-        chars = enumerate_characters(24)
-        lseries_mod._evaluate_many(chars, LPoint(0.3, 2.0), 1e-10)
-        assert calls == [[a / 24 for a in (1, 5, 7, 11, 13, 17, 19, 23)]]
-
-
 class TestBisection:
     def test_refines_simple_root(self):
         f = lambda x: x * x - 0.09
