@@ -38,11 +38,19 @@ relative misfit must stay below 1e-6.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import _DEFAULT_TOL, LPoint, _running_sums, _scan_result, as_lpoint, scan_zeros
+from .lseries import (
+    _DEFAULT_SCAN_TOL,
+    _DEFAULT_TOL,
+    LPoint,
+    _running_sums,
+    _scan_result,
+    as_lpoint,
+    scan_zeros,
+)
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -97,7 +105,6 @@ _IDENTITY_REL_TOL = 1e-12
 _PAPPUS_REL_TOL = 1e-9
 _FIT_REL_MISFIT = 1e-6
 _DEFAULT_GRID_STEP = 0.01
-_DEFAULT_SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -324,12 +331,14 @@ def _truncation_claims(chi, s, truncations) -> list:
 
 def _scan_grid(grid_step: float) -> tuple:
     """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
+    if not grid_step > 0:
+        raise ValueError(f"grid step must be > 0, got {grid_step}")
     points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
     return grid_step, grid_step + (points - 1) * grid_step, points
 
 
-def _claim_nonvanishing(chi, grid_step, scan_tol, hurwitz_tol) -> ClaimResult:
-    result = scan_zeros(chi, *_scan_grid(grid_step), scan_tol, hurwitz_tol=hurwitz_tol)
+def _claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol) -> ClaimResult:
+    result = scan_zeros(chi, *grid, scan_tol, hurwitz_tol=hurwitz_tol)
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -377,8 +386,9 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
+    grid = _scan_grid(grid_step)  # checks the step before any series is walked
     claims = _truncation_claims(chi, s, truncations)
-    return claims + [_claim_nonvanishing(chi, grid_step, scan_tol, hurwitz_tol)]
+    return claims + [_claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol)]
 
 
 @dataclass(frozen=True)
@@ -394,13 +404,7 @@ class SurveyRow:
     sign_changes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "char_index": self.char_index,
-            "min_abs": self.min_abs,
-            "argmin_sigma": self.argmin_sigma,
-            "sign_changes": self.sign_changes,
-        }
+        return asdict(self)
 
 
 def _inducing(chi, index, primitive) -> tuple:

@@ -20,7 +20,8 @@ Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
 complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
 success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors, 3 for an internal arithmetic failure.
+2 for usage or domain errors (a ``--grid-step`` that is not positive
+included), 3 for an internal arithmetic failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
@@ -42,7 +43,7 @@ import sys
 from . import audit as audit_mod
 from . import cgeom
 from .characters import enumerate_characters, enumerate_real_characters
-from .lseries import _DEFAULT_TOL, evaluate, scan_zeros
+from .lseries import _DEFAULT_SCAN_TOL, _DEFAULT_TOL, evaluate, scan_zeros
 from .rotation import pappus_check
 
 __all__ = ["Config", "load_config", "main", "run"]
@@ -62,7 +63,7 @@ class Config:
 
     hurwitz_tol: float = _DEFAULT_TOL
     default_n: int = 10_000
-    grid_step: float = 0.01
+    grid_step: float = audit_mod._DEFAULT_GRID_STEP
     output_format: str = "table"
 
     def validate(self) -> "Config":
@@ -120,34 +121,37 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _json_complex(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _json_record(headers, row) -> dict:
+    """{header: value} for one row; a complex value becomes {"re": ..., "im": ...}."""
+    return {
+        h: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+        for h, v in zip(headers, row)
+    }
 
 
-def _emit_table(headers, rows, out) -> None:
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+def _emit(headers, rows, fmt: str, out, payload=None) -> None:
+    """Print rows of raw values in fmt.  A table or CSV cell is `format_complex`
+    of a complex value and `str` of any other; JSON is `payload` if given,
+    else one `_json_record` per row."""
+    if fmt == "json":
+        if payload is None:
+            payload = [_json_record(headers, row) for row in rows]
+        # dumps without indent, not dump: only that runs the C encoder
+        out.write(json.dumps(payload))
+        out.write("\n")
+        return
+    cells = ([format_complex(v) if isinstance(v, complex) else str(v) for v in row] for row in rows)
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(cells)
+        return
+    cells = [list(headers)] + list(cells)
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     for r, row in enumerate(cells):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip(), file=out)
         if r == 0:
             print("  ".join("-" * w for w in widths), file=out)
-
-
-def _emit_csv(headers, rows, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-
-
-def _emit(headers, rows, json_payload, fmt: str, out) -> None:
-    if fmt == "json":
-        # dumps without indent, not dump: only that runs the C encoder
-        out.write(json.dumps(json_payload))
-        out.write("\n")
-    elif fmt == "csv":
-        _emit_csv(headers, rows, out)
-    else:
-        _emit_table(headers, rows, out)
 
 
 def _select_character(q: int, k: int):
@@ -167,8 +171,6 @@ def _values_cell(chi) -> str:
 
 
 def _cmd_characters(args, config: Config, out) -> int:
-    if args.q < 1:
-        raise ValueError(f"modulus must be >= 1, got {args.q}")
     chars = enumerate_real_characters(args.q) if args.real else enumerate_characters(args.q)
     headers = ["q", "index", "real", "principal", "conductor", "values"]
     # Each format prints only one of these, and both are large for a large q:
@@ -178,7 +180,7 @@ def _cmd_characters(args, config: Config, out) -> int:
         for i, c in enumerate(chars)
     )
     payload = [c.to_json_dict() for c in chars] if args.format == "json" else None
-    _emit(headers, rows, payload, args.format, out)
+    _emit(headers, rows, args.format, out, payload)
     return EXIT_OK
 
 
@@ -187,27 +189,8 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
     s = parse_complex_s(args.s)
     ev = evaluate(chi, s, tol=args.tol)
     headers = ["q", "k", "s", "value", "method", "n_used", "err_estimate"]
-    rows = [
-        [
-            args.q,
-            args.k,
-            format_complex(s),
-            format_complex(ev.value),
-            ev.method,
-            ev.n_used,
-            repr(ev.err_estimate),
-        ]
-    ]
-    payload = {
-        "q": args.q,
-        "k": args.k,
-        "s": _json_complex(s),
-        "value": _json_complex(ev.value),
-        "method": ev.method,
-        "n_used": ev.n_used,
-        "err_estimate": ev.err_estimate,
-    }
-    _emit(headers, rows, payload, args.format, out)
+    row = [args.q, args.k, s, ev.value, ev.method, ev.n_used, ev.err_estimate]
+    _emit(headers, [row], args.format, out, _json_record(headers, row))
     return EXIT_OK
 
 
@@ -218,27 +201,24 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
     hi = args.hi if args.hi is not None else 1.0 - step
     points = args.grid_points
     if points is None:
+        if not step > 0:
+            raise ValueError(f"grid step must be > 0, got {step}")
         points = round((hi - lo) / step) + 1
     result = scan_zeros(chi, lo, hi, points, args.tol, hurwitz_tol=config.hurwitz_tol)
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
     rows = [
-        [args.q, args.k, repr(sig), repr(val), repr(err)]
-        for sig, val, err in zip(result.sigmas, result.values, result.err_estimates)
+        [args.q, args.k, *point]
+        for point in zip(result.sigmas, result.values, result.err_estimates)
     ]
     payload = {
         "q": args.q,
         "k": args.k,
-        "rows": [
-            {"sigma": sig, "L_value": val, "err_estimate": err}
-            for sig, val, err in zip(result.sigmas, result.values, result.err_estimates)
-        ],
-        "brackets": [
-            {"lo": b.lo, "hi": b.hi, "root": b.root} for b in result.brackets
-        ],
+        "rows": [_json_record(headers[2:], row[2:]) for row in rows],
+        "brackets": [dataclasses.asdict(b) for b in result.brackets],
         "min_abs": result.min_abs,
         "argmin_sigma": result.argmin_sigma,
     }
-    _emit(headers, rows, payload, args.format, out)
+    _emit(headers, rows, args.format, out, payload)
     if args.format == "table":
         print(
             f"min |L| = {result.min_abs!r} at sigma = {result.argmin_sigma!r}; "
@@ -252,68 +232,39 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
 
 def _cmd_geom_verify(args, config: Config, out) -> int:
     checks = cgeom.verify_appendix()
+    # the table rounds the residual and names the status; the JSON keeps each field
     headers = ["example", "quantity", "computed", "expected", "residual", "status"]
     rows = [
-        [
-            c.example,
-            c.quantity,
-            format_complex(c.computed),
-            format_complex(c.expected),
-            f"{c.residual:.3e}",
-            "pass" if c.ok else "FAIL",
-        ]
+        [c.example, c.quantity, c.computed, c.expected, f"{c.residual:.3e}",
+         "pass" if c.ok else "FAIL"]
         for c in checks
     ]
-    payload = [
-        {
-            "example": c.example,
-            "quantity": c.quantity,
-            "computed": _json_complex(c.computed),
-            "expected": _json_complex(c.expected),
-            "residual": c.residual,
-            "ok": c.ok,
-        }
-        for c in checks
-    ]
-    _emit(headers, rows, payload, args.format, out)
+    fields = [f.name for f in dataclasses.fields(cgeom.AppendixCheck)]
+    payload = [_json_record(fields, dataclasses.astuple(c)) for c in checks]
+    _emit(headers, rows, args.format, out, payload)
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FINDING
 
 
 def _cmd_pappus_check(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
-    report = pappus_check(chi, s, args.N)
+    r = pappus_check(chi, s, args.N)
     headers = ["q", "k", "s", "N", "S", "V", "xi", "eta", "residual"]
-    rows = [
-        [
-            args.q,
-            args.k,
-            format_complex(s),
-            args.N,
-            format_complex(report.profile_area),
-            format_complex(report.volume),
-            format_complex(report.xi),
-            format_complex(report.eta),
-            repr(report.residual),
-        ]
-    ]
-    payload = {"q": args.q, "k": args.k, "s": _json_complex(s), "N": args.N}
-    payload.update(report.to_json_dict())
-    _emit(headers, rows, payload, args.format, out)
+    row = [args.q, args.k, s, args.N, r.profile_area, r.volume, r.xi, r.eta, r.residual]
+    _emit(headers, [row], args.format, out, _json_record(headers, row))
     return EXIT_OK
 
 
 def _cmd_audit(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
-    truncations = args.N
     claims = audit_mod.run_audit(
-        chi, s, truncations, grid_step=args.grid_step, scan_tol=args.tol,
+        chi, s, args.N, grid_step=args.grid_step, scan_tol=args.tol,
         hurwitz_tol=config.hurwitz_tol,
     )
     headers = ["claim_id", "verdict", "evidence_points", "note"]
     rows = [[c.claim_id, c.verdict, len(c.evidence), c.note] for c in claims]
-    _emit(headers, rows, [c.to_json_dict() for c in claims], args.format, out)
+    _emit(headers, rows, args.format, out, [c.to_json_dict() for c in claims])
     found = any(c.verdict == audit_mod.VERDICT_SIGN_CHANGE_FOUND for c in claims)
     return EXIT_FINDING if found else EXIT_OK
 
@@ -321,17 +272,12 @@ def _cmd_audit(args, config: Config, out) -> int:
 def _cmd_survey(args, config: Config, out) -> int:
     if args.qmax < 1:
         raise ValueError(f"--qmax must be >= 1, got {args.qmax}")
-    rows_data = audit_mod.nonvanishing_survey(
+    rows = audit_mod.nonvanishing_survey(
         args.qmax, args.grid_step, args.tol, hurwitz_tol=config.hurwitz_tol
     )
-    headers = ["q", "char_index", "min_abs", "argmin_sigma", "sign_changes"]
-    rows = [
-        [r.q, r.char_index, repr(r.min_abs), repr(r.argmin_sigma), r.sign_changes]
-        for r in rows_data
-    ]
-    _emit(headers, rows, [r.to_json_dict() for r in rows_data], args.format, out)
-    found = any(r.sign_changes for r in rows_data)
-    return EXIT_FINDING if found else EXIT_OK
+    headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
+    _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
+    return EXIT_FINDING if any(r.sign_changes for r in rows) else EXIT_OK
 
 
 def _int_list(text: str) -> list[int]:
@@ -352,12 +298,24 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def finish(p, func):
         p.add_argument(
             "--format",
             choices=FORMATS,
             default=config.output_format,
             help=f"output format (default {config.output_format})",
+        )
+        p.set_defaults(func=func)
+
+    def add_scan_options(p):
+        p.add_argument(
+            "--grid-step",
+            type=float,
+            default=config.grid_step,
+            help=f"scan grid spacing (default {config.grid_step})",
+        )
+        p.add_argument(
+            "--tol", type=float, default=_DEFAULT_SCAN_TOL, help="scan bisection width tolerance"
         )
 
     def add_selector(p):
@@ -374,8 +332,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p_chars.add_argument(
         "--real", action="store_true", help="only the real enumeration (what -k indexes)"
     )
-    add_format(p_chars)
-    p_chars.set_defaults(func=_cmd_characters)
+    finish(p_chars, _cmd_characters)
 
     p_lfun = sub.add_parser("lfun", help="L-function evaluation and scanning")
     lfun_sub = p_lfun.add_subparsers(dest="subcommand", required=True)
@@ -386,33 +343,24 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--tol", type=float, default=config.hurwitz_tol, help="evaluation tolerance"
     )
-    add_format(p_eval)
-    p_eval.set_defaults(func=_cmd_lfun_eval)
+    finish(p_eval, _cmd_lfun_eval)
 
     p_scan = lfun_sub.add_parser("scan", help="scan L(sigma, chi) on (0, 1)")
     add_selector(p_scan)
     p_scan.add_argument("--lo", type=float, default=None, help="grid start (default grid step)")
     p_scan.add_argument("--hi", type=float, default=None, help="grid end (default 1 - step)")
-    p_scan.add_argument(
-        "--grid-step",
-        type=float,
-        default=config.grid_step,
-        help=f"grid spacing (default {config.grid_step})",
-    )
+    add_scan_options(p_scan)
     p_scan.add_argument(
         "--grid-points", type=int, default=None, help="explicit point count (overrides step)"
     )
-    p_scan.add_argument("--tol", type=float, default=1e-9, help="bisection width tolerance")
-    add_format(p_scan)
-    p_scan.set_defaults(func=_cmd_lfun_scan)
+    finish(p_scan, _cmd_lfun_scan)
 
     p_geom = sub.add_parser("geom", help="bilinear-geometry checks")
     geom_sub = p_geom.add_subparsers(dest="subcommand", required=True)
     p_verify = geom_sub.add_parser(
         "verify-appendix", help="recompute the golden worked-example table"
     )
-    add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_geom_verify)
+    finish(p_verify, _cmd_geom_verify)
 
     p_pappus = sub.add_parser("pappus", help="solid-of-revolution identity")
     pappus_sub = p_pappus.add_subparsers(dest="subcommand", required=True)
@@ -422,8 +370,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p_check.add_argument(
         "-N", type=int, default=config.default_n, help=f"truncation (default {config.default_n})"
     )
-    add_format(p_check)
-    p_check.set_defaults(func=_cmd_pappus_check)
+    finish(p_check, _cmd_pappus_check)
 
     p_audit = sub.add_parser("audit", help="run the eight-claim truncation audit")
     add_selector(p_audit)
@@ -435,23 +382,15 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
         default=default_ns,
         help=f"comma-separated truncations (default {','.join(map(str, default_ns))})",
     )
-    p_audit.add_argument(
-        "--grid-step", type=float, default=config.grid_step, help="scan grid spacing"
-    )
-    p_audit.add_argument("--tol", type=float, default=1e-9, help="scan bisection tolerance")
-    add_format(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
+    add_scan_options(p_audit)
+    finish(p_audit, _cmd_audit)
 
     p_survey = sub.add_parser(
         "survey", help="min |L| survey over real non-principal characters"
     )
     p_survey.add_argument("--qmax", type=int, required=True, help="largest modulus")
-    p_survey.add_argument(
-        "--grid-step", type=float, default=config.grid_step, help="scan grid spacing"
-    )
-    p_survey.add_argument("--tol", type=float, default=1e-9, help="scan bisection tolerance")
-    add_format(p_survey)
-    p_survey.set_defaults(func=_cmd_survey)
+    add_scan_options(p_survey)
+    finish(p_survey, _cmd_survey)
 
     return parser
 

@@ -171,6 +171,7 @@ _DEFAULT_SHIFT = 20
 _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
+_DEFAULT_SCAN_TOL = 1e-9  # bisection width of a scan's sign-change brackets
 
 
 def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int) -> list:
@@ -399,7 +400,7 @@ def scan_zeros(
     lo: float,
     hi: float,
     grid_points: int,
-    tol: float = 1e-9,
+    tol: float = _DEFAULT_SCAN_TOL,
     *,
     hurwitz_tol: float = _DEFAULT_TOL,
 ) -> ScanResult:

@@ -74,6 +74,15 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_audit(CHI4, 0.5, bad)
 
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    def test_grid_step_not_positive_is_rejected_before_any_series(self, step, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a series was walked")
+
+        monkeypatch.setattr(audit_module, "_truncation_claims", walked)
+        with pytest.raises(ValueError, match="grid step must be > 0"):
+            run_audit(CHI4, 0.5, [10], grid_step=step)
+
 
 @pytest.fixture(scope="module")
 def chi4_results():
@@ -414,6 +423,11 @@ class TestSurvey:
     def test_rejects_bad_qmax(self):
         with pytest.raises(ValueError):
             nonvanishing_survey(0)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    def test_rejects_grid_step_not_positive(self, step):
+        with pytest.raises(ValueError, match="grid step must be > 0"):
+            nonvanishing_survey(5, step)
 
     def test_qmax_four_rows(self):
         rows = nonvanishing_survey(4)

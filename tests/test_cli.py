@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +354,18 @@ class TestScanCommand:
         assert code == EXIT_USAGE
         assert "at least 2 grid points" in capsys.readouterr().err
 
+    def test_explicit_window_takes_a_step_above_the_config_range(self):
+        # Config.validate keeps the grid_step key in (0, 0.5); the flag of an
+        # explicit window is not held to that range
+        code, text = run_cli(
+            "lfun", "scan", "-q", "4", "-k", "1", "--lo", "0.05", "--hi", "0.95",
+            "--grid-step", "0.6", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        sigmas = [r[2] for r in parse_csv(text)[1]]
+        assert len(sigmas) == 3  # round(0.9 / 0.6) + 1
+        assert (sigmas[0], sigmas[-1]) == ("0.05", "0.95")
+
 
 class TestGeomCommand:
     def test_verify_appendix_passes(self):
@@ -515,6 +529,74 @@ class TestSurveyCommand:
         err = capsys.readouterr().err
         assert err.startswith("internal error: no stored primitive character")
         assert f"of conductor {conductor} induces character 1 mod 9" in err
+
+
+class TestGridStepNotPositive:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("survey", "--qmax", "5"),
+            ("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "10,100"),
+            ("lfun", "scan", "-q", "4", "-k", "1"),
+        ],
+    )
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    def test_is_a_usage_error(self, argv, step, capsys):
+        code, text = run_cli(*argv, "--grid-step", step)
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: grid step must be > 0")
+
+
+def _readme_commands():
+    """argv of each `lseries-lab ...` line in the README's CLI block, without --format."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "lseries-lab":
+            argv = argv[1:]
+            if "--format" in argv:
+                i = argv.index("--format")
+                del argv[i : i + 2]
+            commands.append(tuple(argv))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+RECORD_COMMANDS = (("lfun", "eval"), ("pappus", "check"), ("survey",))
+
+
+class TestReadmeCommands:
+    def test_block_covers_every_command(self):
+        commands = {argv[:2] if argv[0] in ("lfun", "geom", "pappus") else argv[:1]
+                    for argv in README_COMMANDS}
+        assert commands == {
+            ("characters",), ("lfun", "eval"), ("lfun", "scan"), ("geom", "verify-appendix"),
+            ("pappus", "check"), ("audit",), ("survey",),
+        }
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_formats_agree(self, argv):
+        outputs = {fmt: run_cli(*argv, "--format", fmt) for fmt in cli_module.FORMATS}
+        assert {code for code, _ in outputs.values()} == {EXIT_OK}
+        json_text, csv_text, table_text = (outputs[f][1] for f in ("json", "csv", "table"))
+        assert json_text.count("\n") == 1 and json_text.endswith("\n")
+        payload = json.loads(json_text)
+        headers, rows = parse_csv(csv_text)
+        assert table_text.splitlines()[0].split() == headers
+        if not any(argv[: len(c)] == c for c in RECORD_COMMANDS):
+            return
+        records = payload if isinstance(payload, list) else [payload]
+        assert len(records) == len(rows) > 0
+        for record, row in zip(records, rows):
+            assert list(record) == headers
+            cells = [
+                format_complex(complex(v["re"], v["im"])) if isinstance(v, dict) else str(v)
+                for v in record.values()
+            ]
+            assert cells == row
 
 
 class TestHurwitzTolReachesEveryCommand:
