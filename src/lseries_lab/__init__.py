@@ -40,7 +40,6 @@ from .characters import (
 )
 from .lseries import (
     LEvaluation,
-    LPoint,
     ScanResult,
     evaluate,
     hurwitz_zeta,

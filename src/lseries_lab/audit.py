@@ -45,10 +45,9 @@ from .characters import DirichletCharacter, _factorize, enumerate_real_character
 from .lseries import (
     _DEFAULT_SCAN_TOL,
     _DEFAULT_TOL,
-    LPoint,
+    ScanGridError,
     _running_sums,
     _scan_result,
-    as_lpoint,
     scan_zeros,
 )
 from .resolution import (
@@ -197,7 +196,7 @@ def _claim_reconstruct(claim_id, chi, s, truncations, variant, dots, series) -> 
     verdict = _identity_verdict((rel for _, rel in evidence), _IDENTITY_REL_TOL, notes)
     return ClaimResult(
         claim_id=claim_id,
-        inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variant": variant},
+        inputs={"q": chi.modulus, "s": [s.real, s.imag], "variant": variant},
         evidence=evidence,
         verdict=verdict,
         note="; ".join(notes),
@@ -226,7 +225,7 @@ def _claim_factorization(chi, s, truncations, pairs, dots) -> ClaimResult:
     )
     return ClaimResult(
         claim_id="EQ45_FACTORIZATION",
-        inputs={"q": chi.modulus, "s": [s.sigma, s.t], "variants": list(VARIANTS)},
+        inputs={"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)},
         evidence=evidence,
         verdict=verdict,
         note="; ".join(notes),
@@ -245,7 +244,7 @@ def _claim_chi4_sum(chi, truncations) -> ClaimResult:
     # chi(n)^4 at t = 0 is exactly 1 on units when the value order divides 4
     # (always for real chi), so the total counts units; otherwise the
     # evidence records its real part.
-    totals = _running_sums(chi, LPoint(0.0, 0.0), ns, 4)
+    totals = _running_sums(chi, 0j, ns, 4)
     evidence = [(n, total.real) for n, total in zip(ns, totals)]
     expected_slope = sum(1 for a in range(q) if gcd(a, q) == 1) / q
     return _growth_claim(
@@ -275,7 +274,7 @@ def _claim_pappus(chi, s, truncations) -> ClaimResult:
         verdict = _identity_verdict((rel for _, rel in evidence), _PAPPUS_REL_TOL, notes)
     return ClaimResult(
         claim_id="PAPPUS_IDENTITY",
-        inputs={"q": chi.modulus, "s": [s.sigma, s.t]},
+        inputs={"q": chi.modulus, "s": [s.real, s.imag]},
         evidence=evidence,
         verdict=verdict,
         note="; ".join(notes),
@@ -284,13 +283,13 @@ def _claim_pappus(chi, s, truncations) -> ClaimResult:
 
 def _claim_positivity(chi, s, truncations) -> ClaimResult:
     # The positivity fact is about the real axis; audit it at (sigma, 0).
-    ws = [w.real for w in _running_sums(chi, LPoint(s.sigma, 0.0), truncations, 2)]
+    ws = [w.real for w in _running_sums(chi, complex(s.real, 0.0), truncations, 2)]
     positive = all(w > 0.0 for w in ws)
     nondecreasing = not any(b < a for a, b in zip(ws, ws[1:]))
     notes = []
     if not chi.is_real:
         notes.append("character is not real; positivity is not guaranteed")
-    if s.t != 0.0:
+    if s.imag != 0.0:
         notes.append("audited at t = 0 (positivity is a real-axis fact)")
     ok = positive and nondecreasing and chi.is_real
     verdict = VERDICT_POSITIVE_DEFINITE if ok else VERDICT_HOLDS_AT_TRUNCATION
@@ -300,7 +299,7 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
         notes.append("W_N decreased between truncations")
     return ClaimResult(
         claim_id="TRANSFORMED_EQ_POSITIVITY",
-        inputs={"q": chi.modulus, "sigma": s.sigma},
+        inputs={"q": chi.modulus, "sigma": s.real},
         evidence=list(zip(truncations, ws)),
         verdict=verdict,
         note="; ".join(notes),
@@ -334,6 +333,8 @@ def _scan_grid(grid_step: float) -> tuple:
     if not grid_step > 0:
         raise ValueError(f"grid step must be > 0, got {grid_step}")
     points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
+    if points < 2:
+        raise ScanGridError(f"need at least 2 grid points, got {points}")
     return grid_step, grid_step + (points - 1) * grid_step, points
 
 
@@ -380,7 +381,7 @@ def run_audit(
     single claim's trouble never aborts the audit.  The zero scan evaluates
     its L-values at tolerance `hurwitz_tol`.
     """
-    s = as_lpoint(s)
+    s = complex(s)
     truncations = tuple(int(n) for n in truncations)
     if not truncations:
         raise ValueError("need at least one truncation point")

@@ -20,8 +20,8 @@ Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
 complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
 success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors (a ``--grid-step`` that is not positive
-included), 3 for an internal arithmetic failure.
+2 for usage or domain errors (a ``--grid-step`` that is not positive or
+leaves under 2 grid points included), 3 for an internal arithmetic failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
@@ -121,23 +121,15 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _json_record(headers, row) -> dict:
-    """{header: value} for one row; a complex value becomes {"re": ..., "im": ...}."""
-    return {
-        h: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
-        for h, v in zip(headers, row)
-    }
-
-
 def _emit(headers, rows, fmt: str, out, payload=None) -> None:
     """Print rows of raw values in fmt.  A table or CSV cell is `format_complex`
     of a complex value and `str` of any other; JSON is `payload` if given,
-    else one `_json_record` per row."""
+    else one {header: value} object per row, a complex value as {"re", "im"}."""
     if fmt == "json":
         if payload is None:
-            payload = [_json_record(headers, row) for row in rows]
+            payload = [dict(zip(headers, row)) for row in rows]
         # dumps without indent, not dump: only that runs the C encoder
-        out.write(json.dumps(payload))
+        out.write(json.dumps(payload, default=lambda z: {"re": z.real, "im": z.imag}))
         out.write("\n")
         return
     cells = ([format_complex(v) if isinstance(v, complex) else str(v) for v in row] for row in rows)
@@ -190,7 +182,7 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
     ev = evaluate(chi, s, tol=args.tol)
     headers = ["q", "k", "s", "value", "method", "n_used", "err_estimate"]
     row = [args.q, args.k, s, ev.value, ev.method, ev.n_used, ev.err_estimate]
-    _emit(headers, [row], args.format, out, _json_record(headers, row))
+    _emit(headers, [row], args.format, out, dict(zip(headers, row)))
     return EXIT_OK
 
 
@@ -213,7 +205,7 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
     payload = {
         "q": args.q,
         "k": args.k,
-        "rows": [_json_record(headers[2:], row[2:]) for row in rows],
+        "rows": [dict(zip(headers[2:], row[2:])) for row in rows],
         "brackets": [dataclasses.asdict(b) for b in result.brackets],
         "min_abs": result.min_abs,
         "argmin_sigma": result.argmin_sigma,
@@ -239,9 +231,7 @@ def _cmd_geom_verify(args, config: Config, out) -> int:
          "pass" if c.ok else "FAIL"]
         for c in checks
     ]
-    fields = [f.name for f in dataclasses.fields(cgeom.AppendixCheck)]
-    payload = [_json_record(fields, dataclasses.astuple(c)) for c in checks]
-    _emit(headers, rows, args.format, out, payload)
+    _emit(headers, rows, args.format, out, [dataclasses.asdict(c) for c in checks])
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FINDING
 
 
@@ -251,7 +241,7 @@ def _cmd_pappus_check(args, config: Config, out) -> int:
     r = pappus_check(chi, s, args.N)
     headers = ["q", "k", "s", "N", "S", "V", "xi", "eta", "residual"]
     row = [args.q, args.k, s, args.N, r.profile_area, r.volume, r.xi, r.eta, r.residual]
-    _emit(headers, [row], args.format, out, _json_record(headers, row))
+    _emit(headers, [row], args.format, out, dict(zip(headers, row)))
     return EXIT_OK
 
 

@@ -7,6 +7,11 @@ i sin(t ln n)), chi(n)^m read from a residue table converted once per call.
 Every truncation sum over those terms is read from ``_running_sums``, which
 walks them once and returns the sum at each of several truncations.
 
+A point s = sigma + i*t is a Python complex from entry to kernel: every
+public function takes an int, float or complex and converts it with
+``complex(s)``.  A point with ``s.imag == 0.0`` (-0.0 too) is on the real
+axis and is computed in float arithmetic; the pole test is ``s == 1``.
+
 Three evaluation routes, each tagged on the result:
 
 * ``partial_sum`` -- the plain truncation sum(chi(n) * n^-s, n <= N), summed
@@ -34,20 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .characters import DirichletCharacter, _to_number, _value
 
 __all__ = [
     "ContinuationRangeError",
     "LEvaluation",
-    "LPoint",
     "NonRealCharacterError",
     "PoleError",
     "ScanGridError",
     "ScanResult",
     "SignChangeBracket",
-    "as_lpoint",
     "evaluate",
     "hurwitz_zeta",
     "partial_sum",
@@ -72,30 +75,6 @@ class ScanGridError(ValueError):
 
 
 @dataclass(frozen=True)
-class LPoint:
-    """A point s = sigma + i*t; t is an independent real parameter."""
-
-    sigma: float
-    t: float = 0.0
-
-    def as_complex(self) -> complex:
-        return complex(self.sigma, self.t)
-
-    @property
-    def on_real_axis(self) -> bool:
-        return self.t == 0.0
-
-
-def as_lpoint(s: Union["LPoint", complex, float, int]) -> LPoint:
-    """Coerce a float/complex/LPoint into an LPoint."""
-    if isinstance(s, LPoint):
-        return s
-    if isinstance(s, complex):
-        return LPoint(s.real, s.imag)
-    return LPoint(float(s), 0.0)
-
-
-@dataclass(frozen=True)
 class LEvaluation:
     """An L-value with its provenance: method tag (``partial_sum`` /
     ``hurwitz`` / ``grouped``), ``n_used`` (the Euler-Maclaurin shift for
@@ -116,12 +95,12 @@ def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
     return powers if chi.is_real else [_to_number(v) for v in powers]
 
 
-def _terms(chi: DirichletCharacter, s: LPoint, stop: int, m: int = 1, start: int = 1):
+def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: int = 1):
     """Yield (n, chi(n)^m * n^(-m s)) for the units n in [start, stop), in
     order; at t = 0 no logarithm is taken and real chi gives real floats."""
     q = chi.modulus
     table = _residue_table(chi, m)
-    sigma, t = m * s.sigma, m * s.t
+    sigma, t = m * s.real, m * s.imag
     for n in range(start, stop):
         v = table[n % q]
         if v:
@@ -132,7 +111,7 @@ def _terms(chi: DirichletCharacter, s: LPoint, stop: int, m: int = 1, start: int
             yield n, v * amp
 
 
-def _running_sums(chi: DirichletCharacter, s: LPoint, truncations, m: int = 1) -> list:
+def _running_sums(chi: DirichletCharacter, s: complex, truncations, m: int = 1) -> list:
     """[sum(chi(n)^m * n^(-m s), n <= N) for N in truncations], N increasing:
     one walk of the terms in index order, each sum continuing the last."""
     sums = []
@@ -148,7 +127,7 @@ def _running_sums(chi: DirichletCharacter, s: LPoint, truncations, m: int = 1) -
 
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order."""
-    s = as_lpoint(s)
+    s = complex(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     return _running_sums(chi, s, [n_terms])[0]
@@ -190,8 +169,7 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
         coeffs.append(_B_OVER_FACT[j] * rising)
         rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
     omitted_coeff = _B_OVER_FACT[pairs] * rising
-    sigma = s_num.real if isinstance(s_num, complex) else s_num
-    safety = max(1.0, abs(s_num + 2 * pairs + 1) / (sigma + 2 * pairs + 1))
+    safety = max(1.0, abs(s_num + 2 * pairs + 1) / (s_num.real + 2 * pairs + 1))
     results = []
     for x in xs:
         acc = 0.0 if isinstance(s_num, float) else 0j
@@ -209,41 +187,41 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
     return results
 
 
-def _shift_for_tolerance(s: LPoint, x: float, tol: float, pairs: int) -> int:
+def _shift_for_tolerance(s: complex, x: float, tol: float, pairs: int) -> int:
     """Smallest shift >= the default whose first omitted correction estimate
     meets `tol`.  The default (20) already gives ~1e-21 on sigma in (0, 3]."""
     shift = _DEFAULT_SHIFT
-    mag = max(1.0, abs(s.as_complex()) + 2 * pairs + 1)
+    mag = max(1.0, abs(s) + 2 * pairs + 1)
     while True:
         estimate = abs(_B_OVER_FACT[pairs]) * mag ** (2 * pairs + 1) * (
-            (shift + x) ** (-(s.sigma + 2 * pairs + 1))
+            (shift + x) ** (-(s.real + 2 * pairs + 1))
         )
         if estimate <= tol or shift >= 1 << 20:
             return shift
         shift *= 2
 
 
-def _hurwitz(s: LPoint, xs: Sequence[float], tol: float) -> tuple:
+def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
     """([(zeta(s, x), err_estimate) for x in xs], shift): the point is checked
     and the shift picked once for all of xs.  The truncation estimate falls as
     x grows (sigma > -1), so the smallest x's shift meets `tol` for every x."""
     for x in xs:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"x must lie in (0, 1], got {x}")
-    if s.sigma == 1.0 and s.t == 0.0:
+    if s == 1:
         raise PoleError("zeta(s, x) has a pole at s = 1")
-    if s.sigma <= -1.0:
+    if s.real <= -1.0:
         raise ContinuationRangeError(
-            f"sigma = {s.sigma} is outside the supported range sigma > -1"
+            f"sigma = {s.real} is outside the supported range sigma > -1"
         )
-    s_num = s.sigma if s.t == 0.0 else s.as_complex()
+    s_num = s.real if s.imag == 0.0 else s
     shift = _shift_for_tolerance(s, min(xs), tol, _DEFAULT_PAIRS)
     return _euler_maclaurin_hurwitz(s_num, xs, shift, _DEFAULT_PAIRS), shift
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, s != 1, by Euler-Maclaurin."""
-    [(value, _)], _ = _hurwitz(as_lpoint(s), [x], tol)
+    [(value, _)], _ = _hurwitz(complex(s), [x], tol)
     return complex(value)
 
 
@@ -288,9 +266,9 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     for sigma <= -1.  For q = 1 this is the Riemann zeta continuation
     itself (the same Hurwitz routine with x = 1).
     """
-    s = as_lpoint(s)
+    s = complex(s)
     q = chi.modulus
-    if s.sigma == 1.0 and s.t == 0.0:
+    if s == 1:
         if chi.is_principal:
             raise PoleError("L(s, principal chi) has a pole at s = 1")
         value, err, terms = _grouped_at_one(chi)
@@ -298,15 +276,14 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     table = _residue_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
     zetas, shift = _hurwitz(s, [a / q for a in units], tol)
-    acc = 0.0 if s.t == 0.0 and chi.is_real else 0j
+    acc = 0.0 if s.imag == 0.0 and chi.is_real else 0j
     abs_acc = 0.0
     err = 0.0
     for a, (z, e) in zip(units, zetas):
         acc += table[a % q] * z
         abs_acc += abs(z)
         err += e
-    s_num = s.sigma if s.t == 0.0 else s.as_complex()
-    prefactor = q ** (-s_num)
+    prefactor = q ** (-(s.real if s.imag == 0.0 else s))
     value = prefactor * acc
     err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
     return LEvaluation(value=complex(value), method="hurwitz", n_used=shift, err_estimate=err)
@@ -314,12 +291,12 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
 
 @dataclass(frozen=True)
 class SignChangeBracket:
-    """A grid interval where the L-value changed sign, with the bisection
-    refinement (None only if refinement could not hold the sign change)."""
+    """A grid interval where the L-value changed sign, and the root estimate:
+    the bisection midpoint, or the grid sigma where the value is exactly 0."""
 
     lo: float
     hi: float
-    root: float | None
+    root: float
 
 
 @dataclass(frozen=True)
@@ -355,7 +332,7 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: 
 def _real_l(chi: DirichletCharacter, sigma: float, tol: float) -> tuple:
     """(L(sigma, chi), err_estimate) for real chi on the real axis; the
     imaginary part is checked against the propagated error estimate."""
-    ev = evaluate(chi, LPoint(sigma, 0.0), tol=tol)
+    ev = evaluate(chi, sigma, tol=tol)
     if abs(ev.value.imag) > 10.0 * max(ev.err_estimate, 1e-300):
         raise ArithmeticError(
             f"non-real L-value {ev.value} for a real character at sigma = {sigma}"

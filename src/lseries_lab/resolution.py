@@ -9,8 +9,10 @@ length-N vectors in either of two ways:
   p_vec[n] = chi(n) * n^-it carries the character.
 
 In both variants a_vec[k] * p_vec[k] = chi(k+1) * (k+1)^-s, so the bilinear
-dot of the pair reproduces the truncation (``reconstruct_identity``); the
-bare factors are the terms of the trivial character mod 1.  Formal norms and
+dot of the pair reproduces the truncation (``reconstruct_identity``).  Both
+factors are kernel terms, the amplitude at the point complex(sigma, 0) and the
+phase at complex(0, t), the bare ones of the trivial character mod 1; s is a
+Python complex, and ``ResolutionVectors.s`` holds it.  Formal norms and
 cosines are the unconjugated forms of :mod:`lseries_lab.cgeom`, re-exported;
 a vector whose formal norm is exactly zero is *isotropic* and has no cosine
 (that is a distinct error, not a division blowup).  ``phase_series_sums``
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .characters import DirichletCharacter, principal_character
 from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
-from .lseries import LPoint, _running_sums, _terms, as_lpoint, partial_sum
+from .lseries import _running_sums, _terms, partial_sum
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -55,14 +57,14 @@ class ResolutionVectors:
     variant: str
     a_vec: tuple
     p_vec: tuple
-    s: LPoint
+    s: complex
 
 
 def build_vectors(
     chi: DirichletCharacter, s, n_terms: int, variant: str
 ) -> ResolutionVectors:
     """Factor the N-term truncation at s into (a_vec, p_vec) per `variant`."""
-    s = as_lpoint(s)
+    s = complex(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     if variant not in VARIANTS:
@@ -74,7 +76,7 @@ def build_vectors(
             vec[n - 1] = complex(f)
         return tuple(vec)
 
-    amplitude, phase = LPoint(s.sigma, 0.0), LPoint(0.0, s.t)
+    amplitude, phase = complex(s.real, 0.0), complex(0.0, s.imag)
     if variant == AMPLITUDE_CHI:
         a_vec, p_vec = factor(chi, amplitude), factor(_TRIVIAL, phase)
     else:
@@ -104,5 +106,5 @@ def phase_series_sums(t: float, n_terms: int) -> tuple:
         raise ValueError(f"need at least one term, got {n_terms}")
     if t == 0.0:
         return float(n_terms), 0.0
-    total = _running_sums(_TRIVIAL, LPoint(0.0, t), [n_terms])[0]  # sum of n^-it
+    total = _running_sums(_TRIVIAL, complex(0.0, t), [n_terms])[0]  # sum of n^-it
     return total.real, -total.imag

@@ -1,6 +1,7 @@
 """Step-profile solids of revolution and the Pappus cross-check.
 
-The N-term truncation of an L-series is read as a step profile over [0, N]:
+The N-term truncation of an L-series at s (a Python complex, which
+``StepProfile.s`` holds) is read as a step profile over [0, N]:
 rectangle n (on [n-1, n]) has complex height f_n = chi(n) / n^s.  Revolving
 each rectangle about the axis gives a cylinder of volume pi * f_n^2, so the
 total volume is V = pi * sum(chi(n)^2 * n^-2s).  The profile's barycenter
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .lseries import LPoint, _running_sums, _terms, as_lpoint
+from .lseries import _running_sums, _terms
 
 __all__ = [
     "PappusReport",
@@ -56,7 +57,7 @@ class StepProfile:
 
     n_rects: int
     heights: tuple
-    s: LPoint
+    s: complex
     modulus: int
 
 
@@ -64,7 +65,7 @@ def _term(chi: DirichletCharacter, s, n: int, m: int) -> complex:
     """chi(n)^m * n^(-m s) for one rectangle index n (0 off the units)."""
     if n < 1:
         raise ValueError(f"rectangle index must be >= 1, got {n}")
-    return 0j + next((f for _, f in _terms(chi, as_lpoint(s), n + 1, m, start=n)), 0.0)
+    return 0j + next((f for _, f in _terms(chi, complex(s), n + 1, m, start=n)), 0.0)
 
 
 def rect_area(chi: DirichletCharacter, s, n: int) -> complex:
@@ -79,7 +80,7 @@ def cylinder_volume(chi: DirichletCharacter, s, n: int) -> complex:
 
 def step_profile(chi: DirichletCharacter, s, n_rects: int) -> StepProfile:
     """The truncation profile: heights f_n = chi(n) * n^-s for n = 1..N."""
-    s = as_lpoint(s)
+    s = complex(s)
     if n_rects < 1:
         raise ValueError(f"need at least one rectangle, got {n_rects}")
     heights = [0j] * n_rects
@@ -139,7 +140,7 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     residual genuinely compares two computation paths.  Exact zero profile
     area raises ZeroAreaError (propagated from the barycenter).
     """
-    s = as_lpoint(s)
+    s = complex(s)
     profile = step_profile(chi, s, n_rects)
     return _pappus_report(profile, _running_sums(chi, s, [n_rects], 2)[0])
 
@@ -160,7 +161,7 @@ def transformed_equation_residual(chi: DirichletCharacter, s, n_terms: int) -> t
     """(S_N, W_N): the truncation sum and its squared-character companion
     W_N = sum(chi(n)^2 * n^-2s).  For real chi at t = 0 every W term is
     nonnegative, so W_N > 0 and is nondecreasing in N."""
-    s = as_lpoint(s)
+    s = complex(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     return _running_sums(chi, s, [n_terms])[0], _running_sums(chi, s, [n_terms], 2)[0]

@@ -17,7 +17,7 @@ from lseries_lab.audit import (
 )
 from lseries_lab import lseries, resolution, rotation
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
-from lseries_lab.lseries import LEvaluation, LPoint, NonRealCharacterError, as_lpoint
+from lseries_lab.lseries import LEvaluation, NonRealCharacterError, ScanGridError
 from lseries_lab.resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -74,13 +74,15 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_audit(CHI4, 0.5, bad)
 
-    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    # 0.4 and 0.6 are positive but leave a one-point grid in (0, 1)
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), 0.4, 0.6])
     def test_grid_step_not_positive_is_rejected_before_any_series(self, step, monkeypatch):
         def walked(*args):
             raise AssertionError("a series was walked")
 
         monkeypatch.setattr(audit_module, "_truncation_claims", walked)
-        with pytest.raises(ValueError, match="grid step must be > 0"):
+        message = "need at least 2 grid points, got 1" if step > 0 else "grid step must be > 0"
+        with pytest.raises(ValueError, match=message):
             run_audit(CHI4, 0.5, [10], grid_step=step)
 
 
@@ -230,7 +232,7 @@ class TestNotePaths:
         root_at = 0.512
 
         def fake_evaluate(chi, s, *, tol=1e-10):
-            sigma = as_lpoint(s).sigma
+            sigma = complex(s).real
             return LEvaluation(
                 value=complex(sigma - root_at, 0.0),
                 method="hurwitz",
@@ -249,7 +251,7 @@ class TestNotePaths:
 def single_n_evidence(chi, s, truncations):
     """The evidence of the five prefix-read claims, recomputed one
     truncation at a time through the public single-N functions."""
-    s = as_lpoint(s)
+    s = complex(s)
     want = {}
     for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
         rows = []
@@ -281,7 +283,7 @@ def single_n_evidence(chi, s, truncations):
             rows.append((n, None))
     want["PAPPUS_IDENTITY"] = rows
     want["TRANSFORMED_EQ_POSITIVITY"] = [
-        (n, transformed_equation_residual(chi, LPoint(s.sigma, 0.0), n)[1].real)
+        (n, transformed_equation_residual(chi, complex(s.real, 0.0), n)[1].real)
         for n in truncations
     ]
     return want
@@ -320,7 +322,7 @@ class TestPrefixEvidence:
         # run_audit aborts on a complex character in its zero scan, so the
         # truncation claims are read from the helper that runs before it
         for chi in [c for c in enumerate_characters(q) if not c.is_real][:2]:
-            claims = audit_module._truncation_claims(chi, as_lpoint(s), tuple(truncations))
+            claims = audit_module._truncation_claims(chi, complex(s), tuple(truncations))
             assert tuple(c.claim_id for c in claims) == CLAIM_IDS[:7]
             for claim_id, rows in single_n_evidence(chi, s, truncations).items():
                 assert by_id(claims, claim_id).evidence == rows, claim_id
@@ -428,6 +430,11 @@ class TestSurvey:
     def test_rejects_grid_step_not_positive(self, step):
         with pytest.raises(ValueError, match="grid step must be > 0"):
             nonvanishing_survey(5, step)
+
+    def test_rejects_one_point_grid_without_any_character_to_scan(self):
+        # q <= 2 has no real non-principal character: the grid alone is checked
+        with pytest.raises(ScanGridError, match="need at least 2 grid points, got 1"):
+            nonvanishing_survey(2, 0.6)
 
     def test_qmax_four_rows(self):
         rows = nonvanishing_survey(4)
@@ -552,7 +559,7 @@ class TestSharedSurvey:
 
         def fake_evaluate(chi, s, *, tol=1e-10):
             bisected.add((chi.modulus, chi.values))
-            return fake_value(as_lpoint(s).sigma)
+            return fake_value(complex(s).real)
 
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
         rows = nonvanishing_survey(12, grid_step=0.1)

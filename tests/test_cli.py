@@ -27,7 +27,7 @@ from lseries_lab.cli import (
     main,
     parse_complex_s,
 )
-from lseries_lab.lseries import LEvaluation, as_lpoint
+from lseries_lab.lseries import LEvaluation
 
 PI_OVER_4 = 0.78539816339744830962
 
@@ -317,7 +317,7 @@ class TestScanCommand:
 
     def test_sign_change_exits_finding(self, monkeypatch):
         def fake_evaluate(chi, s, *, tol=1e-10):
-            sigma = as_lpoint(s).sigma
+            sigma = complex(s).real
             return LEvaluation(
                 value=complex(sigma - 0.55, 0.0),
                 method="hurwitz",
@@ -458,7 +458,7 @@ class TestAuditCommand:
 
     def test_sign_change_exits_finding(self, monkeypatch):
         def fake_evaluate(chi, s, *, tol=1e-10):
-            sigma = as_lpoint(s).sigma
+            sigma = complex(s).real
             return LEvaluation(
                 value=complex(sigma - 0.55, 0.0),
                 method="hurwitz",
@@ -474,6 +474,19 @@ class TestAuditCommand:
         assert code == EXIT_FINDING
         (scan,) = [c for c in json.loads(text) if c["claim_id"] == "NONVANISHING_SCAN"]
         assert scan["verdict"] == "sign-change-found"
+
+    def test_one_point_grid_exits_before_any_series(self, monkeypatch, capsys):
+        def walked(*args):
+            raise AssertionError("a series was walked")
+
+        monkeypatch.setattr(audit_module, "_truncation_claims", walked)
+        code, text = run_cli(
+            "audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "100,1000,100000",
+            "--grid-step", "0.6",
+        )
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == "error: need at least 2 grid points, got 1\n"
 
     def test_unsorted_truncations_rejected(self, capsys):
         code, _ = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "1000,100")

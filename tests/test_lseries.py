@@ -15,12 +15,12 @@ import random
 import mpmath
 import pytest
 
+from lseries_lab import AMPLITUDE_CHI, build_vectors, run_audit, step_profile
 from lseries_lab import lseries as lseries_mod
 from lseries_lab.characters import _to_number, enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import (
     ContinuationRangeError,
     LEvaluation,
-    LPoint,
     NonRealCharacterError,
     PoleError,
     ScanGridError,
@@ -32,7 +32,6 @@ from lseries_lab.lseries import (
     _running_sums,
     _shift_for_tolerance,
     _terms,
-    as_lpoint,
     evaluate,
     hurwitz_zeta,
     partial_sum,
@@ -87,7 +86,7 @@ class TestPartialSum:
             assert abs(ours - brute) <= 1e-12 * max(1.0, abs(brute))
 
     def test_accepts_lpoint_complex_and_float(self):
-        want = partial_sum(CHI4, LPoint(0.5, 0.0), 50)
+        want = partial_sum(CHI4, complex(0.5, 0.0), 50)
         assert partial_sum(CHI4, 0.5, 50) == want
         assert partial_sum(CHI4, complex(0.5, 0.0), 50) == want
 
@@ -106,7 +105,7 @@ class TestTermKernel:
     @pytest.mark.parametrize("s", [0.5, complex(0.5, 3.0)])
     def test_powered_terms_match_brute_force_on_units(self, m, s):
         for chi in enumerate_characters(5) + enumerate_characters(12):
-            terms = dict(_terms(chi, as_lpoint(s), 40, m, start=7))
+            terms = dict(_terms(chi, complex(s), 40, m, start=7))
             units = [n for n in range(7, 40) if chi.values[n % chi.modulus] != 0]
             assert list(terms) == units
             for n in units:
@@ -127,24 +126,40 @@ class TestTermKernel:
             want = []
             for stop in truncations:
                 total = 0j
-                for _, term in _terms(chi, as_lpoint(s), stop + 1, m):
+                for _, term in _terms(chi, complex(s), stop + 1, m):
                     total += term
                 want.append(total)
-            assert _running_sums(chi, as_lpoint(s), truncations, m) == want
-            assert [_running_sums(chi, as_lpoint(s), [n], m)[0] for n in truncations] == want
+            assert _running_sums(chi, complex(s), truncations, m) == want
+            assert [_running_sums(chi, complex(s), [n], m)[0] for n in truncations] == want
 
 
-class TestAsLPoint:
-    def test_coercions(self):
-        assert as_lpoint(2) == LPoint(2.0, 0.0)
-        assert as_lpoint(0.5) == LPoint(0.5, 0.0)
-        assert as_lpoint(complex(0.5, 14.1)) == LPoint(0.5, 14.1)
-        p = LPoint(1.5, -2.0)
-        assert as_lpoint(p) is p
+class TestPointCoercion:
+    """A point is complex(s): int, float and complex spellings of one real
+    point, signed zero included, give the same results."""
 
-    def test_real_axis_flag(self):
-        assert LPoint(0.3).on_real_axis
-        assert not LPoint(0.3, 1e-12).on_real_axis
+    SPELLINGS = (2, 2.0, 2 + 0j, complex(2.0, -0.0))
+
+    def test_spellings_of_a_real_point_agree(self):
+        for chi in (CHI4, enumerate_characters(5)[1]):
+            got = {repr((evaluate(chi, s), partial_sum(chi, s, 50))) for s in self.SPELLINGS}
+            assert len(got) == 1, got
+
+    def test_audit_json_agrees_but_echoes_the_signed_zero(self):
+        jsons = [
+            [c.to_json_dict() for c in run_audit(CHI4, s, [10, 100], grid_step=0.1)]
+            for s in self.SPELLINGS
+        ]
+        assert repr(jsons[0]) == repr(jsons[1]) == repr(jsons[2])
+        assert repr(jsons[3]).replace("[2.0, -0.0]", "[2.0, 0.0]") == repr(jsons[0])
+
+    def test_real_character_at_a_real_point_is_exactly_real(self):
+        for s in (*self.SPELLINGS, 0.5, -0.7):
+            assert evaluate(CHI4, s).value.imag == 0.0
+
+    def test_recorded_points_are_complex(self):
+        for s in self.SPELLINGS:
+            assert type(build_vectors(CHI4, s, 5, AMPLITUDE_CHI).s) is complex
+            assert type(step_profile(CHI4, s, 5).s) is complex
 
 
 class TestHurwitzZeta:
@@ -159,7 +174,7 @@ class TestHurwitzZeta:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_pole_at_one(self):
-        for s in (1.0, 1, complex(1.0, 0.0), LPoint(1.0)):
+        for s in (1.0, 1, complex(1.0, 0.0), complex(1.0)):
             with pytest.raises(PoleError, match="pole at s = 1"):
                 hurwitz_zeta(s, 0.5)
 
@@ -176,7 +191,7 @@ class TestHurwitzZeta:
 
     def test_bad_x_anywhere_in_a_list_is_rejected(self):
         with pytest.raises(ValueError, match="got 1.5"):
-            _hurwitz(LPoint(2.0), [0.5, 1.0, 1.5], 1e-10)
+            _hurwitz(complex(2.0), [0.5, 1.0, 1.5], 1e-10)
 
     def test_x_equals_one_allowed(self):
         assert abs(hurwitz_zeta(2.0, 1.0) - PI2_OVER_6) < 1e-12
@@ -188,7 +203,7 @@ class TestHurwitzZeta:
             sigma = rng.uniform(-0.9, 4.0)
             t = rng.choice([0.0, rng.uniform(-3.0, 3.0)])
             x = rng.uniform(0.05, 1.0)
-            s = LPoint(sigma, t)
+            s = complex(sigma, t)
             if sigma == 1.0 and t == 0.0:
                 continue
             [(value, err)], _ = _hurwitz(s, [x], 1e-10)
@@ -198,8 +213,8 @@ class TestHurwitzZeta:
 
     def test_tighter_tolerance_tightens_the_answer(self):
         # sigma near 0 with small x is the hard corner for the default shift
-        [(loose, loose_err)], _ = _hurwitz(LPoint(0.05, 0.0), [0.05], 1e-6)
-        [(tight, tight_err)], _ = _hurwitz(LPoint(0.05, 0.0), [0.05], 1e-13)
+        [(loose, loose_err)], _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-6)
+        [(tight, tight_err)], _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-13)
         assert tight_err <= loose_err
         mpmath.mp.dps = 30
         ref = float(mpmath.zeta(0.05, 0.05))
@@ -334,7 +349,7 @@ class TestOnePassPerEvaluation:
         # no residue a/q needs a larger shift than the smallest one, 1/q
         rng = random.Random(5)
         for _ in range(300):
-            s = LPoint(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
+            s = complex(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
             q = rng.randint(1, 450)
             shifts = [_shift_for_tolerance(s, a / q, 1e-10, 6) for a in range(1, q + 1)]
             assert max(shifts) == shifts[0], (s, q)
@@ -401,7 +416,7 @@ class TestScanZeros:
         root_at = 0.4371
 
         def fake_evaluate(chi, s, *, tol=1e-10):
-            sigma = as_lpoint(s).sigma
+            sigma = complex(s).real
             return LEvaluation(
                 value=complex(sigma - root_at, 0.0),
                 method="hurwitz",

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
-from lseries_lab.lseries import LPoint, partial_sum
+from lseries_lab.lseries import partial_sum
 from lseries_lab.resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -48,7 +48,7 @@ class TestBuildVectors:
         vectors = build_vectors(CHI4, complex(0.5, 2.0), 6, PHASE_CHI)
         assert vectors.n_terms == 6
         assert vectors.variant == PHASE_CHI
-        assert vectors.s == LPoint(0.5, 2.0)
+        assert vectors.s == complex(0.5, 2.0)
         assert len(vectors.a_vec) == len(vectors.p_vec) == 6
 
     def test_amplitude_variant_entries(self):
@@ -175,5 +175,5 @@ class TestPhaseSeriesSums:
         # sum(n^-it) over the trivial character = cos_sum - i * sin_sum
         n_terms = 64
         cos_sum, sin_sum = phase_series_sums(t, n_terms)
-        series = partial_sum(CHI0_1, LPoint(0.0, t), n_terms)
+        series = partial_sum(CHI0_1, complex(0.0, t), n_terms)
         assert abs(series - complex(cos_sum, -sin_sum)) < 1e-12

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
-from lseries_lab.lseries import LPoint, partial_sum
+from lseries_lab.lseries import partial_sum
 from lseries_lab.rotation import (
     PappusReport,
     StepProfile,
@@ -42,7 +42,7 @@ def make_profile(heights):
     return StepProfile(
         n_rects=len(heights),
         heights=tuple(complex(h) for h in heights),
-        s=LPoint(0.0, 0.0),
+        s=complex(0.0, 0.0),
         modulus=1,
     )
 
