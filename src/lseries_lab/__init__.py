@@ -20,7 +20,6 @@ The package is pure standard-library Python.  Modules:
 
 from .audit import CLAIM_IDS, ClaimResult, SurveyRow, nonvanishing_survey, run_audit
 from .cgeom import (
-    CVector,
     TriangleReport,
     bilinear_dot,
     cosine_theorem_check,

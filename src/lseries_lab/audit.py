@@ -41,6 +41,7 @@ import statistics
 from dataclasses import asdict, dataclass
 from math import gcd
 
+from .cgeom import bilinear_dot
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
 from .lseries import (
     _DEFAULT_SCAN_TOL,
@@ -315,7 +316,7 @@ def _truncation_claims(chi, s, truncations) -> list:
     for variant in VARIANTS:
         vectors = build_vectors(chi, s, truncations[-1], variant)
         pairs[variant] = [(vectors.a_vec[:n], vectors.p_vec[:n]) for n in truncations]
-        dots[variant] = [sum((a * p for a, p in zip(*pair)), 0j) for pair in pairs[variant]]
+        dots[variant] = [bilinear_dot(*pair) for pair in pairs[variant]]
     series = _running_sums(chi, s, truncations)
     return [
         _claim_reconstruct("EQ2_RECONSTRUCT", chi, s, truncations, AMPLITUDE_CHI, dots, series),

@@ -1,10 +1,13 @@
 """Formal (unconjugated) bilinear geometry over C^n.
 
-Vectors of complex numbers are given the *bilinear* pairing sum(u_k * v_k)
-with no conjugation, so "lengths" are formal: the squared norm of a nonzero
-vector can be zero (isotropic), negative, or non-real, and square roots are
-taken on the principal branch with argument in (-pi/2, pi/2].  In this
-geometry the cosine theorem
+A vector (or point) is any sequence -- tuple or list -- of numbers.  The one
+pairing is ``bilinear_dot``, sum(u_k * v_k) with no conjugation, and every
+norm, cosine and area is built on it; a triangle's sides are the tuples
+b - a.  Pairing, or subtracting, two sequences of different lengths raises
+DimensionMismatchError.  With no conjugation, "lengths" are formal: the
+squared norm of a nonzero vector can be zero (isotropic), negative, or
+non-real, and square roots are taken on the principal branch with argument
+in (-pi/2, pi/2].  In this geometry the cosine theorem
 
     (|AB|^2 + |AC|^2 - |BC|^2) / 2 = AB . AC
 
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "AppendixCheck",
-    "CVector",
     "DimensionMismatchError",
     "IsotropicVectorError",
     "TriangleReport",
@@ -52,25 +54,6 @@ class IsotropicVectorError(ValueError):
 
 
 @dataclass(frozen=True)
-class CVector:
-    """A point or displacement in C^n, stored as a tuple of complex numbers."""
-
-    components: tuple
-
-    def __init__(self, components):
-        object.__setattr__(self, "components", tuple(complex(c) for c in components))
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def __sub__(self, other: "CVector") -> "CVector":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
-        return CVector(a - b for a, b in zip(self.components, other.components))
-
-
-@dataclass(frozen=True)
 class TriangleReport:
     """All bilinear data of the triangle ABC: squared side norms, both vertex
     dots, both formal cosines, and the formal area."""
@@ -85,14 +68,21 @@ class TriangleReport:
     area: complex
 
 
-def bilinear_dot(u: CVector, v: CVector) -> complex:
-    """Unconjugated pairing sum(u_k * v_k)."""
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"dimensions differ: {u.dim} vs {v.dim}")
-    return sum((a * b for a, b in zip(u.components, v.components)), 0j)
+def bilinear_dot(u, v) -> complex:
+    """Unconjugated pairing sum(u_k * v_k) of two sequences of numbers."""
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dimensions differ: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), 0j)
 
 
-def formal_norm_sq(u: CVector) -> complex:
+def _side(a, b) -> tuple:
+    """The side from point a to point b, b - a componentwise."""
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"dimensions differ: {len(b)} vs {len(a)}")
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def formal_norm_sq(u) -> complex:
     """Formal squared norm sum(u_k^2); may be zero, negative, or non-real."""
     return bilinear_dot(u, u)
 
@@ -109,66 +99,63 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def cosine_theorem_check(a: CVector, b: CVector, c: CVector) -> tuple:
+def cosine_theorem_check(a, b, c) -> tuple:
     """(lhs_half, dot, residual) for the cosine theorem at vertex A.
 
     lhs_half = (|AB|^2 + |AC|^2 - |BC|^2) / 2 and dot = AB . AC; the two are
     equal as polynomials in the coordinates, so residual = |lhs_half - dot|
     is rounding-level for any inputs.
     """
-    ab, ac, bc = b - a, c - a, c - b
+    ab, ac, bc = _side(a, b), _side(a, c), _side(b, c)
     lhs_half = (formal_norm_sq(ab) + formal_norm_sq(ac) - formal_norm_sq(bc)) / 2
     dot = bilinear_dot(ab, ac)
     return lhs_half, dot, abs(lhs_half - dot)
 
 
-def formal_norm(vec) -> complex:
-    """principal_sqrt(sum v_k^2) of a sequence; may be 0 (isotropic) or non-real."""
-    return principal_sqrt(sum((v * v for v in vec), 0j))
+def formal_norm(u) -> complex:
+    """principal_sqrt(formal_norm_sq(u)); may be 0 (isotropic) or non-real."""
+    return principal_sqrt(formal_norm_sq(u))
 
 
 def formal_cosine(u, v) -> complex:
-    """Bilinear dot of two sequences of numbers over the product of their
-    formal norms.
+    """bilinear_dot(u, v) over the product of the two formal norms.
 
     Raises IsotropicVectorError if either formal norm is exactly zero --
     e.g. (1, i) is a nonzero isotropic vector.
     """
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dimensions differ: {len(u)} vs {len(v)}")
+    dot = bilinear_dot(u, v)
     norm_u = formal_norm(u)
     if norm_u == 0:
         raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
     norm_v = formal_norm(v)
     if norm_v == 0:
         raise IsotropicVectorError("second vector is isotropic (formal norm 0)")
-    dot = sum((a * b for a, b in zip(u, v)), 0j)
     return dot / (norm_u * norm_v)
 
 
-def _area_from_pair(u: CVector, v: CVector) -> complex:
+def _area_from_pair(u, v) -> complex:
     """Formal area of the triangle spanned by the sides u and v."""
     gram = formal_norm_sq(u) * formal_norm_sq(v) - bilinear_dot(u, v) ** 2
     return principal_sqrt(gram) / 2
 
 
-def triangle_area(a: CVector, b: CVector, c: CVector) -> complex:
+def triangle_area(a, b, c) -> complex:
     """Formal area principal_sqrt(|AB|^2 |AC|^2 - (AB . AC)^2) / 2."""
-    return _area_from_pair(b - a, c - a)
+    return _area_from_pair(_side(a, b), _side(a, c))
 
 
-def triangle_report(a: CVector, b: CVector, c: CVector) -> TriangleReport:
+def triangle_report(a, b, c) -> TriangleReport:
     """Full bilinear triangle data for the points A, B, C (an isotropic side
     raises IsotropicVectorError from its cosine)."""
-    ab, ac, bc = b - a, c - a, c - b
+    ab, ac, bc = _side(a, b), _side(a, c), _side(b, c)
     return TriangleReport(
         ab_sq=formal_norm_sq(ab),
         ac_sq=formal_norm_sq(ac),
         bc_sq=formal_norm_sq(bc),
         dot_ab_ac=bilinear_dot(ab, ac),
         dot_ac_bc=bilinear_dot(ac, bc),
-        cos_ab_ac=formal_cosine(ab.components, ac.components),
-        cos_ac_bc=formal_cosine(ac.components, bc.components),
+        cos_ab_ac=formal_cosine(ab, ac),
+        cos_ac_bc=formal_cosine(ac, bc),
         area=_area_from_pair(ab, ac),
     )
 
@@ -193,19 +180,19 @@ class AppendixCheck:
 _I = 1j
 APPENDIX_POINTS = {
     1: (
-        CVector([1 + _I, 3]),
-        CVector([-_I, 2 * _I]),
-        CVector([1, -_I]),
+        (1 + _I, 3),
+        (-_I, 2 * _I),
+        (1, -_I),
     ),
     2: (
-        CVector([1 + _I, 1 - _I, 2 * _I]),
-        CVector([1 - _I, 1 + _I, -2 * _I]),
-        CVector([1, 0, _I]),
+        (1 + _I, 1 - _I, 2 * _I),
+        (1 - _I, 1 + _I, -2 * _I),
+        (1, 0, _I),
     ),
     3: (
-        CVector([8 * _I, 14, 8 - _I, 1]),
-        CVector([6, 15 * _I, 17, -8]),
-        CVector([3 - _I, 10 + 7 * _I, 11, 3 * _I]),
+        (8 * _I, 14, 8 - _I, 1),
+        (6, 15 * _I, 17, -8),
+        (3 - _I, 10 + 7 * _I, 11, 3 * _I),
     ),
 }
 
@@ -266,7 +253,7 @@ def verify_appendix(expected: dict | None = None) -> list[AppendixCheck]:
         expected = APPENDIX_EXPECTED
     checks = []
     for example, (a, b, c) in APPENDIX_POINTS.items():
-        ab, ac, bc = b - a, c - a, c - b
+        ab, ac, bc = _side(a, b), _side(a, c), _side(b, c)
         lhs_a, dot_a, _ = cosine_theorem_check(a, b, c)
         # At vertex C: CA . CB equals AC . BC (both sides negated).
         lhs_c, dot_c, _ = cosine_theorem_check(c, a, b)

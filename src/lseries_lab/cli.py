@@ -190,7 +190,8 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
     step = args.grid_step
     lo = args.lo if args.lo is not None else step
-    hi = args.hi if args.hi is not None else 1.0 - step
+    # the default end is the audit's: sigma = step, 2 * step, ... in one grid
+    hi = args.hi if args.hi is not None else audit_mod._scan_grid(step)[1]
     points = args.grid_points
     if points is None:
         if not step > 0:
@@ -338,7 +339,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
     p_scan = lfun_sub.add_parser("scan", help="scan L(sigma, chi) on (0, 1)")
     add_selector(p_scan)
     p_scan.add_argument("--lo", type=float, default=None, help="grid start (default grid step)")
-    p_scan.add_argument("--hi", type=float, default=None, help="grid end (default 1 - step)")
+    p_scan.add_argument("--hi", type=float, default=None, help="grid end (default ~1 - step)")
     add_scan_options(p_scan)
     p_scan.add_argument(
         "--grid-points", type=int, default=None, help="explicit point count (overrides step)"

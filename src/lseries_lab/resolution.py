@@ -12,8 +12,9 @@ In both variants a_vec[k] * p_vec[k] = chi(k+1) * (k+1)^-s, so the bilinear
 dot of the pair reproduces the truncation (``reconstruct_identity``).  Both
 factors are kernel terms, the amplitude at the point complex(sigma, 0) and the
 phase at complex(0, t), the bare ones of the trivial character mod 1; s is a
-Python complex, and ``ResolutionVectors.s`` holds it.  Formal norms and
-cosines are the unconjugated forms of :mod:`lseries_lab.cgeom`, re-exported;
+Python complex, and ``ResolutionVectors.s`` holds it.  The factor vectors
+are plain tuples, and the pairing, formal norms and cosines are the
+unconjugated ones of :mod:`lseries_lab.cgeom` (norm and cosine re-exported);
 a vector whose formal norm is exactly zero is *isotropic* and has no cosine
 (that is a distinct error, not a division blowup).  ``phase_series_sums``
 exposes the raw phase partial sums (sum cos(t ln n), sum sin(t ln n)); at
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter, principal_character
-from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
+from .cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
 from .lseries import _running_sums, _terms, partial_sum
 
 __all__ = [
@@ -91,7 +92,7 @@ def reconstruct_identity(
     direct truncation.  The residual |lhs - rhs| sits at rounding level for
     every N -- the factorization is exact term by term."""
     vectors = build_vectors(chi, s, n_terms, variant)
-    lhs = sum((a * p for a, p in zip(vectors.a_vec, vectors.p_vec)), 0j)
+    lhs = bilinear_dot(vectors.a_vec, vectors.p_vec)
     rhs = partial_sum(chi, s, n_terms)
     return lhs, rhs, abs(lhs - rhs)
 

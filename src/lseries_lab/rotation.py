@@ -121,15 +121,6 @@ class PappusReport:
     def relative_residual(self) -> float:
         return self.residual / max(1.0, abs(self.volume))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "S": {"re": self.profile_area.real, "im": self.profile_area.imag},
-            "V": {"re": self.volume.real, "im": self.volume.imag},
-            "xi": {"re": self.xi.real, "im": self.xi.imag},
-            "eta": {"re": self.eta.real, "im": self.eta.imag},
-            "residual": self.residual,
-        }
-
 
 def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     """Check V = 2 pi eta S at truncation N.

@@ -14,7 +14,6 @@ import time
 from lseries_lab.audit import nonvanishing_survey, run_audit
 from lseries_lab.cgeom import (
     APPENDIX_POINTS,
-    CVector,
     bilinear_dot,
     cosine_theorem_check,
     formal_norm_sq,
@@ -67,12 +66,17 @@ def _rel(delta, *scales):
     return abs(delta) / max(1.0, *(abs(s) for s in scales))
 
 
+def _minus(b, a):
+    """b - a componentwise, for vectors held as plain tuples."""
+    return tuple(y - x for y, x in zip(b, a))
+
+
 def test_01_appendix_golden_suite():
     started = time.perf_counter()
     worst = 0.0
     for example, golden in GOLDEN.items():
         a, b, c = APPENDIX_POINTS[example]
-        ab, ac, bc = b - a, c - a, c - b
+        ab, ac, bc = _minus(b, a), _minus(c, a), _minus(c, b)
         computed = {
             "norm_squares": (formal_norm_sq(ab), formal_norm_sq(ac), formal_norm_sq(bc)),
             "dots": (bilinear_dot(ab, ac), bilinear_dot(ac, bc)),
@@ -100,14 +104,12 @@ def test_02_triangle_identities_randomized():
     for _ in range(10_000):
         dim = rng.randint(2, 5)
         a, b, c = (
-            CVector(
-                [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(dim)]
-            )
+            tuple(complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(dim))
             for _ in range(3)
         )
         lhs_half, dot, residual = cosine_theorem_check(a, b, c)
         worst_cosine = max(worst_cosine, _rel(residual, dot, lhs_half))
-        ab, ac = b - a, c - a
+        ab, ac = _minus(b, a), _minus(c, a)
         area = triangle_area(a, b, c)
         rhs = formal_norm_sq(ab) * formal_norm_sq(ac)
         gram_residual = 4 * area * area + dot * dot - rhs

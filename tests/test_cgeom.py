@@ -7,19 +7,25 @@ relations are polynomial identities, so random triangles of any dimension
 must satisfy them to rounding.
 """
 
+import ast
 import cmath
+import importlib
+import pkgutil
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import lseries_lab
 from lseries_lab.cgeom import (
     APPENDIX_EXPECTED,
     APPENDIX_POINTS,
-    CVector,
     DimensionMismatchError,
     IsotropicVectorError,
     bilinear_dot,
     cosine_theorem_check,
+    formal_cosine,
+    formal_norm,
     formal_norm_sq,
     principal_sqrt,
     triangle_area,
@@ -63,7 +69,12 @@ complex_nums = st.complex_numbers(
 
 
 def vectors(dim):
-    return st.lists(complex_nums, min_size=dim, max_size=dim).map(CVector)
+    return st.lists(complex_nums, min_size=dim, max_size=dim).map(tuple)
+
+
+def _minus(b, a):
+    """b - a componentwise, for vectors held as plain tuples."""
+    return tuple(y - x for y, x in zip(b, a))
 
 
 triangles = st.integers(min_value=2, max_value=5).flatmap(
@@ -94,22 +105,76 @@ class TestPrincipalSqrt:
 
 class TestDotAndNorm:
     def test_unconjugated(self):
-        u = CVector([1j, 1])
+        u = (1j, 1)
         assert bilinear_dot(u, u) == 0  # (i)^2 + 1^2, no conjugation
-        assert formal_norm_sq(CVector([1j])) == -1
+        assert formal_norm_sq((1j,)) == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            bilinear_dot(CVector([1, 2]), CVector([1, 2, 3]))
-        with pytest.raises(DimensionMismatchError):
-            CVector([1]) - CVector([1, 2])
+            bilinear_dot((1, 2), (1, 2, 3))
+        # points of different dimensions: the sides cannot be formed
+        for points in [((1,), (1, 2), (0, 0)), ((1, 2), (3, 4), (5,))]:
+            with pytest.raises(DimensionMismatchError):
+                triangle_area(*points)
+            with pytest.raises(DimensionMismatchError):
+                cosine_theorem_check(*points)
 
     @given(triangles)
     @settings(max_examples=200, derandomize=True)
     def test_dot_symmetric_and_bilinear(self, tri):
         a, b, c = tri
-        u, v = b - a, c - a
+        u, v = _minus(b, a), _minus(c, a)
         assert bilinear_dot(u, v) == bilinear_dot(v, u)
+
+    @given(triangles)
+    @settings(max_examples=200, derandomize=True)
+    def test_norm_and_cosine_are_built_on_the_pairing(self, tri):
+        u, v, _ = tri
+        assert _bits(formal_norm(u)) == _bits(principal_sqrt(bilinear_dot(u, u)))
+        norm_u, norm_v = formal_norm(u), formal_norm(v)
+        assume(norm_u != 0 and norm_v != 0)
+        want = bilinear_dot(u, v) / (norm_u * norm_v)
+        assert _bits(formal_cosine(u, v)) == _bits(want)
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+class TestVectorForms:
+    # mixed int/complex entries; no side of this triangle is isotropic
+    POINTS = ((0, 1j, 2), (1, 0, 1 + 1j), (2j, 3, 0))
+
+    @pytest.mark.parametrize("form", [tuple, list])
+    def test_every_function_takes_tuples_and_lists(self, form):
+        a, b, c = (form(p) for p in self.POINTS)
+        ref_a, ref_b, ref_c = (tuple(complex(x) for x in p) for p in self.POINTS)
+        calls = [
+            (bilinear_dot, (a, b), (ref_a, ref_b)),
+            (formal_norm_sq, (a,), (ref_a,)),
+            (formal_norm, (a,), (ref_a,)),
+            (formal_cosine, (a, b), (ref_a, ref_b)),
+            (cosine_theorem_check, (a, b, c), (ref_a, ref_b, ref_c)),
+            (triangle_area, (a, b, c), (ref_a, ref_b, ref_c)),
+            (triangle_report, (a, b, c), (ref_a, ref_b, ref_c)),
+        ]
+        for func, args, ref_args in calls:
+            assert func(*args) == func(*ref_args), func.__name__
+
+
+def test_every_exported_name_exists():
+    # a deleted name still listed in __all__ or imported by the package
+    for info in pkgutil.iter_modules(lseries_lab.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lseries_lab.{info.name}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+    with open(lseries_lab.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert imported
+    assert [name for name in imported if not hasattr(lseries_lab, name)] == []
 
 
 def _rel(x, scale):
@@ -128,7 +193,7 @@ class TestIdentities:
     @settings(max_examples=500, derandomize=True)
     def test_gram_identity(self, tri):
         a, b, c = tri
-        ab, ac = b - a, c - a
+        ab, ac = _minus(b, a), _minus(c, a)
         dot = bilinear_dot(ab, ac)
         area = triangle_area(a, b, c)
         lhs = 4 * area * area + dot**2
@@ -144,7 +209,7 @@ class TestIdentities:
         # Compare the Gram radicands (4*area^2); taking the square root
         # would amplify rounding for near-degenerate triangles.
         a, b, c = tri
-        ab, ac, bc = b - a, c - a, c - b
+        ab, ac, bc = _minus(b, a), _minus(c, a), _minus(c, b)
         gram_a = formal_norm_sq(ab) * formal_norm_sq(ac) - bilinear_dot(ab, ac) ** 2
         gram_c = formal_norm_sq(ac) * formal_norm_sq(bc) - bilinear_dot(ac, bc) ** 2
         scale = max(
@@ -160,7 +225,7 @@ class TestGoldenExamples:
     )
     def test_exact_dots_and_norms(self, example, expect):
         a, b, c = APPENDIX_POINTS[example]
-        ab, ac, bc = b - a, c - a, c - b
+        ab, ac, bc = _minus(b, a), _minus(c, a), _minus(c, b)
         # Gaussian-integer inputs: float arithmetic is exact here
         assert formal_norm_sq(ab) == expect["ab_sq"]
         assert formal_norm_sq(ac) == expect["ac_sq"]
@@ -199,7 +264,7 @@ class TestGoldenExamples:
     def test_report_isotropic_side_is_a_distinct_error(self):
         # AB = (1, i) has formal norm 0, so cos(AB, AC) is undefined.
         with pytest.raises(IsotropicVectorError):
-            triangle_report(CVector([0, 0]), CVector([1, 1j]), CVector([2, 0]))
+            triangle_report((0, 0), (1, 1j), (2, 0))
 
 
 class TestVerifyAppendix:

@@ -354,6 +354,17 @@ class TestScanCommand:
         assert code == EXIT_USAGE
         assert "at least 2 grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0.03", "0.011", "0.1"])
+    def test_default_window_is_the_audit_grid(self, step):
+        # 0.03 does not divide the window: the last point is 0.96, as in audit
+        code, text = run_cli(
+            "lfun", "scan", "-q", "4", "-k", "1", "--grid-step", step, "--format", "json"
+        )
+        assert code == EXIT_OK
+        chi = audit_module.enumerate_real_characters(4)[1]
+        grid = lseries_module.scan_zeros(chi, *audit_module._scan_grid(float(step)))
+        assert [row["sigma"] for row in json.loads(text)["rows"]] == list(grid.sigmas)
+
     def test_explicit_window_takes_a_step_above_the_config_range(self):
         # Config.validate keeps the grid_step key in (0, 0.5); the flag of an
         # explicit window is not held to that range

@@ -182,13 +182,6 @@ class TestPappus:
             report.volume - 2 * math.pi * report.eta * report.profile_area
         )
 
-    def test_json_dict_schema(self):
-        d = pappus_check(CHI4, 0.7, 10).to_json_dict()
-        assert set(d) == {"S", "V", "xi", "eta", "residual"}
-        for key in ("S", "V", "xi", "eta"):
-            assert set(d[key]) == {"re", "im"}
-        assert isinstance(d["residual"], float)
-
 
 class TestTransformedEquation:
     def test_chi4_hand_values(self):
