@@ -11,8 +11,8 @@ The package is pure standard-library Python.  Modules:
   truncation, formal norms/cosines, phase-sum divergence witnesses.
 * :mod:`~lseries_lab.cgeom`      -- unconjugated bilinear geometry in C^n
   and the frozen golden worked examples.
-* :mod:`~lseries_lab.rotation`   -- step profiles, barycenters, and the
-  Pappus V = 2 pi eta S identity at finite truncation.
+* :mod:`~lseries_lab.rotation`   -- step profiles (tuples of heights),
+  barycenters, and the Pappus V = 2 pi eta S identity at finite truncation.
 * :mod:`~lseries_lab.audit`      -- the eight-claim truncation audit and the
   real-character non-vanishing survey.
 * :mod:`~lseries_lab.cli`        -- the ``lseries-lab`` data-export CLI.
@@ -48,7 +48,6 @@ from .lseries import (
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
-    ResolutionVectors,
     build_vectors,
     formal_cosine,
     formal_norm,
@@ -57,7 +56,6 @@ from .resolution import (
 )
 from .rotation import (
     PappusReport,
-    StepProfile,
     barycenter,
     cylinder_volume,
     pappus_check,

@@ -47,6 +47,7 @@ from .lseries import (
     _DEFAULT_SCAN_TOL,
     _DEFAULT_TOL,
     ScanGridError,
+    _check_tols,
     _running_sums,
     _scan_result,
     scan_zeros,
@@ -61,7 +62,7 @@ from .resolution import (
     formal_norm,
     phase_series_sums,
 )
-from .rotation import StepProfile, ZeroAreaError, _pappus_report, step_profile
+from .rotation import ZeroAreaError, _pappus_report, step_profile
 
 __all__ = [
     "CLAIM_IDS",
@@ -258,13 +259,12 @@ def _claim_chi4_sum(chi, truncations) -> ClaimResult:
 
 
 def _claim_pappus(chi, s, truncations) -> ClaimResult:
-    profile = step_profile(chi, s, truncations[-1])
+    heights = step_profile(chi, s, truncations[-1])
     evidence = []
     notes = []
     for n, square_sum in zip(truncations, _running_sums(chi, s, truncations, 2)):
-        prefix = StepProfile(n, profile.heights[:n], s, chi.modulus)
         try:
-            evidence.append((n, _pappus_report(prefix, square_sum).relative_residual))
+            evidence.append((n, _pappus_report(heights[:n], square_sum).relative_residual))
         except ZeroAreaError as exc:
             notes.append(f"N={n}: {exc}")
             evidence.append((n, None))
@@ -314,8 +314,8 @@ def _truncation_claims(chi, s, truncations) -> list:
     raised there would otherwise keep them alive in its traceback."""
     pairs, dots = {}, {}
     for variant in VARIANTS:
-        vectors = build_vectors(chi, s, truncations[-1], variant)
-        pairs[variant] = [(vectors.a_vec[:n], vectors.p_vec[:n]) for n in truncations]
+        a_vec, p_vec = build_vectors(chi, s, truncations[-1], variant)
+        pairs[variant] = [(a_vec[:n], p_vec[:n]) for n in truncations]
         dots[variant] = [bilinear_dot(*pair) for pair in pairs[variant]]
     series = _running_sums(chi, s, truncations)
     return [
@@ -380,7 +380,7 @@ def run_audit(
     back in registry order, one ClaimResult per claim, with per-claim notes
     for any expected failure (isotropic vector, zero profile area) -- a
     single claim's trouble never aborts the audit.  The zero scan evaluates
-    its L-values at tolerance `hurwitz_tol`.
+    its L-values at tolerance `hurwitz_tol`; both tolerances must be > 0.
     """
     s = complex(s)
     truncations = tuple(int(n) for n in truncations)
@@ -388,6 +388,7 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
+    _check_tols(scan_tol=scan_tol, hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)  # checks the step before any series is walked
     claims = _truncation_claims(chi, s, truncations)
     return claims + [_claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol)]
@@ -462,6 +463,7 @@ def nonvanishing_survey(
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
+    _check_tols(tol=tol, hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)
     primitive = {}  # conductor -> [(chi*, its ScanResult)], for this call only
     rows = []

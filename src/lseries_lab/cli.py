@@ -20,8 +20,9 @@ Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
 complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
 success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors (a ``--grid-step`` that is not positive or
-leaves under 2 grid points included), 3 for an internal arithmetic failure.
+2 for usage or domain errors (a ``--grid-step`` or ``--tol`` that is not
+positive, or a step leaving under 2 grid points, included), 3 for an
+internal arithmetic failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
@@ -43,7 +44,7 @@ import sys
 from . import audit as audit_mod
 from . import cgeom
 from .characters import enumerate_characters, enumerate_real_characters
-from .lseries import _DEFAULT_SCAN_TOL, _DEFAULT_TOL, evaluate, scan_zeros
+from .lseries import _DEFAULT_SCAN_TOL, _DEFAULT_TOL, _check_tols, evaluate, scan_zeros
 from .rotation import pappus_check
 
 __all__ = ["Config", "load_config", "main", "run"]
@@ -67,12 +68,13 @@ class Config:
     output_format: str = "table"
 
     def validate(self) -> "Config":
-        if not self.hurwitz_tol > 0:
-            raise ValueError(f"hurwitz_tol must be positive, got {self.hurwitz_tol}")
+        _check_tols(hurwitz_tol=self.hurwitz_tol)
         if self.default_n < 1:
             raise ValueError(f"default_n must be >= 1, got {self.default_n}")
-        if not 0 < self.grid_step < 0.5:
-            raise ValueError(f"grid_step must lie in (0, 0.5), got {self.grid_step}")
+        try:
+            audit_mod._scan_grid(self.grid_step)
+        except ValueError as exc:
+            raise ValueError(f"grid_step {self.grid_step}: {exc}") from None
         if self.output_format not in FORMATS:
             raise ValueError(
                 f"output_format must be one of {FORMATS}, got {self.output_format!r}"

@@ -4,8 +4,9 @@ Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
 ``_terms``: chi(n)^m * n^(-m s) with n^-s = n^-sigma * (cos(t ln n) -
 i sin(t ln n)), chi(n)^m read from a residue table converted once per call.
-Every truncation sum over those terms is read from ``_running_sums``, which
-walks them once and returns the sum at each of several truncations.
+Every truncation sum over those terms is read from ``_running_sums`` (one
+walk, the sum at each of several truncations); every vector of them (step
+profile, factor vector) is laid out by ``_term_vector``.
 
 A point s = sigma + i*t is a Python complex from entry to kernel: every
 public function takes an int, float or complex and converts it with
@@ -111,6 +112,14 @@ def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: in
             yield n, v * amp
 
 
+def _term_vector(chi: DirichletCharacter, s: complex, n_terms: int) -> tuple:
+    """(chi(n) * n^-s for n = 1..n_terms) as a dense tuple, 0j off the units."""
+    vec = [0j] * n_terms
+    for n, term in _terms(chi, s, n_terms + 1):
+        vec[n - 1] = term
+    return tuple(vec)
+
+
 def _running_sums(chi: DirichletCharacter, s: complex, truncations, m: int = 1) -> list:
     """[sum(chi(n)^m * n^(-m s), n <= N) for N in truncations], N increasing:
     one walk of the terms in index order, each sum continuing the last."""
@@ -151,6 +160,13 @@ _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
 _DEFAULT_SCAN_TOL = 1e-9  # bisection width of a scan's sign-change brackets
+
+
+def _check_tols(**tols) -> None:
+    """Reject, by name, any tolerance that is not > 0 (NaN included)."""
+    for name, tol in tols.items():
+        if not tol > 0:
+            raise ValueError(f"{name} must be > 0, got {tol}")
 
 
 def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int) -> list:
@@ -221,6 +237,7 @@ def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, s != 1, by Euler-Maclaurin."""
+    _check_tols(tol=tol)
     [(value, _)], _ = _hurwitz(complex(s), [x], tol)
     return complex(value)
 
@@ -264,8 +281,9 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
 
     Raises PoleError at s = 1 for principal chi, and ContinuationRangeError
     for sigma <= -1.  For q = 1 this is the Riemann zeta continuation
-    itself (the same Hurwitz routine with x = 1).
+    itself (the same Hurwitz routine with x = 1).  `tol` must be > 0.
     """
+    _check_tols(tol=tol)
     s = complex(s)
     q = chi.modulus
     if s == 1:
@@ -316,9 +334,12 @@ class ScanResult:
 
 
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float):
-    """Shrink [lo, hi] holding a sign change until hi - lo <= tol."""
+    """Shrink [lo, hi] holding a sign change until hi - lo <= tol, or until
+    the midpoint rounds to an end (a tol below the float spacing)."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -329,27 +350,15 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: 
     return 0.5 * (lo + hi)
 
 
-def _real_l(chi: DirichletCharacter, sigma: float, tol: float) -> tuple:
-    """(L(sigma, chi), err_estimate) for real chi on the real axis; the
-    imaginary part is checked against the propagated error estimate."""
-    ev = evaluate(chi, sigma, tol=tol)
-    if abs(ev.value.imag) > 10.0 * max(ev.err_estimate, 1e-300):
-        raise ArithmeticError(
-            f"non-real L-value {ev.value} for a real character at sigma = {sigma}"
-        )
-    return ev.value.real, ev.err_estimate
-
-
 def _scan_result(chi, sigmas, pairs, tol: float, hurwitz_tol: float) -> ScanResult:
     """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
     consecutive values of opposite signs are bracketed and refined by
     bisection (evaluating chi directly) to width <= tol, and the grid minimum
     of |L| is recorded."""
-    values = tuple(p[0] for p in pairs)
-    errs = tuple(p[1] for p in pairs)
+    values, errs = map(tuple, zip(*pairs))
 
     def l_real(sigma: float) -> float:
-        return _real_l(chi, sigma, hurwitz_tol)[0]
+        return evaluate(chi, sigma, tol=hurwitz_tol).value.real
 
     brackets = []
     for i in range(len(sigmas) - 1):
@@ -383,13 +392,13 @@ def scan_zeros(
 ) -> ScanResult:
     """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
 
-    Values are real on the real axis for a real character (the imaginary
-    part is checked against the propagated error estimate).  Consecutive
-    grid values with opposite signs are bracketed and refined by bisection
-    to width <= tol.  The grid minimum of |L| and its sigma are recorded
-    whether or not any sign change exists.  Every L-value is evaluated at
-    tolerance `hurwitz_tol`.
+    On the real axis ``evaluate`` runs in floats for real chi, so each value
+    is exactly real.  Grid values of opposite signs are bracketed and refined
+    by bisection to width <= tol (or to adjacent floats).  The grid minimum
+    of |L| and its sigma are recorded whether or not any sign change exists.
+    Every L-value is evaluated at `hurwitz_tol`; both tolerances must be > 0.
     """
+    _check_tols(tol=tol, hurwitz_tol=hurwitz_tol)
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
     if grid_points < 2:
@@ -398,5 +407,6 @@ def scan_zeros(
         raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
     step = (hi - lo) / (grid_points - 1)
     sigmas = tuple(lo + i * step for i in range(grid_points))
-    pairs = [_real_l(chi, sigma, hurwitz_tol) for sigma in sigmas]
+    evs = [evaluate(chi, sigma, tol=hurwitz_tol) for sigma in sigmas]
+    pairs = [(ev.value.real, ev.err_estimate) for ev in evs]
     return _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)

@@ -11,9 +11,9 @@ length-N vectors in either of two ways:
 In both variants a_vec[k] * p_vec[k] = chi(k+1) * (k+1)^-s, so the bilinear
 dot of the pair reproduces the truncation (``reconstruct_identity``).  Both
 factors are kernel terms, the amplitude at the point complex(sigma, 0) and the
-phase at complex(0, t), the bare ones of the trivial character mod 1; s is a
-Python complex, and ``ResolutionVectors.s`` holds it.  The factor vectors
-are plain tuples, and the pairing, formal norms and cosines are the
+phase at complex(0, t), the bare ones of the trivial character mod 1, and
+s is a Python complex.  ``build_vectors`` returns the pair (a_vec, p_vec) of
+plain tuples, and the pairing, formal norms and cosines are the
 unconjugated ones of :mod:`lseries_lab.cgeom` (norm and cosine re-exported);
 a vector whose formal norm is exactly zero is *isotropic* and has no cosine
 (that is a distinct error, not a division blowup).  ``phase_series_sums``
@@ -24,17 +24,14 @@ divergence witness the audit module fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import DirichletCharacter, principal_character
 from .cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
-from .lseries import _running_sums, _terms, partial_sum
+from .lseries import _running_sums, _term_vector, partial_sum
 
 __all__ = [
     "AMPLITUDE_CHI",
     "IsotropicVectorError",
     "PHASE_CHI",
-    "ResolutionVectors",
     "VARIANTS",
     "build_vectors",
     "formal_cosine",
@@ -50,39 +47,17 @@ VARIANTS = (AMPLITUDE_CHI, PHASE_CHI)
 _TRIVIAL = principal_character(1)
 
 
-@dataclass(frozen=True)
-class ResolutionVectors:
-    """The two factor vectors of a truncated series at s, entry k <-> n = k+1."""
-
-    n_terms: int
-    variant: str
-    a_vec: tuple
-    p_vec: tuple
-    s: complex
-
-
-def build_vectors(
-    chi: DirichletCharacter, s, n_terms: int, variant: str
-) -> ResolutionVectors:
-    """Factor the N-term truncation at s into (a_vec, p_vec) per `variant`."""
+def build_vectors(chi: DirichletCharacter, s, n_terms: int, variant: str) -> tuple:
+    """Factor the N-term truncation at s into the pair (a_vec, p_vec) per
+    `variant`; entry k of each tuple belongs to n = k + 1."""
     s = complex(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    def factor(character, point):
-        vec = [0j] * n_terms
-        for n, f in _terms(character, point, n_terms + 1):
-            vec[n - 1] = complex(f)
-        return tuple(vec)
-
-    amplitude, phase = complex(s.real, 0.0), complex(0.0, s.imag)
-    if variant == AMPLITUDE_CHI:
-        a_vec, p_vec = factor(chi, amplitude), factor(_TRIVIAL, phase)
-    else:
-        a_vec, p_vec = factor(_TRIVIAL, amplitude), factor(chi, phase)
-    return ResolutionVectors(n_terms=n_terms, variant=variant, a_vec=a_vec, p_vec=p_vec, s=s)
+    a_chi, p_chi = (chi, _TRIVIAL) if variant == AMPLITUDE_CHI else (_TRIVIAL, chi)
+    a_vec = _term_vector(a_chi, complex(s.real, 0.0), n_terms)
+    return a_vec, _term_vector(p_chi, complex(0.0, s.imag), n_terms)
 
 
 def reconstruct_identity(
@@ -91,8 +66,7 @@ def reconstruct_identity(
     """(lhs, rhs, residual): bilinear dot of the factor vectors vs the
     direct truncation.  The residual |lhs - rhs| sits at rounding level for
     every N -- the factorization is exact term by term."""
-    vectors = build_vectors(chi, s, n_terms, variant)
-    lhs = bilinear_dot(vectors.a_vec, vectors.p_vec)
+    lhs = bilinear_dot(*build_vectors(chi, s, n_terms, variant))
     rhs = partial_sum(chi, s, n_terms)
     return lhs, rhs, abs(lhs - rhs)
 

@@ -1,11 +1,11 @@
 """Step-profile solids of revolution and the Pappus cross-check.
 
-The N-term truncation of an L-series at s (a Python complex, which
-``StepProfile.s`` holds) is read as a step profile over [0, N]:
-rectangle n (on [n-1, n]) has complex height f_n = chi(n) / n^s.  Revolving
-each rectangle about the axis gives a cylinder of volume pi * f_n^2, so the
-total volume is V = pi * sum(chi(n)^2 * n^-2s).  The profile's barycenter
-has closed forms
+The N-term truncation of an L-series at s (a Python complex) is read as a
+step profile over [0, N]: rectangle n (on [n-1, n]) has complex height
+f_n = chi(n) / n^s, and a profile is the plain tuple of its N heights (any
+sequence of heights will do for ``barycenter``).  Revolving each rectangle
+about the axis gives a cylinder of volume pi * f_n^2, so the total volume
+is V = pi * sum(chi(n)^2 * n^-2s).  The profile's barycenter has closed forms
 
     xi  = sum((n - 1/2) * f_n) / sum(f_n)        (abscissa)
     eta = (1/2) * sum(f_n^2) / sum(f_n)          (height)
@@ -32,11 +32,10 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .lseries import _running_sums, _terms
+from .lseries import _running_sums, _term_vector, _terms
 
 __all__ = [
     "PappusReport",
-    "StepProfile",
     "ZeroAreaError",
     "barycenter",
     "cylinder_volume",
@@ -49,16 +48,6 @@ __all__ = [
 
 class ZeroAreaError(ValueError):
     """The step profile's total area is exactly zero; no barycenter exists."""
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """A step function on [0, n_rects]: rectangle n has height heights[n-1]."""
-
-    n_rects: int
-    heights: tuple
-    s: complex
-    modulus: int
 
 
 def _term(chi: DirichletCharacter, s, n: int, m: int) -> complex:
@@ -78,26 +67,21 @@ def cylinder_volume(chi: DirichletCharacter, s, n: int) -> complex:
     return math.pi * _term(chi, s, n, 2)
 
 
-def step_profile(chi: DirichletCharacter, s, n_rects: int) -> StepProfile:
-    """The truncation profile: heights f_n = chi(n) * n^-s for n = 1..N."""
-    s = complex(s)
+def step_profile(chi: DirichletCharacter, s, n_rects: int) -> tuple:
+    """The truncation profile: the tuple of heights chi(n) * n^-s, n = 1..N."""
     if n_rects < 1:
         raise ValueError(f"need at least one rectangle, got {n_rects}")
-    heights = [0j] * n_rects
-    for n, f in _terms(chi, s, n_rects + 1):
-        heights[n - 1] = f
-    return StepProfile(n_rects=n_rects, heights=tuple(heights), s=s, modulus=chi.modulus)
+    return _term_vector(chi, complex(s), n_rects)
 
 
-def barycenter(profile: StepProfile) -> tuple:
-    """(xi, eta) of the step profile, from the closed forms
+def barycenter(heights) -> tuple:
+    """(xi, eta) of the step profile with these heights, from the closed forms
 
         xi  = sum((n - 1/2) * f_n) / sum(f_n)
         eta = (1/2) * sum(f_n^2) / sum(f_n)
 
     Raises ZeroAreaError when sum(f_n) is exactly zero.
     """
-    heights = profile.heights
     area = sum(heights, 0j)
     if area == 0:
         raise ZeroAreaError("step profile has total area exactly zero")
@@ -132,16 +116,15 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     area raises ZeroAreaError (propagated from the barycenter).
     """
     s = complex(s)
-    profile = step_profile(chi, s, n_rects)
-    return _pappus_report(profile, _running_sums(chi, s, [n_rects], 2)[0])
+    return _pappus_report(step_profile(chi, s, n_rects), _running_sums(chi, s, [n_rects], 2)[0])
 
 
-def _pappus_report(profile: StepProfile, square_sum: complex) -> PappusReport:
-    """The Pappus report of a profile, given sum(chi(n)^2 * n^-2s) over its
-    rectangles; shared by ``pappus_check`` and the audit's prefix profiles."""
-    area = sum(profile.heights, 0j)
+def _pappus_report(heights, square_sum: complex) -> PappusReport:
+    """The Pappus report of a profile's heights, given sum(chi(n)^2 * n^-2s)
+    over its rectangles; shared by ``pappus_check`` and the audit's prefixes."""
+    area = sum(heights, 0j)
     volume = math.pi * square_sum
-    xi, eta = barycenter(profile)
+    xi, eta = barycenter(heights)
     residual = abs(volume - 2 * math.pi * eta * area)
     return PappusReport(
         profile_area=area, volume=volume, xi=xi, eta=eta, residual=residual

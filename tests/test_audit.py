@@ -23,18 +23,12 @@ from lseries_lab.resolution import (
     PHASE_CHI,
     VARIANTS,
     IsotropicVectorError,
-    ResolutionVectors,
     build_vectors,
     formal_cosine,
     formal_norm,
     reconstruct_identity,
 )
-from lseries_lab.rotation import (
-    StepProfile,
-    ZeroAreaError,
-    pappus_check,
-    transformed_equation_residual,
-)
+from lseries_lab.rotation import ZeroAreaError, pappus_check, transformed_equation_residual
 
 CHI3 = enumerate_real_characters(3)[1]
 CHI4 = enumerate_real_characters(4)[1]
@@ -84,6 +78,16 @@ class TestInputValidation:
         message = "need at least 2 grid points, got 1" if step > 0 else "grid step must be > 0"
         with pytest.raises(ValueError, match=message):
             run_audit(CHI4, 0.5, [10], grid_step=step)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("key", ["scan_tol", "hurwitz_tol"])
+    def test_tolerance_not_positive_is_rejected_before_any_series(self, key, tol, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a series was walked")
+
+        monkeypatch.setattr(audit_module, "_truncation_claims", walked)
+        with pytest.raises(ValueError, match=f"{key} must be > 0"):
+            run_audit(CHI4, 0.5, [10], grid_step=0.3, **{key: tol})
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +267,7 @@ def single_n_evidence(chi, s, truncations):
     for n in truncations:
         row = [n]
         for variant in VARIANTS:
-            vectors = build_vectors(chi, s, n, variant)
-            a_vec, p_vec = vectors.a_vec, vectors.p_vec
+            a_vec, p_vec = build_vectors(chi, s, n, variant)
             dot = sum((a * p for a, p in zip(a_vec, p_vec)), 0j)
             try:
                 cosine = formal_cosine(a_vec, p_vec)
@@ -378,24 +381,27 @@ class TestOneWalkPerSeries:
 
     def test_aborting_audit_pins_no_tables(self):
         # The zero scan raises on a complex character (a known defect); the
-        # traceback it carries must not keep the truncation tables alive.
+        # traceback it carries must not keep the truncation tables alive.  A
+        # table is a tuple of max(N) entries (a profile or a factor vector),
+        # held by a frame directly or inside its dicts, lists and tuples.
+        truncations = [10, 100, 1000]
+
+        def holds_table(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, tuple) and len(value) >= truncations[-1]:
+                return True
+            return isinstance(value, (list, tuple)) and any(map(holds_table, value))
+
         chi = next(c for c in enumerate_characters(5) if not c.is_real)
         with pytest.raises(NonRealCharacterError) as info:
-            run_audit(chi, complex(0.5, 1.0), [10, 100, 1000])
+            run_audit(chi, complex(0.5, 1.0), truncations)
         tb = info.value.__traceback__
         frames = 0
         while tb is not None:
             frames += 1
             for name, value in tb.tb_frame.f_locals.items():
-                if isinstance(value, dict):
-                    items = list(value.values())
-                elif isinstance(value, (list, tuple)):
-                    items = list(value)
-                else:
-                    items = [value]
-                assert not any(
-                    isinstance(item, (StepProfile, ResolutionVectors)) for item in items
-                ), f"{tb.tb_frame.f_code.co_name} holds {name}"
+                assert not holds_table(value), f"{tb.tb_frame.f_code.co_name} holds {name}"
             tb = tb.tb_next
         assert frames >= 3  # this test, run_audit, and the scan that raised
 
@@ -430,6 +436,12 @@ class TestSurvey:
     def test_rejects_grid_step_not_positive(self, step):
         with pytest.raises(ValueError, match="grid step must be > 0"):
             nonvanishing_survey(5, step)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("key", ["tol", "hurwitz_tol"])
+    def test_rejects_tolerance_not_positive_without_any_character_to_scan(self, key, tol):
+        with pytest.raises(ValueError, match=f"{key} must be > 0"):
+            nonvanishing_survey(2, **{key: tol})
 
     def test_rejects_one_point_grid_without_any_character_to_scan(self):
         # q <= 2 has no real non-principal character: the grid alone is checked

@@ -109,7 +109,15 @@ class TestConfig:
             load_config(environ={"LSERIES_LAB_CONFIG": str(path)})
 
     @pytest.mark.parametrize(
-        "line", ["grid_step=0.6", "grid_step=0", "default_n=0", "hurwitz_tol=-1e-9", "output_format=xml"]
+        "line",
+        [
+            "grid_step=0.6",
+            "grid_step=0.45",
+            "grid_step=0",
+            "default_n=0",
+            "hurwitz_tol=-1e-9",
+            "output_format=xml",
+        ],
     )
     def test_validation(self, tmp_path, line):
         path = tmp_path / "lab.conf"
@@ -124,6 +132,18 @@ class TestConfig:
         code, _ = run_cli("characters", "4")
         assert code == EXIT_USAGE
         assert "bad config" in capsys.readouterr().err
+
+    def test_config_grid_step_is_held_to_the_scan_grid_rule(self, tmp_path, monkeypatch, capsys):
+        # 0.45 leaves one audit grid point in (0, 1): refused when the file
+        # loads, not only by the commands that scan
+        path = tmp_path / "lab.conf"
+        path.write_text("grid_step = 0.45\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        code, _ = run_cli("characters", "4")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config (grid_step 0.45:")
+        assert "need at least 2 grid points" in err
 
     def test_config_format_default_applies(self, tmp_path, monkeypatch):
         path = tmp_path / "lab.conf"
@@ -336,14 +356,28 @@ class TestScanCommand:
 
     def test_internal_arithmetic_failure_is_not_a_finding(self, monkeypatch, capsys):
         def fake_evaluate(chi, s, *, tol=1e-10):
-            return LEvaluation(
-                value=complex(0.5, 1.0), method="hurwitz", n_used=1, err_estimate=1e-15
-            )
+            raise OverflowError("L-value out of range")
 
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
         code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1")
         assert code == EXIT_INTERNAL
-        assert capsys.readouterr().err.startswith("internal error: non-real L-value")
+        assert capsys.readouterr().err.startswith("internal error: L-value out of range")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lfun", "eval", "-q", "4", "-k", "1", "-s", "0.5"),
+            ("lfun", "scan", "-q", "4", "-k", "1"),
+            ("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "10"),
+            ("survey", "--qmax", "2"),
+        ],
+    )
+    def test_tolerance_not_positive_is_a_usage_error(self, argv, tol, capsys):
+        code, text = run_cli(*argv, "--tol", tol)
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "tol must be > 0" in capsys.readouterr().err
 
     def test_non_real_axis_scan_window_error(self, capsys):
         code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--lo", "0", "--hi", "1")
@@ -366,8 +400,8 @@ class TestScanCommand:
         assert [row["sigma"] for row in json.loads(text)["rows"]] == list(grid.sigmas)
 
     def test_explicit_window_takes_a_step_above_the_config_range(self):
-        # Config.validate keeps the grid_step key in (0, 0.5); the flag of an
-        # explicit window is not held to that range
+        # Config.validate holds the grid_step key to the audit grid (at least
+        # 2 points in (0, 1)); the flag of an explicit window is not
         code, text = run_cli(
             "lfun", "scan", "-q", "4", "-k", "1", "--lo", "0.05", "--hi", "0.95",
             "--grid-step", "0.6", "--format", "csv",

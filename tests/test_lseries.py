@@ -15,7 +15,7 @@ import random
 import mpmath
 import pytest
 
-from lseries_lab import AMPLITUDE_CHI, build_vectors, run_audit, step_profile
+from lseries_lab import run_audit
 from lseries_lab import lseries as lseries_mod
 from lseries_lab.characters import _to_number, enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import (
@@ -155,11 +155,11 @@ class TestPointCoercion:
     def test_real_character_at_a_real_point_is_exactly_real(self):
         for s in (*self.SPELLINGS, 0.5, -0.7):
             assert evaluate(CHI4, s).value.imag == 0.0
-
-    def test_recorded_points_are_complex(self):
-        for s in self.SPELLINGS:
-            assert type(build_vectors(CHI4, s, 5, AMPLITUDE_CHI).s) is complex
-            assert type(step_profile(CHI4, s, 5).s) is complex
+        # the real-axis scans read only the real part: nothing is dropped
+        for q in range(1, 31):
+            for chi in enumerate_real_characters(q):
+                for sigma in (0.05, 0.3, 0.5, 0.77, 0.95):
+                    assert evaluate(chi, sigma).value.imag == 0.0, (q, chi.values, sigma)
 
 
 class TestHurwitzZeta:
@@ -382,6 +382,36 @@ class TestBisection:
         root = _bisect_sign_change(f, 0.0, 1.0, -0.5, 0.5, 1e-15)
         assert root == 0.5
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not stop")
+            return (x - 0.1) + 1e-30  # negative below 0.1, positive from 0.1 on
+
+        root = _bisect_sign_change(f, 0.0, 1.0, -0.1, 0.9, tol)
+        assert root in (math.nextafter(0.1, 0.0), 0.1)
+
+
+class TestTolerances:
+    CALLS = {
+        "evaluate": lambda tol: evaluate(CHI4, 0.5, tol=tol),
+        "evaluate_complex": lambda tol: evaluate(CHI4, complex(0.5, 3.0), tol=tol),
+        "evaluate_grouped": lambda tol: evaluate(CHI4, 1, tol=tol),
+        "hurwitz_zeta": lambda tol: hurwitz_zeta(0.5, 0.3, tol=tol),
+        "scan_tol": lambda tol: scan_zeros(CHI4, 0.1, 0.9, 3, tol=tol),
+        "scan_hurwitz_tol": lambda tol: scan_zeros(CHI4, 0.1, 0.9, 2, hurwitz_tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_tolerance_that_is_not_positive_is_rejected(self, call, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            self.CALLS[call](tol)
+
 
 class TestScanZeros:
     def test_chi4_window_has_no_sign_change(self):
@@ -431,13 +461,3 @@ class TestScanZeros:
         bracket = result.brackets[0]
         assert bracket.lo < root_at < bracket.hi
         assert abs(bracket.root - root_at) < 1e-9
-
-    def test_non_real_value_for_real_character_raises(self, monkeypatch):
-        def fake_evaluate(chi, s, *, tol=1e-10):
-            return LEvaluation(
-                value=complex(0.5, 1.0), method="hurwitz", n_used=1, err_estimate=1e-15
-            )
-
-        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
-        with pytest.raises(ArithmeticError):
-            scan_zeros(CHI4, 0.1, 0.9, 3)

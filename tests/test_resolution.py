@@ -46,37 +46,35 @@ class TestBuildVectors:
 
     def test_records_inputs(self):
         vectors = build_vectors(CHI4, complex(0.5, 2.0), 6, PHASE_CHI)
-        assert vectors.n_terms == 6
-        assert vectors.variant == PHASE_CHI
-        assert vectors.s == complex(0.5, 2.0)
-        assert len(vectors.a_vec) == len(vectors.p_vec) == 6
+        assert [type(v) for v in (vectors, *vectors)] == [tuple] * 3
+        a_vec, p_vec = vectors
+        assert len(a_vec) == len(p_vec) == 6
 
     def test_amplitude_variant_entries(self):
-        vectors = build_vectors(CHI4, 0.5, 4, AMPLITUDE_CHI)
-        assert vectors.a_vec == (
+        a_vec, p_vec = build_vectors(CHI4, 0.5, 4, AMPLITUDE_CHI)
+        assert a_vec == (
             complex(1.0, 0.0),
             0j,
             complex(-(3.0**-0.5), 0.0),
             0j,
         )
-        assert vectors.p_vec == (complex(1, 0),) * 4  # bare phase at t = 0
+        assert p_vec == (complex(1, 0),) * 4  # bare phase at t = 0
 
     def test_phase_variant_entries(self):
-        vectors = build_vectors(CHI4, 0.5, 4, PHASE_CHI)
-        assert vectors.a_vec == (
+        a_vec, p_vec = build_vectors(CHI4, 0.5, 4, PHASE_CHI)
+        assert a_vec == (
             complex(1.0, 0.0),
             complex(2.0**-0.5, 0.0),
             complex(3.0**-0.5, 0.0),
             complex(0.5, 0.0),
         )
-        assert vectors.p_vec == (complex(1, 0), 0j, complex(-1, 0), 0j)
+        assert p_vec == (complex(1, 0), 0j, complex(-1, 0), 0j)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("s", [0.5, 2.0, complex(0.5, 14.1)])
     def test_componentwise_product_is_the_series_term(self, variant, s):
         for chi in enumerate_characters(5):
-            vectors = build_vectors(chi, s, 30, variant)
-            for k, (a, p) in enumerate(zip(vectors.a_vec, vectors.p_vec)):
+            for k, (a, p) in enumerate(zip(*build_vectors(chi, s, 30, variant))):
                 n = k + 1
                 want = chi.value_complex(n) * n ** (-complex(s))
                 assert abs(a * p - want) <= 1e-14 * max(1.0, abs(want))
@@ -93,13 +91,13 @@ class TestFormalNorm:
         assert formal_norm([1j]) == 1j
 
     def test_hand_computed_truncation_norms(self):
-        amp = build_vectors(CHI4, 0.5, 4, AMPLITUDE_CHI)
-        assert abs(formal_norm(amp.a_vec) - 2.0 / math.sqrt(3.0)) < 1e-15
-        assert abs(formal_norm(amp.p_vec) - 2.0) < 1e-15
+        a_vec, p_vec = build_vectors(CHI4, 0.5, 4, AMPLITUDE_CHI)
+        assert abs(formal_norm(a_vec) - 2.0 / math.sqrt(3.0)) < 1e-15
+        assert abs(formal_norm(p_vec) - 2.0) < 1e-15
 
-        bare = build_vectors(CHI4, 0.5, 4, PHASE_CHI)
-        assert abs(formal_norm(bare.a_vec) - 5.0 / math.sqrt(12.0)) < 1e-15
-        assert abs(formal_norm(bare.p_vec) - math.sqrt(2.0)) < 1e-15
+        a_vec, p_vec = build_vectors(CHI4, 0.5, 4, PHASE_CHI)
+        assert abs(formal_norm(a_vec) - 5.0 / math.sqrt(12.0)) < 1e-15
+        assert abs(formal_norm(p_vec) - math.sqrt(2.0)) < 1e-15
 
 
 class TestFormalCosine:
@@ -122,8 +120,7 @@ class TestFormalCosine:
             formal_cosine([1.0], [1.0, 2.0])
 
     def test_cosine_of_factor_pair_is_well_defined_generically(self):
-        vectors = build_vectors(CHI4, complex(0.5, 1.0), 16, AMPLITUDE_CHI)
-        c = formal_cosine(vectors.a_vec, vectors.p_vec)
+        c = formal_cosine(*build_vectors(CHI4, complex(0.5, 1.0), 16, AMPLITUDE_CHI))
         assert math.isfinite(c.real) and math.isfinite(c.imag)
 
 

@@ -23,7 +23,6 @@ from lseries_lab.characters import enumerate_characters, enumerate_real_characte
 from lseries_lab.lseries import partial_sum
 from lseries_lab.rotation import (
     PappusReport,
-    StepProfile,
     ZeroAreaError,
     barycenter,
     cylinder_volume,
@@ -39,12 +38,7 @@ CHI4 = enumerate_real_characters(4)[1]
 
 
 def make_profile(heights):
-    return StepProfile(
-        n_rects=len(heights),
-        heights=tuple(complex(h) for h in heights),
-        s=complex(0.0, 0.0),
-        modulus=1,
-    )
+    return tuple(complex(h) for h in heights)
 
 
 def _midpoint_quadrature(f, a, b, panels):
@@ -55,10 +49,10 @@ def _midpoint_quadrature(f, a, b, panels):
 def barycenter_quadrature(profile):
     """(xi, eta) = (integral(z f) / integral(f), integral(f^2) / (2 integral(f)))
     by midpoint quadrature of the right-open step function f."""
-    n = profile.n_rects
+    n = len(profile)
 
     def height(z):
-        return profile.heights[math.floor(z)]
+        return profile[math.floor(z)]
 
     area = _midpoint_quadrature(height, 0.0, float(n), n)
     if area == 0:
@@ -71,9 +65,11 @@ def barycenter_quadrature(profile):
 class TestProfileGeometry:
     def test_heights_are_series_terms(self):
         profile = step_profile(CHI4, 0.5, 6)
+        assert type(profile) is tuple
         want = (1.0, 0.0, -(3.0**-0.5), 0.0, 5.0**-0.5, 0.0)
-        for got, expected in zip(profile.heights, want):
+        for got, expected in zip(profile, want):
             assert abs(got - expected) < 1e-15
+        assert barycenter(list(profile)) == barycenter(profile)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -94,7 +90,7 @@ class TestProfileGeometry:
         profile = step_profile(CHI3, s, 12)
         for n in range(1, 13):
             want = CHI3.value_complex(n) * n ** (-s)
-            assert abs(profile.heights[n - 1] - want) < 1e-14
+            assert abs(profile[n - 1] - want) < 1e-14
 
 
 class TestBarycenter:
