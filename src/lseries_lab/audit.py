@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass
-from math import gcd
+from math import gcd, isfinite
 
 from .cgeom import bilinear_dot
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
@@ -333,6 +333,8 @@ def _scan_grid(grid_step: float) -> tuple:
     """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
     if not grid_step > 0:
         raise ValueError(f"grid step must be > 0, got {grid_step}")
+    if not isfinite(grid_step):
+        raise ValueError(f"grid step must be finite, got {grid_step}")
     points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
     if points < 2:
         raise ScanGridError(f"need at least 2 grid points, got {points}")

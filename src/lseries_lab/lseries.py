@@ -13,20 +13,21 @@ public function takes an int, float or complex and converts it with
 ``complex(s)``.  A point with ``s.imag == 0.0`` (-0.0 too) is on the real
 axis and is computed in float arithmetic; the pole test is ``s == 1``.
 
-Three evaluation routes, each tagged on the result:
+Two evaluation routes:
 
 * ``partial_sum`` -- the plain truncation sum(chi(n) * n^-s, n <= N), summed
   in index order.
-* ``evaluate`` with method ``hurwitz`` -- the exact rearrangement
+* ``evaluate`` -- the exact rearrangement
   L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), every
   zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
   B12) at one shift per evaluation: the default 20, doubled until the
-  tolerance is met at the smallest residue 1/q, and so at every residue.
-  ``n_used`` is that shift.  Valid for sigma > -1, s != 1.
-* ``evaluate`` with method ``grouped`` -- at s = 1 for non-principal chi,
-  direct summation over complete length-q periods (block sums decay like
-  j^-2 because the character sums to zero over a period) plus an
-  Euler-Maclaurin correction for the remaining tail.
+  tolerance (or the roundoff floor) is met at the smallest residue 1/q, and
+  so at every residue.  Valid for sigma > -1.  Off s = 1 the method is
+  ``hurwitz`` and ``n_used`` is that shift.  At s = 1 (non-principal chi
+  only) each zeta(1, a/q) is taken as its finite part -digamma(a/q), the
+  pole parts cancelling because chi sums to zero over a period; the method
+  is ``grouped`` and ``n_used`` is shift * q, the complete length-q periods
+  the pass sums directly.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .characters import DirichletCharacter, _to_number, _value
@@ -77,9 +77,10 @@ class ScanGridError(ValueError):
 
 @dataclass(frozen=True)
 class LEvaluation:
-    """An L-value with its provenance: method tag (``partial_sum`` /
-    ``hurwitz`` / ``grouped``), ``n_used`` (the Euler-Maclaurin shift for
-    ``hurwitz``, the terms summed for ``grouped``), and an error estimate."""
+    """An L-value with its provenance: method tag (``hurwitz`` off s = 1,
+    ``grouped`` at s = 1), ``n_used`` (the Euler-Maclaurin shift for
+    ``hurwitz``; shift * q, the whole periods summed directly, for
+    ``grouped``), and an error estimate."""
 
     value: complex
     method: str
@@ -142,18 +143,9 @@ def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     return _running_sums(chi, s, [n_terms])[0]
 
 
-# Bernoulli numbers B_2, B_4, ..., B_16 (exact), and B_2j / (2j)! as floats.
-_BERNOULLI = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-]
-_B_OVER_FACT = [float(b) / math.factorial(2 * (j + 1)) for j, b in enumerate(_BERNOULLI)]
+# Bernoulli numbers B_2, B_4, ..., B_16, and B_2j / (2j)! from them.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_B_OVER_FACT = [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1)]
 
 _DEFAULT_SHIFT = 20
 _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
@@ -173,11 +165,14 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
     """Core Euler-Maclaurin sum for zeta(s, x); returns [(value, err_estimate)
     for x in xs], all at the same shift.
 
-    s_num is a float (real axis) or complex, not equal to 1; each x in (0, 1].
+    s_num is a float (real axis) or complex; each x in (0, 1].  At s = 1 the
+    pole term w^(1-s)/(s-1) (w = shift + x) is replaced by its finite part
+    -log(w), so each value is -digamma(x) = lim (zeta(s, x) - 1/(s-1)).
     The error estimate is the magnitude of the first omitted Bernoulli
     correction times a |s|-dependent safety factor, plus a roundoff term.
-    The Bernoulli coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2) and the
-    safety factor depend on s alone, so they are built once per call.
+    The Bernoulli coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2), the
+    safety factor and the pole term depend on s alone, so they are chosen
+    once per call.
     """
     coeffs = []
     rising = s_num                # s (s+1) ... (s + 2j - 2), built incrementally
@@ -186,13 +181,14 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
         rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
     omitted_coeff = _B_OVER_FACT[pairs] * rising
     safety = max(1.0, abs(s_num + 2 * pairs + 1) / (s_num.real + 2 * pairs + 1))
+    at_pole = s_num == 1
     results = []
     for x in xs:
         acc = 0.0 if isinstance(s_num, float) else 0j
         for k in range(shift):
             acc += (k + x) ** (-s_num)
         w = shift + x
-        acc += w ** (1 - s_num) / (s_num - 1)
+        acc += -math.log(w) if at_pole else w ** (1 - s_num) / (s_num - 1)
         acc += 0.5 * w ** (-s_num)
         w_pow = w ** (-s_num - 1)     # w^(-s - 2j + 1)
         for coeff in coeffs:
@@ -205,14 +201,17 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
 
 def _shift_for_tolerance(s: complex, x: float, tol: float, pairs: int) -> int:
     """Smallest shift >= the default whose first omitted correction estimate
-    meets `tol`.  The default (20) already gives ~1e-21 on sigma in (0, 3]."""
+    meets `tol`, or the roundoff floor if `tol` is below it (a larger shift
+    only adds roundoff).  The default (20) already gives ~1e-21 on sigma in
+    (0, 3]."""
     shift = _DEFAULT_SHIFT
     mag = max(1.0, abs(s) + 2 * pairs + 1)
+    target = max(tol, _ROUNDOFF)
     while True:
         estimate = abs(_B_OVER_FACT[pairs]) * mag ** (2 * pairs + 1) * (
             (shift + x) ** (-(s.real + 2 * pairs + 1))
         )
-        if estimate <= tol or shift >= 1 << 20:
+        if estimate <= target or shift >= 1 << 20:
             return shift
         shift *= 2
 
@@ -220,12 +219,12 @@ def _shift_for_tolerance(s: complex, x: float, tol: float, pairs: int) -> int:
 def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
     """([(zeta(s, x), err_estimate) for x in xs], shift): the point is checked
     and the shift picked once for all of xs.  The truncation estimate falls as
-    x grows (sigma > -1), so the smallest x's shift meets `tol` for every x."""
+    x grows (sigma > -1), so the smallest x's shift meets `tol` for every x.
+    At s = 1 each value is the finite part -digamma(x); the callers decide
+    whether the pole they dropped matters."""
     for x in xs:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"x must lie in (0, 1], got {x}")
-    if s == 1:
-        raise PoleError("zeta(s, x) has a pole at s = 1")
     if s.real <= -1.0:
         raise ContinuationRangeError(
             f"sigma = {s.real} is outside the supported range sigma > -1"
@@ -236,61 +235,33 @@ def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
-    """zeta(s, x) for x in (0, 1], sigma > -1, s != 1, by Euler-Maclaurin."""
+    """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin; raises
+    PoleError at s = 1."""
     _check_tols(tol=tol)
-    [(value, _)], _ = _hurwitz(complex(s), [x], tol)
+    s = complex(s)
+    if s == 1:
+        raise PoleError("zeta(s, x) has a pole at s = 1")
+    [(value, _)], _ = _hurwitz(s, [x], tol)
     return complex(value)
 
 
-def _grouped_at_one(chi: DirichletCharacter, blocks: int = 64, pairs: int = 4) -> tuple:
-    """L(1, chi) for non-principal chi: `blocks` complete periods summed
-    directly, then an Euler-Maclaurin correction for the block-function tail.
-
-    With B(j) = sum(chi(a) / (j q + a), a = 1..q) the tail sum(B(j), j >= K)
-    has integral -(1/q) * sum(chi(a) * ln(K q + a)) (the divergent parts
-    cancel because sum(chi(a)) = 0) and derivative corrections
-    (B_2m / 2m) * q^(2m-1) * sum(chi(a) * (K q + a)^-2m).
-
-    Returns (value, err_estimate, terms_used).
-    """
-    q = chi.modulus
-    table = _residue_table(chi)
-    vals = [table[a % q] for a in range(1, q + 1)]
-    total = 0.0 if chi.is_real else 0j
-    for j in range(blocks):
-        base = j * q
-        for a, v in enumerate(vals, start=1):
-            if v:
-                total += v / (base + a)
-    edge = blocks * q
-    tail = -sum(v * math.log(edge + a) for a, v in enumerate(vals, start=1) if v) / q
-    tail += sum(v / (edge + a) for a, v in enumerate(vals, start=1) if v) / 2
-    for m in range(1, pairs + 1):
-        deriv = sum(v * (edge + a) ** (-2 * m) for a, v in enumerate(vals, start=1) if v)
-        tail += float(_BERNOULLI[m - 1]) / (2 * m) * q ** (2 * m - 1) * deriv
-    value = total + tail
-    next_term = abs(float(_BERNOULLI[pairs]) / (2 * pairs + 2)) * q ** (2 * pairs + 1) * (
-        q * edge ** (-2 * pairs - 2)
-    )
-    err = next_term + _ROUNDOFF * (math.log(edge + 1.0) + 2.0)
-    return complex(value), err, blocks * q
-
-
 def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
-    """L(s, chi) by the Hurwitz-zeta rearrangement (or grouped periods at 1).
+    """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
+    Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).
 
-    Raises PoleError at s = 1 for principal chi, and ContinuationRangeError
-    for sigma <= -1.  For q = 1 this is the Riemann zeta continuation
-    itself (the same Hurwitz routine with x = 1).  `tol` must be > 0.
+    At s = 1 the pass gives each zeta(1, a/q) as its finite part
+    -digamma(a/q); the pole parts cancel for non-principal chi (sum(chi(a))
+    = 0), so L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged
+    ``grouped``.  The PoleError check lives here, for principal chi at s = 1;
+    sigma <= -1 raises ContinuationRangeError.  `tol` must be > 0; the shift
+    stops growing at the roundoff floor 5e-16, so a smaller `tol` returns an
+    ``err_estimate`` above `tol`.
     """
     _check_tols(tol=tol)
     s = complex(s)
     q = chi.modulus
-    if s == 1:
-        if chi.is_principal:
-            raise PoleError("L(s, principal chi) has a pole at s = 1")
-        value, err, terms = _grouped_at_one(chi)
-        return LEvaluation(value=value, method="grouped", n_used=terms, err_estimate=err)
+    if s == 1 and chi.is_principal:
+        raise PoleError("L(s, principal chi) has a pole at s = 1")
     table = _residue_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
     zetas, shift = _hurwitz(s, [a / q for a in units], tol)
@@ -304,7 +275,8 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     prefactor = q ** (-(s.real if s.imag == 0.0 else s))
     value = prefactor * acc
     err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
-    return LEvaluation(value=complex(value), method="hurwitz", n_used=shift, err_estimate=err)
+    method, n_used = ("grouped", shift * q) if s == 1 else ("hurwitz", shift)
+    return LEvaluation(value=complex(value), method=method, n_used=n_used, err_estimate=err)
 
 
 @dataclass(frozen=True)

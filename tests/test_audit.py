@@ -68,14 +68,20 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_audit(CHI4, 0.5, bad)
 
-    # 0.4 and 0.6 are positive but leave a one-point grid in (0, 1)
-    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), 0.4, 0.6])
+    # 0.4 and 0.6 are positive but leave a one-point grid in (0, 1); inf
+    # leaves no grid at all
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), 0.4, 0.6, float("inf")])
     def test_grid_step_not_positive_is_rejected_before_any_series(self, step, monkeypatch):
         def walked(*args):
             raise AssertionError("a series was walked")
 
         monkeypatch.setattr(audit_module, "_truncation_claims", walked)
-        message = "need at least 2 grid points, got 1" if step > 0 else "grid step must be > 0"
+        if not step > 0:
+            message = "grid step must be > 0"
+        elif step == float("inf"):
+            message = "grid step must be finite, got inf"
+        else:
+            message = "need at least 2 grid points, got 1"
         with pytest.raises(ValueError, match=message):
             run_audit(CHI4, 0.5, [10], grid_step=step)
 
@@ -432,9 +438,9 @@ class TestSurvey:
         with pytest.raises(ValueError):
             nonvanishing_survey(0)
 
-    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan")])
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), float("inf")])
     def test_rejects_grid_step_not_positive(self, step):
-        with pytest.raises(ValueError, match="grid step must be > 0"):
+        with pytest.raises(ValueError, match="grid step must be (> 0|finite, got inf)"):
             nonvanishing_survey(5, step)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

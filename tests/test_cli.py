@@ -114,6 +114,7 @@ class TestConfig:
             "grid_step=0.6",
             "grid_step=0.45",
             "grid_step=0",
+            "grid_step=inf",
             "default_n=0",
             "hurwitz_tol=-1e-9",
             "output_format=xml",
@@ -598,12 +599,13 @@ class TestGridStepNotPositive:
             ("lfun", "scan", "-q", "4", "-k", "1"),
         ],
     )
-    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
     def test_is_a_usage_error(self, argv, step, capsys):
         code, text = run_cli(*argv, "--grid-step", step)
         assert code == EXIT_USAGE
         assert text == ""
-        assert capsys.readouterr().err.startswith("error: grid step must be > 0")
+        rule = "finite, got inf" if step == "inf" else "> 0"
+        assert capsys.readouterr().err.startswith(f"error: grid step must be {rule}")
 
 
 def _readme_commands():

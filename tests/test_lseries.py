@@ -6,7 +6,9 @@ Oracles:
   * live mpmath cross-checks on a seeded random sample of (s, x) points;
   * a brute-force complex power sum for ``partial_sum``;
   * the integral tail bound |sum_{n>N} chi(n) n^-s| <= N^(1-sigma)/(sigma-1)
-    linking ``evaluate`` to ``partial_sum`` for sigma > 1.
+    linking ``evaluate`` to ``partial_sum`` for sigma > 1;
+  * the class number formula L(1, chi_d) = 2 pi h(d) / (w sqrt|d|) for
+    imaginary quadratic fields, h(d) counted by reduced forms.
 """
 
 import math
@@ -17,7 +19,13 @@ import pytest
 
 from lseries_lab import run_audit
 from lseries_lab import lseries as lseries_mod
-from lseries_lab.characters import _to_number, enumerate_characters, enumerate_real_characters
+from lseries_lab.characters import (
+    DirichletCharacter,
+    _to_number,
+    enumerate_characters,
+    enumerate_real_characters,
+    kronecker_symbol,
+)
 from lseries_lab.lseries import (
     ContinuationRangeError,
     LEvaluation,
@@ -25,7 +33,6 @@ from lseries_lab.lseries import (
     PoleError,
     ScanGridError,
     _bisect_sign_change,
-    _grouped_at_one,
     _euler_maclaurin_hurwitz,
     _hurwitz,
     _residue_table,
@@ -241,7 +248,7 @@ class TestEvaluate:
         assert ev.method == "grouped"
         assert abs(ev.value - PI_OVER_4) <= ev.err_estimate + 5e-16
         assert abs(ev.value - PI_OVER_4) < 1e-10
-        assert ev.n_used == 64 * 4
+        assert ev.n_used == 20 * 4  # the default shift's whole periods
 
     def test_grouped_at_one_chi3(self):
         ev = evaluate(CHI3, 1.0)
@@ -251,7 +258,8 @@ class TestEvaluate:
     def test_grouped_handles_complex_characters(self):
         # quartic character mod 5: compare against a huge direct partial sum
         chi = next(c for c in enumerate_characters(5) if not c.is_real)
-        value, err, _ = _grouped_at_one(chi)
+        ev = evaluate(chi, 1.0)
+        value, err = ev.value, ev.err_estimate
         direct = brute_partial_sum(chi, 1.0, 5 * 200_000)
         # the alternating-block direct sum itself is only O(1/N) accurate
         assert abs(value - direct) < 1e-5
@@ -289,6 +297,61 @@ class TestEvaluate:
         assert isinstance(ev, LEvaluation)
         assert ev.n_used >= 1
         assert ev.err_estimate >= 0.0
+
+
+def fundamental_discriminants(bound):
+    """The fundamental discriminants d < 0 with |d| < bound."""
+    def squarefree(m):
+        return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+    return [
+        d
+        for d in range(-3, -bound, -1)
+        if (d % 4 == 1 and squarefree(-d)) or (d % 16 in (8, 12) and squarefree(-d // 4))
+    ]
+
+
+def class_number(d):
+    """h(d) for d < 0: the reduced forms (a, b, c) with b^2 - 4ac = d,
+    |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            c, rest = divmod(b * b - d, 4 * a)
+            if rest == 0 and c >= a and not (b < 0 and a == c):
+                count += 1
+        a += 1
+    return count
+
+
+class TestAtOne:
+    def test_class_number_formula_within_err_estimate(self):
+        discriminants = fundamental_discriminants(400)
+        assert len(discriminants) == 122
+        for d in discriminants:
+            q = -d
+            chi = DirichletCharacter.from_values(q, [kronecker_symbol(d, n) for n in range(q)])
+            ev = evaluate(chi, 1)
+            w = {-3: 6, -4: 4}.get(d, 2)
+            want = 2.0 * math.pi * class_number(d) / (w * math.sqrt(q))
+            assert ev.method == "grouped"
+            assert abs(ev.value - want) <= ev.err_estimate, (d, ev, want)
+
+    @pytest.mark.parametrize("x", [1 / 401, 0.05, 1 / 3, 0.5, 0.9, 1.0])
+    def test_kernel_finite_part_is_minus_digamma(self, x):
+        mpmath.mp.dps = 30
+        [(value, err)], shift = _hurwitz(complex(1.0), [x], 1e-10)
+        want = -float(mpmath.digamma(x))
+        assert abs(value - want) <= err, (x, shift, value, want, err)
+        assert err <= 1e-10 * max(1.0, abs(want))
+
+    def test_smaller_tolerance_never_uses_fewer_terms(self):
+        tols = [1e-4, 1e-8, 1e-10, 1e-13, 1e-14, 1e-15, 1e-16, 1e-20, 1e-300]
+        for chi in (CHI3, CHI4, enumerate_real_characters(401)[1]):
+            used = [evaluate(chi, 1, tol=tol).n_used for tol in tols]
+            assert used == sorted(used), (chi.modulus, used)
+            assert used[-1] > used[0], (chi.modulus, used)
 
 
 def one_x_kernel(s_num, x, shift, pairs):
@@ -411,6 +474,13 @@ class TestTolerances:
     def test_tolerance_that_is_not_positive_is_rejected(self, call, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
             self.CALLS[call](tol)
+
+    @pytest.mark.parametrize("s", [0.5, complex(0.5, 100.0), 1])
+    def test_tolerance_below_the_roundoff_floor_stops_at_the_floor(self, s):
+        chi = enumerate_real_characters(101)[1]
+        # below 5e-16 a larger shift would only add roundoff
+        floor = evaluate(chi, s, tol=5e-16)
+        assert evaluate(chi, s, tol=1e-300).n_used == floor.n_used
 
 
 class TestScanZeros:
