@@ -44,7 +44,6 @@ from math import gcd, isfinite
 from .cgeom import bilinear_dot
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
 from .lseries import (
-    _DEFAULT_SCAN_TOL,
     _DEFAULT_TOL,
     ScanGridError,
     _check_tols,
@@ -341,8 +340,8 @@ def _scan_grid(grid_step: float) -> tuple:
     return grid_step, grid_step + (points - 1) * grid_step, points
 
 
-def _claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol) -> ClaimResult:
-    result = scan_zeros(chi, *grid, scan_tol, hurwitz_tol=hurwitz_tol)
+def _claim_nonvanishing(chi, grid_step, grid, hurwitz_tol) -> ClaimResult:
+    result = scan_zeros(chi, *grid, hurwitz_tol=hurwitz_tol)
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -360,7 +359,7 @@ def _claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol) -> ClaimRes
         note = f"grid min |L| = {result.min_abs:.6e} at sigma = {result.argmin_sigma:.4f}"
     return ClaimResult(
         claim_id="NONVANISHING_SCAN",
-        inputs={"q": chi.modulus, "grid_step": grid_step, "tol": scan_tol},
+        inputs={"q": chi.modulus, "grid_step": grid_step, "hurwitz_tol": hurwitz_tol},
         evidence=evidence,
         verdict=verdict,
         note=note,
@@ -373,7 +372,6 @@ def run_audit(
     truncations,
     *,
     grid_step: float = _DEFAULT_GRID_STEP,
-    scan_tol: float = _DEFAULT_SCAN_TOL,
     hurwitz_tol: float = _DEFAULT_TOL,
 ) -> list[ClaimResult]:
     """Audit all eight claims for (chi, s) at the given truncation points.
@@ -382,7 +380,7 @@ def run_audit(
     back in registry order, one ClaimResult per claim, with per-claim notes
     for any expected failure (isotropic vector, zero profile area) -- a
     single claim's trouble never aborts the audit.  The zero scan evaluates
-    its L-values at tolerance `hurwitz_tol`; both tolerances must be > 0.
+    its L-values at tolerance `hurwitz_tol`, which must be > 0.
     """
     s = complex(s)
     truncations = tuple(int(n) for n in truncations)
@@ -390,10 +388,10 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
-    _check_tols(scan_tol=scan_tol, hurwitz_tol=hurwitz_tol)
+    _check_tols(hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)  # checks the step before any series is walked
     claims = _truncation_claims(chi, s, truncations)
-    return claims + [_claim_nonvanishing(chi, grid_step, grid, scan_tol, hurwitz_tol)]
+    return claims + [_claim_nonvanishing(chi, grid_step, grid, hurwitz_tol)]
 
 
 @dataclass(frozen=True)
@@ -443,7 +441,6 @@ def _induced_pairs(chi, star, star_pairs, sigmas) -> list:
 def nonvanishing_survey(
     q_max: int,
     grid_step: float = _DEFAULT_GRID_STEP,
-    tol: float = _DEFAULT_SCAN_TOL,
     *,
     hurwitz_tol: float = _DEFAULT_TOL,
 ) -> list[SurveyRow]:
@@ -451,8 +448,8 @@ def nonvanishing_survey(
 
     Row order is deterministic: ascending (q, index in the real character
     enumeration).  Each row records the grid minimum of |L(sigma, chi)| on
-    the grid_step grid in (0, 1) and any sign changes (with bisection
-    refinement to `tol` if one ever appears).
+    the grid_step grid in (0, 1) and any sign changes (refined by bisection,
+    as in ``scan_zeros``, if one ever appears).
 
     Primitive characters (conductor q) are scanned by ``scan_zeros`` with
     L-values at tolerance `hurwitz_tol`.  An imprimitive character
@@ -465,7 +462,7 @@ def nonvanishing_survey(
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    _check_tols(tol=tol, hurwitz_tol=hurwitz_tol)
+    _check_tols(hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)
     primitive = {}  # conductor -> [(chi*, its ScanResult)], for this call only
     rows = []
@@ -474,13 +471,13 @@ def nonvanishing_survey(
             if chi.is_principal:
                 continue
             if chi.conductor == q:
-                result = scan_zeros(chi, *grid, tol, hurwitz_tol=hurwitz_tol)
+                result = scan_zeros(chi, *grid, hurwitz_tol=hurwitz_tol)
                 primitive.setdefault(q, []).append((chi, result))
             else:
                 star, scan = _inducing(chi, index, primitive)
                 star_pairs = zip(scan.values, scan.err_estimates)
                 pairs = _induced_pairs(chi, star, star_pairs, scan.sigmas)
-                result = _scan_result(chi, scan.sigmas, pairs, tol, hurwitz_tol)
+                result = _scan_result(chi, scan.sigmas, pairs, hurwitz_tol)
             rows.append(
                 SurveyRow(
                     q=q,

@@ -229,16 +229,8 @@ class DirichletCharacter:
 
 def principal_character(q: int) -> DirichletCharacter:
     """The principal character mod q: 1 on units, 0 elsewhere."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    values = tuple(1 if gcd(n, q) == 1 else 0 for n in range(q))
-    return DirichletCharacter(
-        modulus=q,
-        values=values,
-        is_principal=True,
-        is_real=True,
-        conductor=1,
-    )
+    gens = unit_group_structure(q)
+    return _build_character(q, _unit_walk(q, gens), [0] * len(gens))
 
 
 def _unit_walk(q: int, gens: list[tuple[int, int]]) -> tuple:

@@ -5,8 +5,9 @@ Commands
 * ``characters Q``          -- list characters mod Q (``--real`` for the real
                                enumeration only, which is what ``-k`` indexes).
 * ``lfun eval -q Q -k K -s S``   -- one continued L-value with provenance.
-* ``lfun scan -q Q -k K``        -- real-axis grid scan; exit 1 if a sign
-                               change (candidate zero) is found.
+* ``lfun scan -q Q -k K``        -- real-axis scan on the ``--grid-step`` grid
+                               that ``audit`` and ``survey`` scan; exit 1
+                               if a sign change (candidate zero) is found.
 * ``geom verify-appendix``  -- recompute the golden bilinear-geometry table;
                                exit 1 on any mismatch.
 * ``pappus check -q Q -k K -s S -N N`` -- solid-of-revolution identity audit.
@@ -20,9 +21,10 @@ Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
 complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
 success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors (a ``--grid-step`` or ``--tol`` that is not
-positive, or a step leaving under 2 grid points, included), 3 for an
-internal arithmetic failure.
+2 for usage or domain errors (a ``--grid-step`` that is not positive or
+leaves under 2 grid points, an ``lfun eval --tol`` that is not positive, and
+an ``lfun eval -s`` with a NaN part, included), 3 for an internal arithmetic
+failure.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
@@ -44,7 +46,7 @@ import sys
 from . import audit as audit_mod
 from . import cgeom
 from .characters import enumerate_characters, enumerate_real_characters
-from .lseries import _DEFAULT_SCAN_TOL, _DEFAULT_TOL, _check_tols, evaluate, scan_zeros
+from .lseries import _DEFAULT_TOL, _check_tols, evaluate, scan_zeros
 from .rotation import pappus_check
 
 __all__ = ["Config", "load_config", "main", "run"]
@@ -190,16 +192,7 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
 
 def _cmd_lfun_scan(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
-    step = args.grid_step
-    lo = args.lo if args.lo is not None else step
-    # the default end is the audit's: sigma = step, 2 * step, ... in one grid
-    hi = args.hi if args.hi is not None else audit_mod._scan_grid(step)[1]
-    points = args.grid_points
-    if points is None:
-        if not step > 0:
-            raise ValueError(f"grid step must be > 0, got {step}")
-        points = round((hi - lo) / step) + 1
-    result = scan_zeros(chi, lo, hi, points, args.tol, hurwitz_tol=config.hurwitz_tol)
+    result = scan_zeros(chi, *audit_mod._scan_grid(args.grid_step), hurwitz_tol=config.hurwitz_tol)
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
     rows = [
         [args.q, args.k, *point]
@@ -252,8 +245,7 @@ def _cmd_audit(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
     claims = audit_mod.run_audit(
-        chi, s, args.N, grid_step=args.grid_step, scan_tol=args.tol,
-        hurwitz_tol=config.hurwitz_tol,
+        chi, s, args.N, grid_step=args.grid_step, hurwitz_tol=config.hurwitz_tol
     )
     headers = ["claim_id", "verdict", "evidence_points", "note"]
     rows = [[c.claim_id, c.verdict, len(c.evidence), c.note] for c in claims]
@@ -265,9 +257,7 @@ def _cmd_audit(args, config: Config, out) -> int:
 def _cmd_survey(args, config: Config, out) -> int:
     if args.qmax < 1:
         raise ValueError(f"--qmax must be >= 1, got {args.qmax}")
-    rows = audit_mod.nonvanishing_survey(
-        args.qmax, args.grid_step, args.tol, hurwitz_tol=config.hurwitz_tol
-    )
+    rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step, hurwitz_tol=config.hurwitz_tol)
     headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
     _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
     return EXIT_FINDING if any(r.sign_changes for r in rows) else EXIT_OK
@@ -300,15 +290,12 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
         )
         p.set_defaults(func=func)
 
-    def add_scan_options(p):
+    def add_grid_step(p):
         p.add_argument(
             "--grid-step",
             type=float,
             default=config.grid_step,
             help=f"scan grid spacing (default {config.grid_step})",
-        )
-        p.add_argument(
-            "--tol", type=float, default=_DEFAULT_SCAN_TOL, help="scan bisection width tolerance"
         )
 
     def add_selector(p):
@@ -340,12 +327,7 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
 
     p_scan = lfun_sub.add_parser("scan", help="scan L(sigma, chi) on (0, 1)")
     add_selector(p_scan)
-    p_scan.add_argument("--lo", type=float, default=None, help="grid start (default grid step)")
-    p_scan.add_argument("--hi", type=float, default=None, help="grid end (default ~1 - step)")
-    add_scan_options(p_scan)
-    p_scan.add_argument(
-        "--grid-points", type=int, default=None, help="explicit point count (overrides step)"
-    )
+    add_grid_step(p_scan)
     finish(p_scan, _cmd_lfun_scan)
 
     p_geom = sub.add_parser("geom", help="bilinear-geometry checks")
@@ -375,14 +357,14 @@ def build_parser(config: Config) -> argparse.ArgumentParser:
         default=default_ns,
         help=f"comma-separated truncations (default {','.join(map(str, default_ns))})",
     )
-    add_scan_options(p_audit)
+    add_grid_step(p_audit)
     finish(p_audit, _cmd_audit)
 
     p_survey = sub.add_parser(
         "survey", help="min |L| survey over real non-principal characters"
     )
     p_survey.add_argument("--qmax", type=int, required=True, help="largest modulus")
-    add_scan_options(p_survey)
+    add_grid_step(p_survey)
     finish(p_survey, _cmd_survey)
 
     return parser

@@ -31,13 +31,15 @@ Two evaluation routes:
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
-bisection (``_scan_result`` does the bracketing for it and for the survey).
+bisection until the midpoint's |L| is within its error estimate
+(``_scan_result`` does the bracketing for it and for the survey).
 Err estimates propagate: truncation bounds from the Euler-Maclaurin
 remainder plus a floating-point roundoff model.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,7 +153,6 @@ _DEFAULT_SHIFT = 20
 _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
-_DEFAULT_SCAN_TOL = 1e-9  # bisection width of a scan's sign-change brackets
 
 
 def _check_tols(**tols) -> None:
@@ -161,7 +162,7 @@ def _check_tols(**tols) -> None:
             raise ValueError(f"{name} must be > 0, got {tol}")
 
 
-def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int) -> list:
+def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int) -> list:
     """Core Euler-Maclaurin sum for zeta(s, x); returns [(value, err_estimate)
     for x in xs], all at the same shift.
 
@@ -174,6 +175,7 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
     safety factor and the pole term depend on s alone, so they are chosen
     once per call.
     """
+    pairs = _DEFAULT_PAIRS
     coeffs = []
     rising = s_num                # s (s+1) ... (s + 2j - 2), built incrementally
     for j in range(pairs):
@@ -199,11 +201,12 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int, pairs: int)
     return results
 
 
-def _shift_for_tolerance(s: complex, x: float, tol: float, pairs: int) -> int:
+def _shift_for_tolerance(s: complex, x: float, tol: float) -> int:
     """Smallest shift >= the default whose first omitted correction estimate
     meets `tol`, or the roundoff floor if `tol` is below it (a larger shift
     only adds roundoff).  The default (20) already gives ~1e-21 on sigma in
     (0, 3]."""
+    pairs = _DEFAULT_PAIRS
     shift = _DEFAULT_SHIFT
     mag = max(1.0, abs(s) + 2 * pairs + 1)
     target = max(tol, _ROUNDOFF)
@@ -225,18 +228,20 @@ def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
     for x in xs:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"x must lie in (0, 1], got {x}")
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be a finite point, got {s}")
     if s.real <= -1.0:
         raise ContinuationRangeError(
             f"sigma = {s.real} is outside the supported range sigma > -1"
         )
     s_num = s.real if s.imag == 0.0 else s
-    shift = _shift_for_tolerance(s, min(xs), tol, _DEFAULT_PAIRS)
-    return _euler_maclaurin_hurwitz(s_num, xs, shift, _DEFAULT_PAIRS), shift
+    shift = _shift_for_tolerance(s, min(xs), tol)
+    return _euler_maclaurin_hurwitz(s_num, xs, shift), shift
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin; raises
-    PoleError at s = 1."""
+    PoleError at s = 1 and ValueError at an s with a NaN or infinite part."""
     _check_tols(tol=tol)
     s = complex(s)
     if s == 1:
@@ -253,7 +258,8 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     -digamma(a/q); the pole parts cancel for non-principal chi (sum(chi(a))
     = 0), so L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged
     ``grouped``.  The PoleError check lives here, for principal chi at s = 1;
-    sigma <= -1 raises ContinuationRangeError.  `tol` must be > 0; the shift
+    sigma <= -1 raises ContinuationRangeError, and a NaN or infinite part of
+    s ValueError, before any series is summed.  `tol` must be > 0; the shift
     stops growing at the roundoff floor 5e-16, so a smaller `tol` returns an
     ``err_estimate`` above `tol`.
     """
@@ -305,32 +311,34 @@ class ScanResult:
         return len(self.brackets) > 0
 
 
-def _bisect_sign_change(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float):
-    """Shrink [lo, hi] holding a sign change until hi - lo <= tol, or until
-    the midpoint rounds to an end (a tol below the float spacing)."""
-    while hi - lo > tol:
+def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
+    """Bisect [lo, hi], where f (returning (value, err_estimate)) changes sign
+    from f_lo at lo, down to the first midpoint whose |value| is within its
+    own err_estimate (there the sign no longer tells), or until the midpoint
+    rounds to an end; return that midpoint."""
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
+            return mid
+        f_mid, err = f(mid)
+        if abs(f_mid) <= err:
             return mid
         if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
-def _scan_result(chi, sigmas, pairs, tol: float, hurwitz_tol: float) -> ScanResult:
+def _scan_result(chi, sigmas, pairs, hurwitz_tol: float) -> ScanResult:
     """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
     consecutive values of opposite signs are bracketed and refined by
-    bisection (evaluating chi directly) to width <= tol, and the grid minimum
-    of |L| is recorded."""
+    bisection (evaluating chi directly at `hurwitz_tol`) until the sign is
+    lost in the error estimate, and the grid minimum of |L| is recorded."""
     values, errs = map(tuple, zip(*pairs))
 
-    def l_real(sigma: float) -> float:
-        return evaluate(chi, sigma, tol=hurwitz_tol).value.real
+    def l_real(sigma: float) -> tuple:
+        ev = evaluate(chi, sigma, tol=hurwitz_tol)
+        return ev.value.real, ev.err_estimate
 
     brackets = []
     for i in range(len(sigmas) - 1):
@@ -339,7 +347,7 @@ def _scan_result(chi, sigmas, pairs, tol: float, hurwitz_tol: float) -> ScanResu
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
             continue
         if (left < 0.0) != (right < 0.0) and right != 0.0:
-            root = _bisect_sign_change(l_real, sigmas[i], sigmas[i + 1], left, right, tol)
+            root = _bisect_sign_change(l_real, sigmas[i], sigmas[i + 1], left)
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
 
     i_min = min(range(len(sigmas)), key=lambda i: abs(values[i]))
@@ -358,7 +366,6 @@ def scan_zeros(
     lo: float,
     hi: float,
     grid_points: int,
-    tol: float = _DEFAULT_SCAN_TOL,
     *,
     hurwitz_tol: float = _DEFAULT_TOL,
 ) -> ScanResult:
@@ -366,11 +373,12 @@ def scan_zeros(
 
     On the real axis ``evaluate`` runs in floats for real chi, so each value
     is exactly real.  Grid values of opposite signs are bracketed and refined
-    by bisection to width <= tol (or to adjacent floats).  The grid minimum
-    of |L| and its sigma are recorded whether or not any sign change exists.
-    Every L-value is evaluated at `hurwitz_tol`; both tolerances must be > 0.
+    by bisection, which stops at the first midpoint whose |L| is within its
+    own error estimate (or at adjacent floats).  The grid minimum of |L| and
+    its sigma are recorded whether or not any sign change exists.  Every
+    L-value is evaluated at `hurwitz_tol`, which must be > 0.
     """
-    _check_tols(tol=tol, hurwitz_tol=hurwitz_tol)
+    _check_tols(hurwitz_tol=hurwitz_tol)
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
     if grid_points < 2:
@@ -381,4 +389,4 @@ def scan_zeros(
     sigmas = tuple(lo + i * step for i in range(grid_points))
     evs = [evaluate(chi, sigma, tol=hurwitz_tol) for sigma in sigmas]
     pairs = [(ev.value.real, ev.err_estimate) for ev in evs]
-    return _scan_result(chi, sigmas, pairs, tol, hurwitz_tol)
+    return _scan_result(chi, sigmas, pairs, hurwitz_tol)

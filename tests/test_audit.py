@@ -86,7 +86,7 @@ class TestInputValidation:
             run_audit(CHI4, 0.5, [10], grid_step=step)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("key", ["scan_tol", "hurwitz_tol"])
+    @pytest.mark.parametrize("key", ["hurwitz_tol"])
     def test_tolerance_not_positive_is_rejected_before_any_series(self, key, tol, monkeypatch):
         def walked(*args):
             raise AssertionError("a series was walked")
@@ -157,6 +157,8 @@ class TestVerdicts:
         assert evidence["sign_changes"] == 0
         assert evidence["min_abs"] > 0.0
         assert evidence["grid_points"] == 99  # 0.01 .. 0.99 inclusive
+        # the scan's one tolerance is the L-value tolerance it evaluated at
+        assert claim.inputs == {"q": 4, "grid_step": 0.01, "hurwitz_tol": 1e-10}
 
 
 class TestGrowthFitSlopes:
@@ -444,7 +446,7 @@ class TestSurvey:
             nonvanishing_survey(5, step)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("key", ["tol", "hurwitz_tol"])
+    @pytest.mark.parametrize("key", ["hurwitz_tol"])
     def test_rejects_tolerance_not_positive_without_any_character_to_scan(self, key, tol):
         with pytest.raises(ValueError, match=f"{key} must be > 0"):
             nonvanishing_survey(2, **{key: tol})
@@ -498,7 +500,7 @@ def direct_survey(q_max, grid_step):
     for q in range(1, q_max + 1):
         for index, chi in enumerate(enumerate_real_characters(q)):
             if not chi.is_principal:
-                result = lseries.scan_zeros(chi, *audit_module._scan_grid(grid_step), 1e-9)
+                result = lseries.scan_zeros(chi, *audit_module._scan_grid(grid_step))
                 rows.append((chi, result))
     return rows
 

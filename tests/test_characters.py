@@ -140,6 +140,10 @@ class TestEnumeration:
         assert chars[0].values == (1,)
         assert chars[0].value_exact(12345) == 1
 
+    def test_principal_character_is_the_first_enumerated(self):
+        for q in range(1, 301):
+            assert principal_character(q) == enumerate_characters(q)[0], q
+
     def test_q4_two_real_characters(self):
         chars = enumerate_real_characters(4)
         assert len(chars) == 2

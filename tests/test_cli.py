@@ -285,31 +285,15 @@ class TestEvalCommand:
         assert code == EXIT_USAGE
         assert "outside the supported range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", ["nan", "0.5+nani"])
+    def test_non_finite_point_is_domain_error(self, s, capsys):
+        code, text = run_cli("lfun", "eval", "-q", "4", "-k", "1", "-s", s)
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "s must be a finite point" in capsys.readouterr().err
+
 
 class TestScanCommand:
-    def test_explicit_window_csv(self):
-        code, text = run_cli(
-            "lfun",
-            "scan",
-            "-q",
-            "4",
-            "-k",
-            "1",
-            "--lo",
-            "0.2",
-            "--hi",
-            "0.8",
-            "--grid-points",
-            "4",
-            "--format",
-            "csv",
-        )
-        assert code == EXIT_OK
-        headers, rows = parse_csv(text)
-        assert headers == ["q", "char_index", "sigma", "L_value", "err_estimate"]
-        assert len(rows) == 4
-        assert all(float(r[3]) > 0 for r in rows)  # no sign change for this chi
-
     def test_table_summary_line(self):
         code, text = run_cli(
             "lfun", "scan", "-q", "3", "-k", "1", "--grid-step", "0.25"
@@ -375,18 +359,31 @@ class TestScanCommand:
         ],
     )
     def test_tolerance_not_positive_is_a_usage_error(self, argv, tol, capsys):
-        code, text = run_cli(*argv, "--tol", tol)
+        # lfun eval rejects the value; a scan has no --tol (its bisection stops
+        # where the L-value's own error estimate hides the sign), so argparse
+        # rejects the flag itself
+        out = io.StringIO()
+        try:
+            code = main([*argv, "--tol", tol], out=out)
+        except SystemExit as exc:
+            code = exc.code
         assert code == EXIT_USAGE
-        assert text == ""
-        assert "tol must be > 0" in capsys.readouterr().err
+        assert out.getvalue() == ""
+        want = "tol must be > 0" if argv[1] == "eval" else "unrecognized arguments: --tol"
+        assert want in capsys.readouterr().err
 
-    def test_non_real_axis_scan_window_error(self, capsys):
-        code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--lo", "0", "--hi", "1")
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize("flag", ["--lo", "--hi", "--grid-points"])
+    def test_window_flags_are_usage_errors(self, flag, capsys):
+        # the one scan grid is the audit's, set by --grid-step alone
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("lfun", "scan", "-q", "4", "-k", "1", flag, "0.5")
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
     def test_single_grid_point_is_domain_error(self, capsys):
-        code, _ = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--grid-points", "1")
+        code, text = run_cli("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.6")
         assert code == EXIT_USAGE
+        assert text == ""
         assert "at least 2 grid points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step", ["0.03", "0.011", "0.1"])
@@ -399,18 +396,6 @@ class TestScanCommand:
         chi = audit_module.enumerate_real_characters(4)[1]
         grid = lseries_module.scan_zeros(chi, *audit_module._scan_grid(float(step)))
         assert [row["sigma"] for row in json.loads(text)["rows"]] == list(grid.sigmas)
-
-    def test_explicit_window_takes_a_step_above_the_config_range(self):
-        # Config.validate holds the grid_step key to the audit grid (at least
-        # 2 points in (0, 1)); the flag of an explicit window is not
-        code, text = run_cli(
-            "lfun", "scan", "-q", "4", "-k", "1", "--lo", "0.05", "--hi", "0.95",
-            "--grid-step", "0.6", "--format", "csv",
-        )
-        assert code == EXIT_OK
-        sigmas = [r[2] for r in parse_csv(text)[1]]
-        assert len(sigmas) == 3  # round(0.9 / 0.6) + 1
-        assert (sigmas[0], sigmas[-1]) == ("0.05", "0.95")
 
 
 class TestGeomCommand:
@@ -560,7 +545,7 @@ class TestSurveyCommand:
     def test_sign_change_exits_finding(self, monkeypatch):
         from lseries_lab.audit import SurveyRow
 
-        def fake_survey(q_max, grid_step=0.01, tol=1e-9, *, hurwitz_tol=1e-10):
+        def fake_survey(q_max, grid_step=0.01, *, hurwitz_tol=1e-10):
             return [
                 SurveyRow(q=3, char_index=1, min_abs=0.001, argmin_sigma=0.5, sign_changes=1)
             ]

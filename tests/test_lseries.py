@@ -159,6 +159,15 @@ class TestPointCoercion:
         assert repr(jsons[0]) == repr(jsons[1]) == repr(jsons[2])
         assert repr(jsons[3]).replace("[2.0, -0.0]", "[2.0, 0.0]") == repr(jsons[0])
 
+    @pytest.mark.parametrize(
+        "s", [math.nan, math.inf, -math.inf, complex(0.5, math.inf), complex(0.5, math.nan)]
+    )
+    def test_non_finite_point_is_rejected_at_once(self, s):
+        with pytest.raises(ValueError, match="s must be a finite point"):
+            evaluate(CHI4, s)
+        with pytest.raises(ValueError, match="s must be a finite point"):
+            hurwitz_zeta(s, 0.5)
+
     def test_real_character_at_a_real_point_is_exactly_real(self):
         for s in (*self.SPELLINGS, 0.5, -0.7):
             assert evaluate(CHI4, s).value.imag == 0.0
@@ -403,8 +412,8 @@ class TestOnePassPerEvaluation:
             q = rng.randint(1, 40)
             xs = [a / q for a in range(1, q + 1) if math.gcd(a, q) == 1]
             shift = rng.choice([20, 40, 640])
-            got = _euler_maclaurin_hurwitz(s_num, xs, shift, 6)
-            single = [_euler_maclaurin_hurwitz(s_num, [x], shift, 6)[0] for x in xs]
+            got = _euler_maclaurin_hurwitz(s_num, xs, shift)
+            single = [_euler_maclaurin_hurwitz(s_num, [x], shift)[0] for x in xs]
             oracle = [one_x_kernel(s_num, x, shift, 6) for x in xs]
             assert repr(got) == repr(single) == repr(oracle), (s_num, q, shift)
 
@@ -414,7 +423,7 @@ class TestOnePassPerEvaluation:
         for _ in range(300):
             s = complex(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
             q = rng.randint(1, 450)
-            shifts = [_shift_for_tolerance(s, a / q, 1e-10, 6) for a in range(1, q + 1)]
+            shifts = [_shift_for_tolerance(s, a / q, 1e-10) for a in range(1, q + 1)]
             assert max(shifts) == shifts[0], (s, q)
 
     def test_residues_of_two_shift_classes_share_the_larger(self):
@@ -435,27 +444,50 @@ class TestOnePassPerEvaluation:
 
 
 class TestBisection:
+    """f returns (value, err_estimate); the bisection stops at the first
+    midpoint whose |value| is within its err_estimate, or at adjacent floats."""
+
     def test_refines_simple_root(self):
-        f = lambda x: x * x - 0.09
-        root = _bisect_sign_change(f, 0.1, 0.9, f(0.1), f(0.9), 1e-12)
+        f = lambda x: (x * x - 0.09, 0.0)
+        root = _bisect_sign_change(f, 0.1, 0.9, f(0.1)[0])
         assert abs(root - 0.3) < 1e-11
 
     def test_exact_zero_midpoint_returns_immediately(self):
-        f = lambda x: x - 0.5
-        root = _bisect_sign_change(f, 0.0, 1.0, -0.5, 0.5, 1e-15)
-        assert root == 0.5
+        calls = []
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-20])
-    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self, tol):
+        def f(x):
+            calls.append(x)
+            return x - 0.5, 0.0
+
+        assert _bisect_sign_change(f, 0.0, 1.0, -0.5) == 0.5
+        assert calls == [0.5]
+
+    def test_stops_at_the_first_midpoint_within_its_error(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3, 1e-6
+
+        root = _bisect_sign_change(f, 0.0, 1.0, -0.3)
+        # midpoints 1/2, 1/4, 3/8, ...: the 18th, 0.29999923..., is the first
+        # within 1e-6 of 0.3 (a width stop at 1e-6 would take 20)
+        assert len(calls) == 18
+        assert abs(root - 0.3) <= 1e-6
+        assert all(abs(x - 0.3) > 1e-6 for x in calls[:-1])
+
+    @pytest.mark.parametrize("err", [0.0, 1e-20])
+    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self, err):
+        # an err_estimate below the value's float spacing never stops early
         calls = []
 
         def f(x):
             calls.append(x)
             if len(calls) > 200:
                 raise RuntimeError("bisection did not stop")
-            return (x - 0.1) + 1e-30  # negative below 0.1, positive from 0.1 on
+            return (x - 0.1) + 1e-30, err  # negative below 0.1, positive from 0.1 on
 
-        root = _bisect_sign_change(f, 0.0, 1.0, -0.1, 0.9, tol)
+        root = _bisect_sign_change(f, 0.0, 1.0, -0.1)
         assert root in (math.nextafter(0.1, 0.0), 0.1)
 
 
@@ -465,7 +497,6 @@ class TestTolerances:
         "evaluate_complex": lambda tol: evaluate(CHI4, complex(0.5, 3.0), tol=tol),
         "evaluate_grouped": lambda tol: evaluate(CHI4, 1, tol=tol),
         "hurwitz_zeta": lambda tol: hurwitz_zeta(0.5, 0.3, tol=tol),
-        "scan_tol": lambda tol: scan_zeros(CHI4, 0.1, 0.9, 3, tol=tol),
         "scan_hurwitz_tol": lambda tol: scan_zeros(CHI4, 0.1, 0.9, 2, hurwitz_tol=tol),
     }
 
@@ -525,7 +556,7 @@ class TestScanZeros:
             )
 
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
-        result = scan_zeros(CHI4, 0.1, 0.9, 9, tol=1e-10)
+        result = scan_zeros(CHI4, 0.1, 0.9, 9)
         assert result.found_sign_change
         assert len(result.brackets) == 1
         bracket = result.brackets[0]
