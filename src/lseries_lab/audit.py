@@ -43,14 +43,7 @@ from math import gcd, isfinite
 
 from .cgeom import bilinear_dot
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import (
-    _DEFAULT_TOL,
-    ScanGridError,
-    _check_tols,
-    _running_sums,
-    _scan_result,
-    scan_zeros,
-)
+from .lseries import ScanGridError, _running_sums, _scan_result, scan_zeros
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -340,8 +333,8 @@ def _scan_grid(grid_step: float) -> tuple:
     return grid_step, grid_step + (points - 1) * grid_step, points
 
 
-def _claim_nonvanishing(chi, grid_step, grid, hurwitz_tol) -> ClaimResult:
-    result = scan_zeros(chi, *grid, hurwitz_tol=hurwitz_tol)
+def _claim_nonvanishing(chi, grid_step, grid) -> ClaimResult:
+    result = scan_zeros(chi, *grid)
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -359,7 +352,7 @@ def _claim_nonvanishing(chi, grid_step, grid, hurwitz_tol) -> ClaimResult:
         note = f"grid min |L| = {result.min_abs:.6e} at sigma = {result.argmin_sigma:.4f}"
     return ClaimResult(
         claim_id="NONVANISHING_SCAN",
-        inputs={"q": chi.modulus, "grid_step": grid_step, "hurwitz_tol": hurwitz_tol},
+        inputs={"q": chi.modulus, "grid_step": grid_step},
         evidence=evidence,
         verdict=verdict,
         note=note,
@@ -372,15 +365,15 @@ def run_audit(
     truncations,
     *,
     grid_step: float = _DEFAULT_GRID_STEP,
-    hurwitz_tol: float = _DEFAULT_TOL,
 ) -> list[ClaimResult]:
     """Audit all eight claims for (chi, s) at the given truncation points.
 
     `truncations` must be nonempty and strictly increasing.  Results come
     back in registry order, one ClaimResult per claim, with per-claim notes
     for any expected failure (isotropic vector, zero profile area) -- a
-    single claim's trouble never aborts the audit.  The zero scan evaluates
-    its L-values at tolerance `hurwitz_tol`, which must be > 0.
+    single claim's trouble never aborts the audit.  The zero scan is
+    ``scan_zeros`` on the `grid_step` grid.  A point with a NaN or infinite
+    part raises ValueError from the term kernel, and no claim is returned.
     """
     s = complex(s)
     truncations = tuple(int(n) for n in truncations)
@@ -388,10 +381,9 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
-    _check_tols(hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)  # checks the step before any series is walked
     claims = _truncation_claims(chi, s, truncations)
-    return claims + [_claim_nonvanishing(chi, grid_step, grid, hurwitz_tol)]
+    return claims + [_claim_nonvanishing(chi, grid_step, grid)]
 
 
 @dataclass(frozen=True)
@@ -438,12 +430,7 @@ def _induced_pairs(chi, star, star_pairs, sigmas) -> list:
     return pairs
 
 
-def nonvanishing_survey(
-    q_max: int,
-    grid_step: float = _DEFAULT_GRID_STEP,
-    *,
-    hurwitz_tol: float = _DEFAULT_TOL,
-) -> list[SurveyRow]:
+def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> list[SurveyRow]:
     """Scan every real non-principal character with modulus q <= q_max.
 
     Row order is deterministic: ascending (q, index in the real character
@@ -451,18 +438,16 @@ def nonvanishing_survey(
     the grid_step grid in (0, 1) and any sign changes (refined by bisection,
     as in ``scan_zeros``, if one ever appears).
 
-    Primitive characters (conductor q) are scanned by ``scan_zeros`` with
-    L-values at tolerance `hurwitz_tol`.  An imprimitive character
-    (conductor f < q) takes the grid values of the primitive chi* mod f that
-    induces it, scanned earlier in the same call, times the Euler factors of
-    the primes dividing q but not f, with no Hurwitz call of its own: its
-    values differ from the direct ``scan_zeros`` ones by rounding, well inside
-    their error estimates.  Bisection of any sign change evaluates the
-    character directly.
+    Primitive characters (conductor q) are scanned by ``scan_zeros``.  An
+    imprimitive character (conductor f < q) takes the grid values of the
+    primitive chi* mod f that induces it, scanned earlier in the same call,
+    times the Euler factors of the primes dividing q but not f, with no
+    Hurwitz call of its own: its values differ from the direct ``scan_zeros``
+    ones by rounding, well inside their error estimates.  Bisection of any
+    sign change evaluates the character directly.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    _check_tols(hurwitz_tol=hurwitz_tol)
     grid = _scan_grid(grid_step)
     primitive = {}  # conductor -> [(chi*, its ScanResult)], for this call only
     rows = []
@@ -471,13 +456,13 @@ def nonvanishing_survey(
             if chi.is_principal:
                 continue
             if chi.conductor == q:
-                result = scan_zeros(chi, *grid, hurwitz_tol=hurwitz_tol)
+                result = scan_zeros(chi, *grid)
                 primitive.setdefault(q, []).append((chi, result))
             else:
                 star, scan = _inducing(chi, index, primitive)
                 star_pairs = zip(scan.values, scan.err_estimates)
                 pairs = _induced_pairs(chi, star, star_pairs, scan.sigmas)
-                result = _scan_result(chi, scan.sigmas, pairs, hurwitz_tol)
+                result = _scan_result(chi, scan.sigmas, pairs)
             rows.append(
                 SurveyRow(
                     q=q,

@@ -19,18 +19,21 @@ Commands
 Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 '.' decimal point regardless of locale; complex numbers print as "a+bi" in
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
-complex literal like ``0.5``, ``0.5+2i``, or ``-1.2i``.  Exit codes: 0 for
-success / no finding, 1 for a finding (sign change or golden mismatch),
-2 for usage or domain errors (a ``--grid-step`` that is not positive or
-leaves under 2 grid points, an ``lfun eval --tol`` that is not positive, and
-an ``lfun eval -s`` with a NaN part, included), 3 for an internal arithmetic
-failure.
+complex literal like ``0.5``, ``0.5+2i``, ``-1.2i`` or ``inf``.  Exit codes:
+0 for success / no finding, 1 for a finding (sign change or golden
+mismatch), 2 for usage or domain errors (a ``--grid-step`` that is not
+positive or leaves under 2 grid points, an ``lfun eval --tol`` that is not
+positive, an ``-s`` with a NaN or infinite part, and an ``lfun eval`` point
+past the continuation range, included), 3 for an internal arithmetic
+failure, 141 (the shell's SIGPIPE status) when stdout is closed before the
+output is written.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
-file overriding the defaults: ``hurwitz_tol`` (default 1e-10; the default
-``--tol`` of ``lfun eval``, and the tolerance of every L-value that ``lfun
-scan``, ``audit`` and ``survey`` evaluate), ``default_n`` (default 10000),
-``grid_step`` (default 0.01), ``output_format`` (default table).
+file overriding the defaults: ``hurwitz_tol`` (default 1e-10; it sets only
+the default ``--tol`` of ``lfun eval``: ``lfun scan``, ``audit`` and
+``survey`` evaluate on the real axis, where every tolerance gives the same
+shift), ``default_n`` (default 10000), ``grid_step`` (default 0.01),
+``output_format`` (default table).
 Command-line flags override the config file.
 """
 
@@ -58,6 +61,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a closed pipe
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,10 +114,14 @@ def load_config(environ=None) -> Config:
 
 
 def parse_complex_s(text: str) -> complex:
-    """Parse 'sigma+ti' literals: '0.5', '0.5+2i', '-1.5-0.25i', '2i'."""
-    cleaned = text.strip().replace(" ", "").replace("I", "i").replace("j", "i")
+    """Parse 'sigma+ti' literals: '0.5', '0.5+2i', '-1.5-0.25i', '2i', 'inf'.
+    Only a trailing i or I is the imaginary unit; the rest is read as
+    ``complex()`` reads it, so 'inf' and 'nan' in any case are numbers."""
+    cleaned = text.strip().replace(" ", "")
+    if cleaned[-1:] in ("i", "I"):
+        cleaned = cleaned[:-1] + "j"
     try:
-        return complex(cleaned.replace("i", "j"))
+        return complex(cleaned)
     except ValueError:
         raise ValueError(f"cannot parse complex number from {text!r}") from None
 
@@ -192,7 +200,7 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
 
 def _cmd_lfun_scan(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
-    result = scan_zeros(chi, *audit_mod._scan_grid(args.grid_step), hurwitz_tol=config.hurwitz_tol)
+    result = scan_zeros(chi, *audit_mod._scan_grid(args.grid_step))
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
     rows = [
         [args.q, args.k, *point]
@@ -244,9 +252,7 @@ def _cmd_pappus_check(args, config: Config, out) -> int:
 def _cmd_audit(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
-    claims = audit_mod.run_audit(
-        chi, s, args.N, grid_step=args.grid_step, hurwitz_tol=config.hurwitz_tol
-    )
+    claims = audit_mod.run_audit(chi, s, args.N, grid_step=args.grid_step)
     headers = ["claim_id", "verdict", "evidence_points", "note"]
     rows = [[c.claim_id, c.verdict, len(c.evidence), c.note] for c in claims]
     _emit(headers, rows, args.format, out, [c.to_json_dict() for c in claims])
@@ -257,7 +263,7 @@ def _cmd_audit(args, config: Config, out) -> int:
 def _cmd_survey(args, config: Config, out) -> int:
     if args.qmax < 1:
         raise ValueError(f"--qmax must be >= 1, got {args.qmax}")
-    rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step, hurwitz_tol=config.hurwitz_tol)
+    rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step)
     headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
     _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
     return EXIT_FINDING if any(r.sign_changes for r in rows) else EXIT_OK
@@ -391,4 +397,13 @@ def main(argv=None, out=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Console entry point.  A reader that closed stdout early (``| head``) is
+    no finding: exit 141 with no traceback, stdout pointed at devnull so that
+    the exit flush cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -20,14 +20,15 @@ Two evaluation routes:
 * ``evaluate`` -- the exact rearrangement
   L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), every
   zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
-  B12) at one shift per evaluation: the default 20, doubled until the
-  tolerance (or the roundoff floor) is met at the smallest residue 1/q, and
-  so at every residue.  Valid for sigma > -1.  Off s = 1 the method is
-  ``hurwitz`` and ``n_used`` is that shift.  At s = 1 (non-principal chi
-  only) each zeta(1, a/q) is taken as its finite part -digamma(a/q), the
-  pole parts cancelling because chi sums to zero over a period; the method
-  is ``grouped`` and ``n_used`` is shift * q, the complete length-q periods
-  the pass sums directly.
+  B12) at one shift per evaluation, solved from the first omitted
+  correction's own estimate so that it meets the tolerance (or the roundoff
+  floor) at the smallest residue 1/q, and so at every residue; never below
+  20, which every real point gets.  Valid for sigma > -1 and shifts below
+  2^20.  Off s = 1 the method is ``hurwitz`` and ``n_used`` is that shift.
+  At s = 1 (non-principal chi only) each zeta(1, a/q) is taken as its finite
+  part -digamma(a/q), the pole parts cancelling because chi sums to zero
+  over a period; the method is ``grouped`` and ``n_used`` is shift * q, the
+  complete length-q periods the pass sums directly.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
@@ -66,7 +67,9 @@ class PoleError(ValueError):
 
 
 class ContinuationRangeError(ValueError):
-    """sigma <= -1 lies outside the supported continuation range."""
+    """The point is outside the continuation range: sigma <= -1, or it needs
+    an Euler-Maclaurin shift of 2^20 or more at its tolerance (at sigma = 0.5
+    and tol 1e-10, from |t| near 8.9e5; an estimate that overflows counts)."""
 
 
 class NonRealCharacterError(ValueError):
@@ -82,7 +85,8 @@ class LEvaluation:
     """An L-value with its provenance: method tag (``hurwitz`` off s = 1,
     ``grouped`` at s = 1), ``n_used`` (the Euler-Maclaurin shift for
     ``hurwitz``; shift * q, the whole periods summed directly, for
-    ``grouped``), and an error estimate."""
+    ``grouped``), and ``err_estimate``: the first omitted correction's
+    estimate, the one the shift was solved from, plus roundoff."""
 
     value: complex
     method: str
@@ -99,9 +103,16 @@ def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
     return powers if chi.is_real else [_to_number(v) for v in powers]
 
 
+def _check_finite(s: complex) -> None:
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be a finite point, got {s}")
+
+
 def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: int = 1):
     """Yield (n, chi(n)^m * n^(-m s)) for the units n in [start, stop), in
-    order; at t = 0 no logarithm is taken and real chi gives real floats."""
+    order; at t = 0 no logarithm is taken and real chi gives real floats.
+    A point with a NaN or infinite part raises ValueError before any term."""
+    _check_finite(s)
     q = chi.modulus
     table = _residue_table(chi, m)
     sigma, t = m * s.real, m * s.imag
@@ -150,6 +161,7 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617
 _B_OVER_FACT = [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1)]
 
 _DEFAULT_SHIFT = 20
+_MAX_SHIFT = (1 << 20) - 1
 _DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
 _ROUNDOFF = 5e-16
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
@@ -162,18 +174,21 @@ def _check_tols(**tols) -> None:
             raise ValueError(f"{name} must be > 0, got {tol}")
 
 
-def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int) -> list:
-    """Core Euler-Maclaurin sum for zeta(s, x); returns [(value, err_estimate)
-    for x in xs], all at the same shift.
+def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], tol: float) -> tuple:
+    """Core Euler-Maclaurin sum for zeta(s, x): ([(value, err_estimate) for
+    x in xs], shift), every x at the one shift.
 
     s_num is a float (real axis) or complex; each x in (0, 1].  At s = 1 the
     pole term w^(1-s)/(s-1) (w = shift + x) is replaced by its finite part
     -log(w), so each value is -digamma(x) = lim (zeta(s, x) - 1/(s-1)).
-    The error estimate is the magnitude of the first omitted Bernoulli
-    correction times a |s|-dependent safety factor, plus a roundoff term.
-    The Bernoulli coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2), the
-    safety factor and the pole term depend on s alone, so they are chosen
-    once per call.
+    The error estimate is the first omitted Bernoulli correction,
+    |B_14/14! * s (s+1) ... (s+12)| * w^-(sigma+13), times a |s|-dependent
+    safety factor, plus a roundoff term.  The shift is that estimate solved
+    in closed form for max(tol, 5e-16) at x = min(xs), never below 20; the
+    estimate falls as x grows, so every x meets it.  A shift past
+    ``_MAX_SHIFT`` (or an overflowed estimate) raises ContinuationRangeError
+    before any sum.  The coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2),
+    the safety factor and the pole term depend on s alone: made once per call.
     """
     pairs = _DEFAULT_PAIRS
     coeffs = []
@@ -182,7 +197,16 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int) -> list:
         coeffs.append(_B_OVER_FACT[j] * rising)
         rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
     omitted_coeff = _B_OVER_FACT[pairs] * rising
-    safety = max(1.0, abs(s_num + 2 * pairs + 1) / (s_num.real + 2 * pairs + 1))
+    decay = s_num.real + 2 * pairs + 1   # the omitted term falls as w^-decay
+    safety = max(1.0, abs(s_num + 2 * pairs + 1) / decay)
+    x_min = min(xs)
+    need = (abs(omitted_coeff) * safety / max(tol, _ROUNDOFF)) ** (1 / decay) - x_min
+    if not need <= _MAX_SHIFT:  # NaN and inf included
+        raise ContinuationRangeError(
+            f"s = {complex(s_num)} needs an Euler-Maclaurin shift above {_MAX_SHIFT} "
+            f"at tol {tol} and x = {x_min}"
+        )
+    shift = max(_DEFAULT_SHIFT, math.ceil(need))
     at_pole = s_num == 1
     results = []
     for x in xs:
@@ -198,45 +222,22 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], shift: int) -> list:
             w_pow /= w * w
         omitted = abs(omitted_coeff * w_pow)
         results.append((acc, omitted * safety + _ROUNDOFF * (shift + pairs) * abs(acc)))
-    return results
-
-
-def _shift_for_tolerance(s: complex, x: float, tol: float) -> int:
-    """Smallest shift >= the default whose first omitted correction estimate
-    meets `tol`, or the roundoff floor if `tol` is below it (a larger shift
-    only adds roundoff).  The default (20) already gives ~1e-21 on sigma in
-    (0, 3]."""
-    pairs = _DEFAULT_PAIRS
-    shift = _DEFAULT_SHIFT
-    mag = max(1.0, abs(s) + 2 * pairs + 1)
-    target = max(tol, _ROUNDOFF)
-    while True:
-        estimate = abs(_B_OVER_FACT[pairs]) * mag ** (2 * pairs + 1) * (
-            (shift + x) ** (-(s.real + 2 * pairs + 1))
-        )
-        if estimate <= target or shift >= 1 << 20:
-            return shift
-        shift *= 2
+    return results, shift
 
 
 def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
-    """([(zeta(s, x), err_estimate) for x in xs], shift): the point is checked
-    and the shift picked once for all of xs.  The truncation estimate falls as
-    x grows (sigma > -1), so the smallest x's shift meets `tol` for every x.
-    At s = 1 each value is the finite part -digamma(x); the callers decide
-    whether the pole they dropped matters."""
+    """([(zeta(s, x), err_estimate) for x in xs], shift), after the checks
+    on x and on the point.  At s = 1 each value is the finite part
+    -digamma(x); the callers decide whether the pole they dropped matters."""
     for x in xs:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"x must lie in (0, 1], got {x}")
-    if not cmath.isfinite(s):
-        raise ValueError(f"s must be a finite point, got {s}")
+    _check_finite(s)
     if s.real <= -1.0:
         raise ContinuationRangeError(
             f"sigma = {s.real} is outside the supported range sigma > -1"
         )
-    s_num = s.real if s.imag == 0.0 else s
-    shift = _shift_for_tolerance(s, min(xs), tol)
-    return _euler_maclaurin_hurwitz(s_num, xs, shift), shift
+    return _euler_maclaurin_hurwitz(s.real if s.imag == 0.0 else s, xs, tol)
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
@@ -259,9 +260,10 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     = 0), so L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged
     ``grouped``.  The PoleError check lives here, for principal chi at s = 1;
     sigma <= -1 raises ContinuationRangeError, and a NaN or infinite part of
-    s ValueError, before any series is summed.  `tol` must be > 0; the shift
-    stops growing at the roundoff floor 5e-16, so a smaller `tol` returns an
-    ``err_estimate`` above `tol`.
+    s ValueError, before any series is summed; so does a point past the
+    shift cap (ContinuationRangeError).  `tol` must be > 0; the shift is
+    solved for max(tol, 5e-16), the roundoff floor, so a smaller `tol`
+    returns an ``err_estimate`` above `tol`.
     """
     _check_tols(tol=tol)
     s = complex(s)
@@ -329,15 +331,15 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
             lo, f_lo = mid, f_mid
 
 
-def _scan_result(chi, sigmas, pairs, hurwitz_tol: float) -> ScanResult:
+def _scan_result(chi, sigmas, pairs) -> ScanResult:
     """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
     consecutive values of opposite signs are bracketed and refined by
-    bisection (evaluating chi directly at `hurwitz_tol`) until the sign is
-    lost in the error estimate, and the grid minimum of |L| is recorded."""
+    bisection (evaluating chi directly) until the sign is lost in the error
+    estimate, and the grid minimum of |L| is recorded."""
     values, errs = map(tuple, zip(*pairs))
 
     def l_real(sigma: float) -> tuple:
-        ev = evaluate(chi, sigma, tol=hurwitz_tol)
+        ev = evaluate(chi, sigma)
         return ev.value.real, ev.err_estimate
 
     brackets = []
@@ -361,14 +363,7 @@ def _scan_result(chi, sigmas, pairs, hurwitz_tol: float) -> ScanResult:
     )
 
 
-def scan_zeros(
-    chi: DirichletCharacter,
-    lo: float,
-    hi: float,
-    grid_points: int,
-    *,
-    hurwitz_tol: float = _DEFAULT_TOL,
-) -> ScanResult:
+def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) -> ScanResult:
     """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
 
     On the real axis ``evaluate`` runs in floats for real chi, so each value
@@ -376,9 +371,9 @@ def scan_zeros(
     by bisection, which stops at the first midpoint whose |L| is within its
     own error estimate (or at adjacent floats).  The grid minimum of |L| and
     its sigma are recorded whether or not any sign change exists.  Every
-    L-value is evaluated at `hurwitz_tol`, which must be > 0.
+    L-value is ``evaluate``'s at its default tolerance: on the real axis the
+    shift is 20 at every tolerance, so no tolerance would change a value.
     """
-    _check_tols(hurwitz_tol=hurwitz_tol)
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
     if grid_points < 2:
@@ -387,6 +382,6 @@ def scan_zeros(
         raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
     step = (hi - lo) / (grid_points - 1)
     sigmas = tuple(lo + i * step for i in range(grid_points))
-    evs = [evaluate(chi, sigma, tol=hurwitz_tol) for sigma in sigmas]
+    evs = [evaluate(chi, sigma) for sigma in sigmas]
     pairs = [(ev.value.real, ev.err_estimate) for ev in evs]
-    return _scan_result(chi, sigmas, pairs, hurwitz_tol)
+    return _scan_result(chi, sigmas, pairs)

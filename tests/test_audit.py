@@ -85,15 +85,11 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=message):
             run_audit(CHI4, 0.5, [10], grid_step=step)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("key", ["hurwitz_tol"])
-    def test_tolerance_not_positive_is_rejected_before_any_series(self, key, tol, monkeypatch):
-        def walked(*args):
-            raise AssertionError("a series was walked")
-
-        monkeypatch.setattr(audit_module, "_truncation_claims", walked)
-        with pytest.raises(ValueError, match=f"{key} must be > 0"):
-            run_audit(CHI4, 0.5, [10], grid_step=0.3, **{key: tol})
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), complex(0.5, float("nan"))])
+    def test_non_finite_point_is_rejected(self, s):
+        # NaN residuals would otherwise read as exact identities
+        with pytest.raises(ValueError, match="s must be a finite point"):
+            run_audit(CHI4, s, [10, 100], grid_step=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +153,8 @@ class TestVerdicts:
         assert evidence["sign_changes"] == 0
         assert evidence["min_abs"] > 0.0
         assert evidence["grid_points"] == 99  # 0.01 .. 0.99 inclusive
-        # the scan's one tolerance is the L-value tolerance it evaluated at
-        assert claim.inputs == {"q": 4, "grid_step": 0.01, "hurwitz_tol": 1e-10}
+        # the grid is the scan's only setting
+        assert claim.inputs == {"q": 4, "grid_step": 0.01}
 
 
 class TestGrowthFitSlopes:
@@ -444,12 +440,6 @@ class TestSurvey:
     def test_rejects_grid_step_not_positive(self, step):
         with pytest.raises(ValueError, match="grid step must be (> 0|finite, got inf)"):
             nonvanishing_survey(5, step)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("key", ["hurwitz_tol"])
-    def test_rejects_tolerance_not_positive_without_any_character_to_scan(self, key, tol):
-        with pytest.raises(ValueError, match=f"{key} must be > 0"):
-            nonvanishing_survey(2, **{key: tol})
 
     def test_rejects_one_point_grid_without_any_character_to_scan(self):
         # q <= 2 has no real non-principal character: the grid alone is checked

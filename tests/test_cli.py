@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -54,6 +55,10 @@ class TestParseComplex:
             ("2i", complex(0.0, 2.0)),
             ("0.5 + 2I", complex(0.5, 2.0)),
             ("0.5+2j", complex(0.5, 2.0)),
+            ("-1.2I", complex(0.0, -1.2)),
+            ("inf", complex(math.inf, 0.0)),
+            ("INFINITY", complex(math.inf, 0.0)),
+            ("0.5+infi", complex(0.5, math.inf)),
         ],
     )
     def test_accepted_literals(self, text, want):
@@ -167,14 +172,14 @@ class TestConfig:
         # at |t| = 100 the Euler-Maclaurin shift depends on the tolerance
         argv = ("lfun", "eval", "-q", "4", "-k", "1", "-s", "0.5+100i", "--format", "json")
         _, text = run_cli(*argv)
-        assert json.loads(text)["n_used"] == 160  # default 1e-10
+        assert json.loads(text)["n_used"] == 85  # default 1e-10
         path = tmp_path / "lab.conf"
         path.write_text("hurwitz_tol=1e-4\n")
         monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
         _, text = run_cli(*argv)
-        assert json.loads(text)["n_used"] == 40
+        assert json.loads(text)["n_used"] == 31
         _, text = run_cli(*argv, "--tol", "1e-10")  # the flag still wins
-        assert json.loads(text)["n_used"] == 160
+        assert json.loads(text)["n_used"] == 85
 
     def test_config_default_n_shapes_audit_truncations(self, tmp_path, monkeypatch):
         path = tmp_path / "lab.conf"
@@ -285,12 +290,19 @@ class TestEvalCommand:
         assert code == EXIT_USAGE
         assert "outside the supported range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("s", ["nan", "0.5+nani"])
+    @pytest.mark.parametrize("s", ["nan", "0.5+nani", "inf", "infinity", "INF", "0.5+infi"])
     def test_non_finite_point_is_domain_error(self, s, capsys):
         code, text = run_cli("lfun", "eval", "-q", "4", "-k", "1", "-s", s)
         assert code == EXIT_USAGE
         assert text == ""
         assert "s must be a finite point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["0.5+1e7i", "0.5+1e30i"])
+    def test_point_past_the_shift_cap_is_domain_error(self, s, capsys):
+        code, text = run_cli("lfun", "eval", "-q", "4", "-k", "1", "-s", s)
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "needs an Euler-Maclaurin shift above" in capsys.readouterr().err
 
 
 class TestScanCommand:
@@ -449,6 +461,13 @@ class TestPappusCommand:
         assert code == EXIT_USAGE
         assert "zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", ["nan", "0.5+infi"])
+    def test_non_finite_point_is_domain_error(self, s, capsys):
+        code, text = run_cli("pappus", "check", "-q", "4", "-k", "1", "-s", s, "-N", "10")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "s must be a finite point" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_eight_claims_in_order(self):
@@ -519,6 +538,14 @@ class TestAuditCommand:
         assert text == ""
         assert capsys.readouterr().err == "error: need at least 2 grid points, got 1\n"
 
+    @pytest.mark.parametrize("s", ["nan", "inf", "0.5+nani"])
+    def test_non_finite_point_is_domain_error(self, s, capsys):
+        # NaN residuals must not come out as identity-exact verdicts
+        code, text = run_cli("audit", "-q", "4", "-k", "1", "-s", s, "-N", "10,100")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert "s must be a finite point" in capsys.readouterr().err
+
     def test_unsorted_truncations_rejected(self, capsys):
         code, _ = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "1000,100")
         assert code == EXIT_USAGE
@@ -545,7 +572,7 @@ class TestSurveyCommand:
     def test_sign_change_exits_finding(self, monkeypatch):
         from lseries_lab.audit import SurveyRow
 
-        def fake_survey(q_max, grid_step=0.01, *, hurwitz_tol=1e-10):
+        def fake_survey(q_max, grid_step=0.01):
             return [
                 SurveyRow(q=3, char_index=1, min_abs=0.001, argmin_sigma=0.5, sign_changes=1)
             ]
@@ -644,16 +671,19 @@ class TestReadmeCommands:
             assert cells == row
 
 
-class TestHurwitzTolReachesEveryCommand:
+class TestHurwitzTolSetsOnlyLfunEval:
+    """The scans evaluate on the real axis, where every tolerance gives the
+    same shift: the config key changes none of their output."""
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("lfun", "scan", "-q", "12", "-k", "2", "--grid-step", "0.1"),
+            ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv"),
             ("audit", "-q", "12", "-k", "2", "-s", "0.5", "-N", "10,100", "--grid-step", "0.1"),
-            ("survey", "--qmax", "12", "--grid-step", "0.1"),
+            ("survey", "--qmax", "12", "--grid-step", "0.1", "--format", "json"),
         ],
     )
-    def test_config_key_sets_every_l_value_tolerance(self, argv, tmp_path, monkeypatch):
+    def test_config_key_leaves_every_scan_unchanged(self, argv, tmp_path, monkeypatch):
         tols = []
         hurwitz = lseries_module._hurwitz
 
@@ -662,25 +692,13 @@ class TestHurwitzTolReachesEveryCommand:
             return hurwitz(s, xs, tol)
 
         monkeypatch.setattr(lseries_module, "_hurwitz", recorded)
-        assert run_cli(*argv)[0] == EXIT_OK
+        default = run_cli(*argv)
+        assert default[0] == EXIT_OK
+        path = tmp_path / "lab.conf"
+        path.write_text("hurwitz_tol=1e-16\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        assert run_cli(*argv) == default
         assert tols and set(tols) == {1e-10}
-        path = tmp_path / "lab.conf"
-        path.write_text("hurwitz_tol=1e-16\n")
-        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
-        tols.clear()
-        assert run_cli(*argv)[0] == EXIT_OK
-        assert tols and set(tols) == {1e-16}
-
-    def test_tighter_tolerance_moves_the_scan(self, tmp_path, monkeypatch):
-        # near sigma = 0 the default shift 20 misses 1e-16, so the values move
-        argv = ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv")
-        _, default = run_cli(*argv)
-        path = tmp_path / "lab.conf"
-        path.write_text("hurwitz_tol=1e-16\n")
-        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
-        _, tight = run_cli(*argv)
-        assert parse_csv(tight)[0] == parse_csv(default)[0]
-        assert parse_csv(tight)[1] != parse_csv(default)[1]
 
 
 class TestEntryPoints:
@@ -692,6 +710,20 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_OK
         assert len(json.loads(proc.stdout)) == 2
+
+    def test_closed_stdout_is_no_finding(self):
+        # the reader goes away before the first row: no traceback, and the
+        # shell's SIGPIPE status rather than the finding code 1
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lseries_lab", "survey", "--qmax", "60", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -37,13 +37,14 @@ from lseries_lab.lseries import (
     _hurwitz,
     _residue_table,
     _running_sums,
-    _shift_for_tolerance,
     _terms,
     evaluate,
     hurwitz_zeta,
     partial_sum,
     scan_zeros,
 )
+from lseries_lab.resolution import VARIANTS, build_vectors
+from lseries_lab.rotation import pappus_check
 
 # Frozen with mpmath at 30 dps.
 ZETA_HALF = -1.4603545088095868129
@@ -167,6 +168,33 @@ class TestPointCoercion:
             evaluate(CHI4, s)
         with pytest.raises(ValueError, match="s must be a finite point"):
             hurwitz_zeta(s, 0.5)
+
+    @pytest.mark.parametrize(
+        "s", [math.nan, math.inf, complex(0.5, math.inf), complex(0.5, math.nan)]
+    )
+    def test_non_finite_point_is_rejected_by_every_truncation_entry(self, s):
+        calls = [
+            lambda: partial_sum(CHI4, s, 10),
+            lambda: pappus_check(CHI4, s, 10),
+            *(lambda v=v: build_vectors(CHI4, s, 10, v) for v in VARIANTS),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="s must be a finite point"):
+                call()
+
+    def test_point_past_the_shift_cap_raises_before_any_sum(self):
+        # past a shift of 2^20 - 1 (at sigma = 0.5, tol 1e-10, from |t| near
+        # 8.9e5), or where the estimate overflows, no term is summed
+        class Watched(float):
+            def __radd__(self, other):
+                raise AssertionError("a term was summed")
+
+        for s in (complex(0.5, 1e7), complex(0.5, 1e30), complex(0.5, 8.9e5)):
+            with pytest.raises(ContinuationRangeError, match="shift above 1048575"):
+                _hurwitz(s, [Watched(0.25)], 1e-10)
+            with pytest.raises(ContinuationRangeError):
+                evaluate(CHI4, s)
+        assert _hurwitz(complex(0.5, 1e5), [1.0], 1e-4)[1] < 1 << 20
 
     def test_real_character_at_a_real_point_is_exactly_real(self):
         for s in (*self.SPELLINGS, 0.5, -0.7):
@@ -356,16 +384,18 @@ class TestAtOne:
         assert err <= 1e-10 * max(1.0, abs(want))
 
     def test_smaller_tolerance_never_uses_fewer_terms(self):
+        # at s = 1 the default shift already meets the roundoff floor at
+        # every residue, so every tolerance runs the same 20 * q terms
         tols = [1e-4, 1e-8, 1e-10, 1e-13, 1e-14, 1e-15, 1e-16, 1e-20, 1e-300]
         for chi in (CHI3, CHI4, enumerate_real_characters(401)[1]):
             used = [evaluate(chi, 1, tol=tol).n_used for tol in tols]
-            assert used == sorted(used), (chi.modulus, used)
-            assert used[-1] > used[0], (chi.modulus, used)
+            assert used == [20 * chi.modulus] * len(tols), (chi.modulus, used)
 
 
 def one_x_kernel(s_num, x, shift, pairs):
     """The single-x Euler-Maclaurin sum written out in its own order: the
-    oracle that the list kernel keeps the same arithmetic for every x."""
+    oracle that the list kernel keeps the same arithmetic for every x.
+    Returns (value, truncation estimate, roundoff estimate)."""
     acc = 0.0 if isinstance(s_num, float) else 0j
     for k in range(shift):
         acc += (k + x) ** (-s_num)
@@ -381,28 +411,31 @@ def one_x_kernel(s_num, x, shift, pairs):
     omitted = abs(lseries_mod._B_OVER_FACT[pairs] * rising * w_pow)
     sigma = s_num.real if isinstance(s_num, complex) else s_num
     safety = max(1.0, abs(s_num + 2 * pairs + 1) / (sigma + 2 * pairs + 1))
-    return acc, omitted * safety + lseries_mod._ROUNDOFF * (shift + pairs) * abs(acc)
+    return acc, omitted * safety, lseries_mod._ROUNDOFF * (shift + pairs) * abs(acc)
+
+
+def truncation_part(value, err, shift):
+    """The first omitted correction's share of a kernel err_estimate."""
+    return err - lseries_mod._ROUNDOFF * (shift + lseries_mod._DEFAULT_PAIRS) * abs(value)
 
 
 class TestOnePassPerEvaluation:
     @pytest.mark.parametrize("q", [1, 168])
     def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
+        # the kernel solves its own shift: one call per evaluate, both done
         calls = []
+        kernel = lseries_mod._euler_maclaurin_hurwitz
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
 
-            return wrapper
-
-        for name in ("_shift_for_tolerance", "_euler_maclaurin_hurwitz"):
-            monkeypatch.setattr(lseries_mod, name, counted(name, getattr(lseries_mod, name)))
+        monkeypatch.setattr(lseries_mod, "_euler_maclaurin_hurwitz", counted)
         for chi in enumerate_characters(q)[:3]:
             for s in (0.5, complex(0.5, 14.0), complex(-0.5, 100.0)):
                 calls.clear()
                 assert evaluate(chi, s).method == "hurwitz"
-                assert sorted(calls) == ["_euler_maclaurin_hurwitz", "_shift_for_tolerance"]
+                assert len(calls) == 1
 
     def test_list_kernel_equals_single_x_calls_bit_for_bit(self):
         rng = random.Random(20261018)
@@ -411,28 +444,33 @@ class TestOnePassPerEvaluation:
             s_num = rng.choice([sigma, complex(sigma, rng.uniform(-1000.0, 1000.0))])
             q = rng.randint(1, 40)
             xs = [a / q for a in range(1, q + 1) if math.gcd(a, q) == 1]
-            shift = rng.choice([20, 40, 640])
-            got = _euler_maclaurin_hurwitz(s_num, xs, shift)
-            single = [_euler_maclaurin_hurwitz(s_num, [x], shift)[0] for x in xs]
+            got, shift = _euler_maclaurin_hurwitz(s_num, xs, rng.choice([1e-4, 1e-10, 1e-13]))
             oracle = [one_x_kernel(s_num, x, shift, 6) for x in xs]
-            assert repr(got) == repr(single) == repr(oracle), (s_num, q, shift)
+            oracle = [(value, trunc + roundoff) for value, trunc, roundoff in oracle]
+            assert repr(got) == repr(oracle), (s_num, q, shift)
 
     def test_smallest_residue_needs_the_largest_shift(self):
         # no residue a/q needs a larger shift than the smallest one, 1/q
         rng = random.Random(5)
-        for _ in range(300):
+        for _ in range(40):
             s = complex(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
             q = rng.randint(1, 450)
-            shifts = [_shift_for_tolerance(s, a / q, 1e-10) for a in range(1, q + 1)]
-            assert max(shifts) == shifts[0], (s, q)
+            residues = sorted({1, 2, q // 2 or 1, q - 1 or 1, q})
+            shifts = [_hurwitz(s, [a / q], 1e-10)[1] for a in residues]
+            assert max(shifts) == shifts[0], (s, q, shifts)
+            assert _hurwitz(s, [a / q for a in residues], 1e-10)[1] == shifts[0]
 
     def test_residues_of_two_shift_classes_share_the_larger(self):
-        # here the six largest units a/q alone would need shift 320, the
-        # other 42 need 640: every residue runs at 640 and n_used says so
+        # the shift is ceil(w - x) for the w that meets tol: here the largest
+        # units a/q alone would need one term fewer than 1/q; every residue
+        # runs at the shift of 1/q and n_used says so
         chi = enumerate_characters(168)[3]
         s = complex(0.5, 454.65)
+        units = [a for a, v in enumerate(chi.values) if v]
+        alone = {a: _hurwitz(s, [a / 168], 1e-10)[1] for a in units}
         ev = evaluate(chi, s)
-        assert ev.n_used == 640
+        assert ev.n_used == alone[1] == max(alone.values())
+        assert min(alone.values()) == ev.n_used - 1
         mpmath.mp.dps = 30
         s_mp = mpmath.mpc(s.real, s.imag)
         ref = mpmath.mpf(168) ** (-s_mp) * mpmath.fsum(
@@ -441,6 +479,63 @@ class TestOnePassPerEvaluation:
             if v
         )
         assert abs(ev.value - complex(ref)) <= ev.err_estimate
+
+
+class TestShiftFromTheEstimate:
+    """The shift is solved from the kernel's own first-omitted-term estimate:
+    the smallest shift >= 20 that brings it to max(tol, 5e-16) at min(xs)."""
+
+    TOLS = (1e-4, 1e-10, 1e-13)
+
+    def test_every_residue_meets_the_target(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            s = complex(rng.uniform(-0.99, 3.0), rng.uniform(-1000.0, 1000.0))
+            q = rng.randint(1, 450)
+            tol = rng.choice(self.TOLS)
+            xs = sorted({1 / q, *(rng.randint(1, q) / q for _ in range(4))})
+            pairs, shift = _hurwitz(s, xs, tol)
+            for x, (value, err) in zip(xs, pairs):
+                part = truncation_part(value, err, shift)
+                assert part <= max(tol, 5e-16), (s, q, tol, x, shift, part)
+
+    def test_one_term_fewer_would_miss_the_target(self):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            s = complex(rng.uniform(-0.99, 3.0), rng.uniform(-1000.0, 1000.0))
+            q = rng.randint(1, 450)
+            tol = rng.choice(self.TOLS)
+            _, shift = _hurwitz(s, [1 / q], tol)
+            if shift == 20:
+                continue
+            _, trunc, _ = one_x_kernel(s, 1 / q, shift - 1, 6)
+            assert trunc > max(tol, 5e-16), (s, q, tol, shift, trunc)
+
+    def test_real_axis_shift_is_the_default_at_every_tolerance(self):
+        rng = random.Random(20261021)
+        points = [1.0, 0.0, -0.99, 0.5, 10.0]
+        points += [rng.uniform(-0.999, 10.0) for _ in range(2000)]
+        for sigma in points:
+            q = rng.randint(1, 1000)
+            tol = 10.0 ** rng.uniform(-300.0, 0.0)
+            assert _hurwitz(complex(sigma), [1 / q], tol)[1] == 20, (sigma, q, tol)
+
+    def test_high_t_values_stay_within_their_estimate(self):
+        # two characters mod 13 on the critical line: the error is within
+        # err_estimate, and err_estimate is at most the tolerance summed over
+        # the 12 residues (times |13^-s|) plus roundoff
+        mpmath.mp.dps = 30
+        for t in (460.0, 940.0, 1000.0):
+            s_mp = mpmath.mpc(0.5, t)
+            for chi in enumerate_characters(13)[1:3]:
+                ev = evaluate(chi, complex(0.5, t))
+                ref = mpmath.mpf(13) ** (-s_mp) * mpmath.fsum(
+                    complex(_to_number(v)) * mpmath.zeta(s_mp, mpmath.mpf(a) / 13)
+                    for a, v in enumerate(chi.values)
+                    if v
+                )
+                assert abs(ev.value - complex(ref)) <= ev.err_estimate, (chi.values, t, ev)
+                assert ev.err_estimate <= 12 * 1e-10 / math.sqrt(13) + 1e-11, (t, ev)
 
 
 class TestBisection:
@@ -497,7 +592,6 @@ class TestTolerances:
         "evaluate_complex": lambda tol: evaluate(CHI4, complex(0.5, 3.0), tol=tol),
         "evaluate_grouped": lambda tol: evaluate(CHI4, 1, tol=tol),
         "hurwitz_zeta": lambda tol: hurwitz_zeta(0.5, 0.3, tol=tol),
-        "scan_hurwitz_tol": lambda tol: scan_zeros(CHI4, 0.1, 0.9, 2, hurwitz_tol=tol),
     }
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
