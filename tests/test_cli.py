@@ -678,7 +678,7 @@ class TestHurwitzTolSetsOnlyLfunEval:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv"),
+            ("lfun", "scan", "-q", "12", "-k", "2", "--grid-step", "0.1"),
             ("audit", "-q", "12", "-k", "2", "-s", "0.5", "-N", "10,100", "--grid-step", "0.1"),
             ("survey", "--qmax", "12", "--grid-step", "0.1", "--format", "json"),
         ],
@@ -699,6 +699,17 @@ class TestHurwitzTolSetsOnlyLfunEval:
         monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
         assert run_cli(*argv) == default
         assert tols and set(tols) == {1e-10}
+
+    def test_tighter_tolerance_leaves_the_scan_unchanged(self, tmp_path, monkeypatch):
+        # near sigma = 0 a 1e-16 tolerance once moved these values; the real
+        # axis now takes shift 20 at every tolerance, so they stay
+        argv = ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv")
+        code, default = run_cli(*argv)
+        assert code == EXIT_OK and len(parse_csv(default)[1]) > 0
+        path = tmp_path / "lab.conf"
+        path.write_text("hurwitz_tol=1e-16\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        assert run_cli(*argv) == (EXIT_OK, default)
 
 
 class TestEntryPoints:
