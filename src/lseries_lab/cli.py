@@ -31,8 +31,8 @@ output is written.
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; it sets only
 the default ``--tol`` of ``lfun eval``: ``lfun scan``, ``audit`` and
-``survey`` evaluate on the real axis, where every tolerance gives the same
-shift), ``default_n`` (default 10000), ``grid_step`` (default 0.01),
+``survey`` take no tolerance and evaluate at the default one),
+``default_n`` (default 10000), ``grid_step`` (default 0.01),
 ``output_format`` (default table).
 Command-line flags override the config file.
 """

@@ -19,23 +19,26 @@ Two evaluation routes:
   in index order.
 * ``evaluate`` -- the exact rearrangement
   L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), every
-  zeta(s, a/q) from one Euler-Maclaurin pass (Bernoulli corrections through
-  B12) at one shift per evaluation, solved from the first omitted
-  correction's own estimate so that it meets the tolerance (or the roundoff
-  floor) at the smallest residue 1/q, and so at every residue; never below
-  20, which every real point gets.  Valid for sigma > -1 and shifts below
-  2^20.  Off s = 1 the method is ``hurwitz`` and ``n_used`` is that shift.
-  At s = 1 (non-principal chi only) each zeta(1, a/q) is taken as its finite
-  part -digamma(a/q), the pole parts cancelling because chi sums to zero
-  over a period; the method is ``grouped`` and ``n_used`` is shift * q, the
-  complete length-q periods the pass sums directly.
+  q^-s zeta(s, a/q) from one Euler-Maclaurin pass at one plan per
+  evaluation: the shift N and the number M of Bernoulli corrections that
+  cost least, N >= 10, among those whose rigorous remainder bound
+  (Johansson 2015) meets the tolerance (or the roundoff floor) at the
+  smallest residue 1/q, and so at every residue.  Every real point gets
+  N = 10.  Valid for sigma > -1 and shifts below 2^20.  For non-principal
+  chi each pole term w^(1-s)/(s-1) becomes (w^(1-s) - 1)/(s-1): the
+  subtracted 1/(s-1) cancels because chi sums to zero over a period, and
+  nothing of size 1/(s-1) is left to cancel next to s = 1.  Off s = 1 the
+  method is ``hurwitz`` and ``n_used`` is the shift.  At s = 1 that term is
+  -log w, so each zeta(1, a/q) is taken as its finite part -digamma(a/q);
+  the method is ``grouped`` and ``n_used`` is shift * q, the complete
+  length-q periods the pass sums directly.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
 bisection until the midpoint's |L| is within its error estimate
 (``_scan_result`` does the bracketing for it and for the survey).
-Err estimates propagate: truncation bounds from the Euler-Maclaurin
-remainder plus a floating-point roundoff model.
+Err estimates propagate: the Euler-Maclaurin remainder bound plus a
+floating-point roundoff model.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ class PoleError(ValueError):
 
 class ContinuationRangeError(ValueError):
     """The point is outside the continuation range: sigma <= -1, or it needs
-    an Euler-Maclaurin shift of 2^20 or more at its tolerance (at sigma = 0.5
-    and tol 1e-10, from |t| near 8.9e5; an estimate that overflows counts)."""
+    an Euler-Maclaurin shift of 2^20 or more at its tolerance with every
+    number of Bernoulli corrections up to 60 (at sigma = 0.5 and tol 1e-10,
+    from |t| near 5.3e6)."""
 
 
 class NonRealCharacterError(ValueError):
@@ -85,8 +89,9 @@ class LEvaluation:
     """An L-value with its provenance: method tag (``hurwitz`` off s = 1,
     ``grouped`` at s = 1), ``n_used`` (the Euler-Maclaurin shift for
     ``hurwitz``; shift * q, the whole periods summed directly, for
-    ``grouped``), and ``err_estimate``: the first omitted correction's
-    estimate, the one the shift was solved from, plus roundoff."""
+    ``grouped``), and ``err_estimate``: the rigorous remainder bound at the
+    plan the shift came from, summed over the residues, plus a roundoff
+    model."""
 
     value: complex
     method: str
@@ -156,15 +161,34 @@ def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     return _running_sums(chi, s, [n_terms])[0]
 
 
-# Bernoulli numbers B_2, B_4, ..., B_16, and B_2j / (2j)! from them.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-_B_OVER_FACT = [b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1)]
+def _bernoulli_over_factorial(count: int) -> tuple:
+    """B_2j / (2j)! for j = 1..count, each one correctly rounded quotient of
+    integers: B_2j / (2j)! = (-1)^(j+1) T_j / ((2j-1)! 4^j (4^j - 1)), with the
+    tangent numbers T_j = 1, 2, 16, 272, ... from the Knuth-Buckholtz
+    recurrence."""
+    tangent = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tuple(
+        (-1) ** (j + 1) * tangent[j] / (math.factorial(2 * j - 1) * 4**j * (4**j - 1))
+        for j in range(1, count + 1)
+    )
 
-_DEFAULT_SHIFT = 20
+
+_MIN_SHIFT = 10  # below it w^(1-s)/(s-1) cancels the direct sum away (sigma near 0)
 _MAX_SHIFT = (1 << 20) - 1
-_DEFAULT_PAIRS = 6  # Bernoulli corrections through B12
+_MAX_PAIRS = 60
+_PAIR_COST = 0.65  # one Bernoulli correction's time over one direct term's, measured
+_B_OVER_FACT = _bernoulli_over_factorial(_MAX_PAIRS)
 _ROUNDOFF = 5e-16
+_EPS = 2.0**-53
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
+_LOG_4 = math.log(4.0)
+_LOG_TAU = math.log(2.0 * math.pi)
+_LOG_MAX_W = math.log(2.0 * _MAX_SHIFT)  # past it exp() could overflow; no N fits anyway
 
 
 def _check_tols(**tols) -> None:
@@ -174,70 +198,141 @@ def _check_tols(**tols) -> None:
             raise ValueError(f"{name} must be > 0, got {tol}")
 
 
-def _euler_maclaurin_hurwitz(s_num, xs: Sequence[float], tol: float) -> tuple:
-    """Core Euler-Maclaurin sum for zeta(s, x): ([(value, err_estimate) for
-    x in xs], shift), every x at the one shift.
+def _plan(s_num, x_min: float, tol: float) -> tuple:
+    """(shift N, pairs M, log_c, decay) for zeta(s, x), x >= x_min: the
+    cheapest N + _PAIR_COST * M, N >= _MIN_SHIFT, whose remainder bound
+    (Johansson 2015, Theorem 1)
 
-    s_num is a float (real axis) or complex; each x in (0, 1].  At s = 1 the
-    pole term w^(1-s)/(s-1) (w = shift + x) is replaced by its finite part
-    -log(w), so each value is -digamma(x) = lim (zeta(s, x) - 1/(s-1)).
-    The error estimate is the first omitted Bernoulli correction,
-    |B_14/14! * s (s+1) ... (s+12)| * w^-(sigma+13), times a |s|-dependent
-    safety factor, plus a roundoff term.  The shift is that estimate solved
-    in closed form for max(tol, 5e-16) at x = min(xs), never below 20; the
-    estimate falls as x grows, so every x meets it.  A shift past
-    ``_MAX_SHIFT`` (or an overflowed estimate) raises ContinuationRangeError
-    before any sum.  The coefficients B_2j/(2j)! * s (s+1) ... (s + 2j - 2),
-    the safety factor and the pole term depend on s alone: made once per call.
-    """
-    pairs = _DEFAULT_PAIRS
-    coeffs = []
-    rising = s_num                # s (s+1) ... (s + 2j - 2), built incrementally
-    for j in range(pairs):
-        coeffs.append(_B_OVER_FACT[j] * rising)
-        rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
-    omitted_coeff = _B_OVER_FACT[pairs] * rising
-    decay = s_num.real + 2 * pairs + 1   # the omitted term falls as w^-decay
-    safety = max(1.0, abs(s_num + 2 * pairs + 1) / decay)
-    x_min = min(xs)
-    need = (abs(omitted_coeff) * safety / max(tol, _ROUNDOFF)) ** (1 / decay) - x_min
-    if not need <= _MAX_SHIFT:  # NaN and inf included
+        |R| <= 4 |(s)_2M| / (2 pi)^2M * w^-(sigma+2M-1) / (sigma+2M-1),
+
+    w = N + x, meets max(tol, 5e-16) at x_min.  The bound is kept as
+    exp(log_c - decay * log w), decay = sigma + 2M - 1, and each M's w is
+    solved from it in log space, so no power of s or w is formed.  The cost
+    with N not yet rounded up is convex in M, so the walk stops at the first
+    M where it reaches the best cost found.  No N up to _MAX_SHIFT for any
+    M <= _MAX_PAIRS raises ContinuationRangeError."""
+    if s_num == 0:
+        return _MIN_SHIFT, 1, -math.inf, 1.0  # (s)_2M = 0: the remainder is 0
+    sigma = s_num.real
+    log_target = math.log(max(tol, _ROUNDOFF))
+    log_rising = 0.0  # log |(s)_2M|
+    best = None
+    best_cost = math.inf
+    for m in range(1, _MAX_PAIRS + 1):
+        log_rising += math.log(abs(s_num + (2 * m - 2))) + math.log(abs(s_num + (2 * m - 1)))
+        decay = sigma + (2 * m - 1)
+        log_c = _LOG_4 + log_rising - 2 * m * _LOG_TAU - math.log(decay)
+        log_w = (log_c - log_target) / decay
+        need = math.exp(log_w) - x_min if log_w < _LOG_MAX_W else math.inf
+        if need > _MAX_SHIFT:
+            continue
+        if max(_MIN_SHIFT, need) + _PAIR_COST * m >= best_cost:
+            break
+        shift = max(_MIN_SHIFT, math.ceil(need))
+        if shift + _PAIR_COST * m < best_cost:
+            best, best_cost = (shift, m, log_c, decay), shift + _PAIR_COST * m
+    if best is None:
         raise ContinuationRangeError(
             f"s = {complex(s_num)} needs an Euler-Maclaurin shift above {_MAX_SHIFT} "
             f"at tol {tol} and x = {x_min}"
         )
-    shift = max(_DEFAULT_SHIFT, math.ceil(need))
-    at_pole = s_num == 1
+    return best
+
+
+def _pole_free(s_num, log_w: float):
+    """(w^(1-s) - 1) / (s - 1) from log w, with no cancellation near s = 1:
+    with (1 - s) log w = a + ib, it is expm1(a) on the real axis and
+    expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b off it, over s - 1.  At
+    s = 1 it is -log w."""
+    if s_num == 1:
+        return -log_w
+    if isinstance(s_num, float):
+        return math.expm1((1.0 - s_num) * log_w) / (s_num - 1.0)
+    z = (1.0 - s_num) * log_w
+    half = math.sin(0.5 * z.imag)
+    num = complex(
+        math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
+        math.exp(z.real) * math.sin(z.imag),
+    )
+    return num / (s_num - 1.0)
+
+
+def _euler_maclaurin_hurwitz(s_num, xs: Sequence, tol: float, q: int, drop_pole: bool) -> tuple:
+    """Core Euler-Maclaurin sum: ([(q^-s * zeta(s, x/q), err_estimate) for x
+    in xs], shift), every x at the plan ``_plan`` makes for min(xs)/q, which
+    every larger x meets too.
+
+    s_num is a float (real axis) or complex.  The direct terms are
+    (x + q k)^-s, k < N, integer bases for an integer x.  With w = N + x/q,
+    the tail q^-s [w^(1-s)/(s-1) + w^-s/2 + sum of B_2j/(2j)! (s)_(2j-1)
+    w^(-s-2j+1), j <= M] is summed as (x + q N)^-s [w/(s-1) + 1/2 + sum of
+    B_2j/(2j)! (s)_(2j-1) w^(1-2j)], each correction made from the one
+    before, so nothing overflows where L is finite (sigma = 1e30 included).
+    With drop_pole, and always at s = 1, the pole term is q^-s (w^(1-s) - 1)
+    / (s-1) (``_pole_free``): each value is q^-s (zeta(s, x/q) - 1/(s-1)),
+    at s = 1 the finite part -digamma(x/q)/q.  The error estimate is the
+    remainder bound at w times q^-sigma, plus 5e-16 per operation on the
+    value, plus 2^-53 (N + |t| log(x + q N)) times G, the sum of the direct
+    terms' sizes, for the additions and each term's rounded phase t log n.
+    On the real axis G is the direct sum; off it, its integral bound.
+    """
+    shift, pairs, log_c, decay = _plan(s_num, min(xs) / q, tol)
+    neg_s = -s_num
+    sigma = s_num.real
+    t = abs(s_num.imag)
+    scale = q**neg_s
+    bound_scale = q**-sigma
+    first = _B_OVER_FACT[0] * s_num
+    factors = [
+        _B_OVER_FACT[j] / _B_OVER_FACT[j - 1] * (s_num + (2 * j - 1)) * (s_num + 2 * j)
+        for j in range(1, pairs)
+    ]
+    regular = drop_pole or s_num == 1
     results = []
     for x in xs:
-        acc = 0.0 if isinstance(s_num, float) else 0j
+        direct = 0.0 if t == 0.0 else 0j
         for k in range(shift):
-            acc += (k + x) ** (-s_num)
-        w = shift + x
-        acc += -math.log(w) if at_pole else w ** (1 - s_num) / (s_num - 1)
-        acc += 0.5 * w ** (-s_num)
-        w_pow = w ** (-s_num - 1)     # w^(-s - 2j + 1)
-        for coeff in coeffs:
-            acc += coeff * w_pow
-            w_pow /= w * w
-        omitted = abs(omitted_coeff * w_pow)
-        results.append((acc, omitted * safety + _ROUNDOFF * (shift + pairs) * abs(acc)))
+            direct += (x + q * k) ** neg_s
+        w = shift + x / q
+        log_w = math.log(w)
+        inv_w2 = 1.0 / (w * w)
+        term = first / w
+        tail = 0.5 + term
+        for f in factors:
+            term *= f * inv_w2
+            tail += term
+        wq = x + q * shift
+        if regular:
+            value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
+        else:
+            value = direct + wq**neg_s * (tail + w / (s_num - 1.0))
+        if t == 0.0:
+            size, phase = direct, 0.0
+        else:
+            x_pow = x**-sigma
+            size = x_pow - x * x_pow * _pole_free(sigma, math.log(wq / x)) / q
+            phase = t * math.log(wq)
+        err = bound_scale * math.exp(log_c - decay * log_w)
+        err += _ROUNDOFF * (shift + pairs) * abs(value) + _EPS * (shift + phase) * size
+        results.append((value, err))
     return results, shift
 
 
-def _hurwitz(s: complex, xs: Sequence[float], tol: float) -> tuple:
-    """([(zeta(s, x), err_estimate) for x in xs], shift), after the checks
-    on x and on the point.  At s = 1 each value is the finite part
-    -digamma(x); the callers decide whether the pole they dropped matters."""
+def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1, drop_pole: bool = False) -> tuple:
+    """([(q^-s * zeta(s, x/q), err_estimate) for x in xs], shift), after the
+    checks on x/q and on the point.  With drop_pole, and always at s = 1,
+    each value has its pole 1/(s-1) dropped (at s = 1 the finite part
+    -digamma(x/q)/q); the callers decide whether the pole they dropped
+    matters."""
     for x in xs:
-        if not 0.0 < x <= 1.0:
-            raise ValueError(f"x must lie in (0, 1], got {x}")
+        if not 0 < x <= q:
+            raise ValueError(f"x must lie in (0, 1], got {x / q}")
     _check_finite(s)
     if s.real <= -1.0:
         raise ContinuationRangeError(
             f"sigma = {s.real} is outside the supported range sigma > -1"
         )
-    return _euler_maclaurin_hurwitz(s.real if s.imag == 0.0 else s, xs, tol)
+    return _euler_maclaurin_hurwitz(s.real if s.imag == 0.0 else s, xs, tol, q, drop_pole)
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
@@ -255,15 +350,17 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
     Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).
 
-    At s = 1 the pass gives each zeta(1, a/q) as its finite part
-    -digamma(a/q); the pole parts cancel for non-principal chi (sum(chi(a))
-    = 0), so L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged
-    ``grouped``.  The PoleError check lives here, for principal chi at s = 1;
-    sigma <= -1 raises ContinuationRangeError, and a NaN or infinite part of
-    s ValueError, before any series is summed; so does a point past the
-    shift cap (ContinuationRangeError).  `tol` must be > 0; the shift is
-    solved for max(tol, 5e-16), the roundoff floor, so a smaller `tol`
-    returns an ``err_estimate`` above `tol`.
+    For non-principal chi (sum(chi(a)) = 0) the pass drops each residue's
+    pole 1/(s-1), so no two terms of size 1/(s-1) cancel next to s = 1; at
+    s = 1 it gives each zeta(1, a/q) as its finite part -digamma(a/q), so
+    L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged ``grouped``.
+    The PoleError check lives here, for principal chi at s = 1; sigma <= -1
+    raises ContinuationRangeError, and a NaN or infinite part of s
+    ValueError, before any series is summed; so does a point past the shift
+    cap (ContinuationRangeError).  A large real sigma (1e30 included) is in
+    range: L is then about 1.  `tol` must be > 0 and bounds each residue's
+    truncation error; the plan is solved for max(tol, 5e-16), the roundoff
+    floor, so a smaller `tol` returns an ``err_estimate`` above `tol`.
     """
     _check_tols(tol=tol)
     s = complex(s)
@@ -272,7 +369,7 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
         raise PoleError("L(s, principal chi) has a pole at s = 1")
     table = _residue_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
-    zetas, shift = _hurwitz(s, [a / q for a in units], tol)
+    zetas, shift = _hurwitz(s, units, tol, q, not chi.is_principal)
     acc = 0.0 if s.imag == 0.0 and chi.is_real else 0j
     abs_acc = 0.0
     err = 0.0
@@ -280,11 +377,9 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
         acc += table[a % q] * z
         abs_acc += abs(z)
         err += e
-    prefactor = q ** (-(s.real if s.imag == 0.0 else s))
-    value = prefactor * acc
-    err = abs(prefactor) * (err + _ROUNDOFF * abs_acc)
+    err += _ROUNDOFF * abs_acc
     method, n_used = ("grouped", shift * q) if s == 1 else ("hurwitz", shift)
-    return LEvaluation(value=complex(value), method=method, n_used=n_used, err_estimate=err)
+    return LEvaluation(value=complex(acc), method=method, n_used=n_used, err_estimate=err)
 
 
 @dataclass(frozen=True)
@@ -371,8 +466,7 @@ def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) 
     by bisection, which stops at the first midpoint whose |L| is within its
     own error estimate (or at adjacent floats).  The grid minimum of |L| and
     its sigma are recorded whether or not any sign change exists.  Every
-    L-value is ``evaluate``'s at its default tolerance: on the real axis the
-    shift is 20 at every tolerance, so no tolerance would change a value.
+    L-value is ``evaluate``'s at its default tolerance; a scan takes none.
     """
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .characters import DirichletCharacter, principal_character
 from .cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
-from .lseries import _running_sums, _term_vector, partial_sum
+from .lseries import _check_finite, _running_sums, _term_vector, partial_sum
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -49,8 +49,11 @@ _TRIVIAL = principal_character(1)
 
 def build_vectors(chi: DirichletCharacter, s, n_terms: int, variant: str) -> tuple:
     """Factor the N-term truncation at s into the pair (a_vec, p_vec) per
-    `variant`; entry k of each tuple belongs to n = k + 1."""
+    `variant`; entry k of each tuple belongs to n = k + 1.  A point with a
+    NaN or infinite part raises ValueError, naming the point, before either
+    factor is made."""
     s = complex(s)
+    _check_finite(s)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     if variant not in VARIANTS:

@@ -547,9 +547,9 @@ class TestSharedSurvey:
         calls = []
         hurwitz = lseries._hurwitz
 
-        def counted(s, xs, tol):
+        def counted(s, xs, tol, *rest):
             calls.append(len(xs))
-            return hurwitz(s, xs, tol)
+            return hurwitz(s, xs, tol, *rest)
 
         monkeypatch.setattr(lseries, "_hurwitz", counted)
         assert len(nonvanishing_survey(30, 0.1)) == 50

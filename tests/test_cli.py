@@ -16,6 +16,7 @@ from lseries_lab import audit as audit_module
 from lseries_lab import cgeom
 from lseries_lab import cli as cli_module
 from lseries_lab import lseries as lseries_module
+from lseries_lab import resolution as resolution_module
 from lseries_lab.characters import DirichletCharacter
 from lseries_lab.cli import (
     EXIT_FINDING,
@@ -172,14 +173,14 @@ class TestConfig:
         # at |t| = 100 the Euler-Maclaurin shift depends on the tolerance
         argv = ("lfun", "eval", "-q", "4", "-k", "1", "-s", "0.5+100i", "--format", "json")
         _, text = run_cli(*argv)
-        assert json.loads(text)["n_used"] == 85  # default 1e-10
+        assert json.loads(text)["n_used"] == 27  # default 1e-10
         path = tmp_path / "lab.conf"
         path.write_text("hurwitz_tol=1e-4\n")
         monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
         _, text = run_cli(*argv)
-        assert json.loads(text)["n_used"] == 31
+        assert json.loads(text)["n_used"] == 22
         _, text = run_cli(*argv, "--tol", "1e-10")  # the flag still wins
-        assert json.loads(text)["n_used"] == 85
+        assert json.loads(text)["n_used"] == 27
 
     def test_config_default_n_shapes_audit_truncations(self, tmp_path, monkeypatch):
         path = tmp_path / "lab.conf"
@@ -546,6 +547,19 @@ class TestAuditCommand:
         assert text == ""
         assert "s must be a finite point" in capsys.readouterr().err
 
+    def test_non_finite_imaginary_part_names_the_point_before_any_series(self, capsys, monkeypatch):
+        # the factor vectors split s into (sigma, 0) and (0, t): the check on
+        # the whole point comes first, so the message is the user's point and
+        # no amplitude vector is made before it
+        def walked(*args):
+            raise AssertionError("a series was walked")
+
+        monkeypatch.setattr(resolution_module, "_term_vector", walked)
+        code, text = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5+infi", "-N", "10,1000")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == "error: s must be a finite point, got (0.5+infj)\n"
+
     def test_unsorted_truncations_rejected(self, capsys):
         code, _ = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "1000,100")
         assert code == EXIT_USAGE
@@ -672,8 +686,8 @@ class TestReadmeCommands:
 
 
 class TestHurwitzTolSetsOnlyLfunEval:
-    """The scans evaluate on the real axis, where every tolerance gives the
-    same shift: the config key changes none of their output."""
+    """The scans take no tolerance and evaluate at the default one: the
+    config key changes none of their output."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -687,9 +701,9 @@ class TestHurwitzTolSetsOnlyLfunEval:
         tols = []
         hurwitz = lseries_module._hurwitz
 
-        def recorded(s, xs, tol):
+        def recorded(s, xs, tol, *rest):
             tols.append(tol)
-            return hurwitz(s, xs, tol)
+            return hurwitz(s, xs, tol, *rest)
 
         monkeypatch.setattr(lseries_module, "_hurwitz", recorded)
         default = run_cli(*argv)
@@ -701,8 +715,8 @@ class TestHurwitzTolSetsOnlyLfunEval:
         assert tols and set(tols) == {1e-10}
 
     def test_tighter_tolerance_leaves_the_scan_unchanged(self, tmp_path, monkeypatch):
-        # near sigma = 0 a 1e-16 tolerance once moved these values; the real
-        # axis now takes shift 20 at every tolerance, so they stay
+        # near sigma = 0 a 1e-16 tolerance would add Bernoulli pairs and
+        # move these values; the scan evaluates at the default, so they stay
         argv = ("lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "csv")
         code, default = run_cli(*argv)
         assert code == EXIT_OK and len(parse_csv(default)[1]) > 0

@@ -11,8 +11,10 @@ Oracles:
     imaginary quadratic fields, h(d) counted by reduced forms.
 """
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -183,18 +185,39 @@ class TestPointCoercion:
                 call()
 
     def test_point_past_the_shift_cap_raises_before_any_sum(self):
-        # past a shift of 2^20 - 1 (at sigma = 0.5, tol 1e-10, from |t| near
-        # 8.9e5), or where the estimate overflows, no term is summed
+        # past a shift of 2^20 - 1 for every M (at sigma = 0.5, tol 1e-10,
+        # from |t| near 5.3e6), or where the bound overflows, no term is summed
         class Watched(float):
-            def __radd__(self, other):
+            def __add__(self, other):
                 raise AssertionError("a term was summed")
 
-        for s in (complex(0.5, 1e7), complex(0.5, 1e30), complex(0.5, 8.9e5)):
+            __radd__ = __add__
+
+        for s in (complex(0.5, 1e7), complex(0.5, 1e30), complex(0.5, 5.3e6)):
             with pytest.raises(ContinuationRangeError, match="shift above 1048575"):
                 _hurwitz(s, [Watched(0.25)], 1e-10)
             with pytest.raises(ContinuationRangeError):
                 evaluate(CHI4, s)
-        assert _hurwitz(complex(0.5, 1e5), [1.0], 1e-4)[1] < 1 << 20
+        assert _hurwitz(complex(0.5, 5.2e6), [1.0], 1e-10)[1] < 1 << 20
+
+    def test_height_of_the_old_shift_cap_is_finite_or_out_of_range(self):
+        # at 0.5 + 8.9e5i the plan takes M near its cap: the product (s)_2M
+        # formed whole would overflow, and times a power of w give NaN
+        for tol in (1e-10, 1e-13):
+            try:
+                ev = evaluate(CHI4, complex(0.5, 8.9e5), tol=tol)
+            except ContinuationRangeError:
+                continue
+            assert cmath.isfinite(ev.value) and math.isfinite(ev.err_estimate), (tol, ev)
+            assert ev.n_used < 1 << 20
+
+    @pytest.mark.parametrize("sigma", [60.0, 1e6, 1e30])
+    def test_large_real_sigma_gives_one(self, sigma):
+        # L(sigma, chi mod 4) = 1 - 3^-sigma + ...: q^-s and (a + q k)^-s
+        # underflow to 0 and nothing overflows
+        ev = evaluate(CHI4, sigma)
+        assert ev.method == "hurwitz" and ev.n_used == 10
+        assert abs(ev.value - (1.0 - 3.0**-sigma)) <= ev.err_estimate <= 1e-13
 
     def test_real_character_at_a_real_point_is_exactly_real(self):
         for s in (*self.SPELLINGS, 0.5, -0.7):
@@ -285,7 +308,7 @@ class TestEvaluate:
         assert ev.method == "grouped"
         assert abs(ev.value - PI_OVER_4) <= ev.err_estimate + 5e-16
         assert abs(ev.value - PI_OVER_4) < 1e-10
-        assert ev.n_used == 20 * 4  # the default shift's whole periods
+        assert ev.n_used == 10 * 4  # the shift floor's whole periods
 
     def test_grouped_at_one_chi3(self):
         ev = evaluate(CHI3, 1.0)
@@ -295,7 +318,7 @@ class TestEvaluate:
     def test_grouped_handles_complex_characters(self):
         # quartic character mod 5: compare against a huge direct partial sum
         chi = next(c for c in enumerate_characters(5) if not c.is_real)
-        ev = evaluate(chi, 1.0)
+        ev = evaluate(chi, 1.0, tol=1e-13)
         value, err = ev.value, ev.err_estimate
         direct = brute_partial_sum(chi, 1.0, 5 * 200_000)
         # the alternating-block direct sum itself is only O(1/N) accurate
@@ -328,6 +351,12 @@ class TestEvaluate:
                     ps = partial_sum(chi, s, n_terms)
                     bound = n_terms ** (1.0 - sigma) / (sigma - 1.0)
                     assert abs(ev.value - ps) <= 2.0 * bound + 1e-9, (q, chi.values, s)
+
+    @pytest.mark.parametrize("s", [0, 1e-300, -1e-300, complex(1e-300, 1e-300)])
+    def test_at_and_next_to_zero(self, s):
+        # L(0, chi mod 4) = 1/2; (s)_2M is 0 or below the float range there
+        ev = evaluate(CHI4, s)
+        assert abs(ev.value - 0.5) <= ev.err_estimate <= 1e-13, (s, ev)
 
     def test_returns_evaluation_record(self):
         ev = evaluate(CHI4, 3.0)
@@ -384,45 +413,76 @@ class TestAtOne:
         assert err <= 1e-10 * max(1.0, abs(want))
 
     def test_smaller_tolerance_never_uses_fewer_terms(self):
-        # at s = 1 the default shift already meets the roundoff floor at
-        # every residue, so every tolerance runs the same 20 * q terms
+        # at s = 1 the shift floor meets every tolerance down to the roundoff
+        # floor at every residue, so every tolerance sums the same 10 * q
+        # terms directly, and a smaller one never takes fewer corrections
         tols = [1e-4, 1e-8, 1e-10, 1e-13, 1e-14, 1e-15, 1e-16, 1e-20, 1e-300]
         for chi in (CHI3, CHI4, enumerate_real_characters(401)[1]):
             used = [evaluate(chi, 1, tol=tol).n_used for tol in tols]
-            assert used == [20 * chi.modulus] * len(tols), (chi.modulus, used)
+            assert used == [10 * chi.modulus] * len(tols), (chi.modulus, used)
+            pairs = [lseries_mod._plan(1.0, 1 / chi.modulus, tol)[1] for tol in tols]
+            assert pairs == sorted(pairs), (chi.modulus, pairs)
 
 
-def one_x_kernel(s_num, x, shift, pairs):
-    """The single-x Euler-Maclaurin sum written out in its own order: the
-    oracle that the list kernel keeps the same arithmetic for every x.
-    Returns (value, truncation estimate, roundoff estimate)."""
-    acc = 0.0 if isinstance(s_num, float) else 0j
+def one_x_kernel(s_num, x, plan, q=1, drop_pole=False):
+    """The single-x Euler-Maclaurin sum at a plan (shift, pairs, log_c,
+    decay), written out in its own order: the oracle that the list kernel
+    keeps the same arithmetic for every x.  Returns (value, truncation
+    bound, roundoff estimate)."""
+    shift, pairs, log_c, decay = plan
+    b = lseries_mod._B_OVER_FACT
+    sigma, t = s_num.real, abs(s_num.imag)
+    direct = 0.0 if t == 0.0 else 0j
     for k in range(shift):
-        acc += (k + x) ** (-s_num)
-    w = shift + x
-    acc += w ** (1 - s_num) / (s_num - 1)
-    acc += 0.5 * w ** (-s_num)
-    rising = s_num
-    w_pow = w ** (-s_num - 1)
-    for j in range(pairs):
-        acc += lseries_mod._B_OVER_FACT[j] * rising * w_pow
-        rising = rising * (s_num + 2 * j + 1) * (s_num + 2 * j + 2)
-        w_pow /= w * w
-    omitted = abs(lseries_mod._B_OVER_FACT[pairs] * rising * w_pow)
-    sigma = s_num.real if isinstance(s_num, complex) else s_num
-    safety = max(1.0, abs(s_num + 2 * pairs + 1) / (sigma + 2 * pairs + 1))
-    return acc, omitted * safety, lseries_mod._ROUNDOFF * (shift + pairs) * abs(acc)
+        direct += (x + q * k) ** (-s_num)
+    w = shift + x / q
+    term = b[0] * s_num / w
+    tail = 0.5 + term
+    for j in range(1, pairs):
+        term *= b[j] / b[j - 1] * (s_num + (2 * j - 1)) * (s_num + 2 * j) * (1.0 / (w * w))
+        tail += term
+    head = (x + q * shift) ** (-s_num)
+    if drop_pole or s_num == 1:
+        value = direct + head * tail + q ** (-s_num) * lseries_mod._pole_free(s_num, math.log(w))
+    else:
+        value = direct + head * (tail + w / (s_num - 1.0))
+    wq = x + q * shift
+    if t == 0.0:
+        size, phase = direct, 0.0
+    else:
+        size = x**-sigma - x * x**-sigma * lseries_mod._pole_free(sigma, math.log(wq / x)) / q
+        phase = t * math.log(wq)
+    trunc = q**-sigma * math.exp(log_c - decay * math.log(w))
+    roundoff = 5e-16 * (shift + pairs) * abs(value) + 2.0**-53 * (shift + phase) * size
+    return value, trunc, roundoff
 
 
-def truncation_part(value, err, shift):
-    """The first omitted correction's share of a kernel err_estimate."""
-    return err - lseries_mod._ROUNDOFF * (shift + lseries_mod._DEFAULT_PAIRS) * abs(value)
+def cheapest_plan(s_num, x, tol):
+    """(shift, pairs) minimising shift + _PAIR_COST * pairs over every M up
+    to the cap, with no early exit: Johansson's bound solved for each M."""
+    best = None
+    for m in range(1, lseries_mod._MAX_PAIRS + 1):
+        decay = s_num.real + 2 * m - 1
+        log_coeff = math.fsum(
+            [math.log(4.0 / decay / max(tol, 5e-16))]
+            + [math.log(abs(s_num + k) / (2.0 * math.pi)) for k in range(2 * m)]
+        )
+        if log_coeff / decay > 20.0:
+            continue
+        need = math.exp(log_coeff / decay) - x
+        if not need <= lseries_mod._MAX_SHIFT:
+            continue
+        shift = max(10, math.ceil(need))
+        cost = shift + lseries_mod._PAIR_COST * m
+        if best is None or cost < best[0]:
+            best = (cost, shift, m)
+    return best[1:]
 
 
 class TestOnePassPerEvaluation:
     @pytest.mark.parametrize("q", [1, 168])
     def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
-        # the kernel solves its own shift: one call per evaluate, both done
+        # the kernel makes its own plan: one call per evaluate, both done
         calls = []
         kernel = lseries_mod._euler_maclaurin_hurwitz
 
@@ -443,34 +503,43 @@ class TestOnePassPerEvaluation:
             sigma = rng.uniform(-0.9, 3.0)
             s_num = rng.choice([sigma, complex(sigma, rng.uniform(-1000.0, 1000.0))])
             q = rng.randint(1, 40)
-            xs = [a / q for a in range(1, q + 1) if math.gcd(a, q) == 1]
-            got, shift = _euler_maclaurin_hurwitz(s_num, xs, rng.choice([1e-4, 1e-10, 1e-13]))
-            oracle = [one_x_kernel(s_num, x, shift, 6) for x in xs]
-            oracle = [(value, trunc + roundoff) for value, trunc, roundoff in oracle]
-            assert repr(got) == repr(oracle), (s_num, q, shift)
+            tol = rng.choice([1e-4, 1e-10, 1e-13])
+            drop_pole = rng.random() < 0.5
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            for xs, scale in ((units, q), ([a / q for a in units], 1)):
+                got, shift = _euler_maclaurin_hurwitz(s_num, xs, tol, scale, drop_pole)
+                plan = lseries_mod._plan(s_num, min(xs) / scale, tol)
+                oracle = [one_x_kernel(s_num, x, plan, scale, drop_pole) for x in xs]
+                oracle = [(value, trunc + roundoff) for value, trunc, roundoff in oracle]
+                assert shift == plan[0]
+                assert repr(got) == repr(oracle), (s_num, q, shift, scale)
 
     def test_smallest_residue_needs_the_largest_shift(self):
-        # no residue a/q needs a larger shift than the smallest one, 1/q
+        # the smallest residue 1/q sets the one plan of every residue, and
+        # the bound falls as x grows, so every residue meets it there
         rng = random.Random(5)
         for _ in range(40):
             s = complex(rng.uniform(-0.99, 3.0), rng.choice([0.0, rng.uniform(-1000.0, 1000.0)]))
+            s_num = s.real if s.imag == 0.0 else s
             q = rng.randint(1, 450)
             residues = sorted({1, 2, q // 2 or 1, q - 1 or 1, q})
-            shifts = [_hurwitz(s, [a / q], 1e-10)[1] for a in residues]
-            assert max(shifts) == shifts[0], (s, q, shifts)
-            assert _hurwitz(s, [a / q for a in residues], 1e-10)[1] == shifts[0]
+            plan = lseries_mod._plan(s_num, 1 / q, 1e-10)
+            assert _hurwitz(s, [a / q for a in residues], 1e-10)[1] == plan[0]
+            for a in residues:
+                _, trunc, _ = one_x_kernel(s_num, a / q, plan)
+                assert trunc <= 1e-10, (s, q, a, plan[:2], trunc)
 
     def test_residues_of_two_shift_classes_share_the_larger(self):
-        # the shift is ceil(w - x) for the w that meets tol: here the largest
-        # units a/q alone would need one term fewer than 1/q; every residue
-        # runs at the shift of 1/q and n_used says so
+        # alone, the units a/q would take plans with shifts in several
+        # classes (a larger x may trade pairs for terms); every residue runs
+        # at the plan of 1/q and n_used says so
         chi = enumerate_characters(168)[3]
         s = complex(0.5, 454.65)
         units = [a for a, v in enumerate(chi.values) if v]
         alone = {a: _hurwitz(s, [a / 168], 1e-10)[1] for a in units}
         ev = evaluate(chi, s)
-        assert ev.n_used == alone[1] == max(alone.values())
-        assert min(alone.values()) == ev.n_used - 1
+        assert ev.n_used == alone[1]
+        assert min(alone.values()) < ev.n_used < max(alone.values())
         mpmath.mp.dps = 30
         s_mp = mpmath.mpc(s.real, s.imag)
         ref = mpmath.mpf(168) ** (-s_mp) * mpmath.fsum(
@@ -482,8 +551,8 @@ class TestOnePassPerEvaluation:
 
 
 class TestShiftFromTheEstimate:
-    """The shift is solved from the kernel's own first-omitted-term estimate:
-    the smallest shift >= 20 that brings it to max(tol, 5e-16) at min(xs)."""
+    """The plan is solved from Johansson's remainder bound: the cheapest
+    (N, M), N >= 10, whose bound meets max(tol, 5e-16) at min(xs)."""
 
     TOLS = (1e-4, 1e-10, 1e-13)
 
@@ -494,10 +563,12 @@ class TestShiftFromTheEstimate:
             q = rng.randint(1, 450)
             tol = rng.choice(self.TOLS)
             xs = sorted({1 / q, *(rng.randint(1, q) / q for _ in range(4))})
-            pairs, shift = _hurwitz(s, xs, tol)
-            for x, (value, err) in zip(xs, pairs):
-                part = truncation_part(value, err, shift)
-                assert part <= max(tol, 5e-16), (s, q, tol, x, shift, part)
+            plan = lseries_mod._plan(s, xs[0], tol)
+            _, shift = _hurwitz(s, xs, tol)
+            assert shift == plan[0]
+            for x in xs:
+                _, trunc, _ = one_x_kernel(s, x, plan)
+                assert trunc <= max(tol, 5e-16), (s, q, tol, x, plan[:2], trunc)
 
     def test_one_term_fewer_would_miss_the_target(self):
         rng = random.Random(20261020)
@@ -505,20 +576,23 @@ class TestShiftFromTheEstimate:
             s = complex(rng.uniform(-0.99, 3.0), rng.uniform(-1000.0, 1000.0))
             q = rng.randint(1, 450)
             tol = rng.choice(self.TOLS)
-            _, shift = _hurwitz(s, [1 / q], tol)
-            if shift == 20:
+            shift, pairs, log_c, decay = lseries_mod._plan(s, 1 / q, tol)
+            assert (shift, pairs) == cheapest_plan(s, 1 / q, tol), (s, q, tol)
+            if shift == 10:
                 continue
-            _, trunc, _ = one_x_kernel(s, 1 / q, shift - 1, 6)
+            _, trunc, _ = one_x_kernel(s, 1 / q, (shift - 1, pairs, log_c, decay))
             assert trunc > max(tol, 5e-16), (s, q, tol, shift, trunc)
 
     def test_real_axis_shift_is_the_default_at_every_tolerance(self):
+        # on the real axis the floor N = 10 meets every tolerance with a few
+        # pairs; a smaller tolerance adds pairs, not terms
         rng = random.Random(20261021)
         points = [1.0, 0.0, -0.99, 0.5, 10.0]
         points += [rng.uniform(-0.999, 10.0) for _ in range(2000)]
         for sigma in points:
             q = rng.randint(1, 1000)
             tol = 10.0 ** rng.uniform(-300.0, 0.0)
-            assert _hurwitz(complex(sigma), [1 / q], tol)[1] == 20, (sigma, q, tol)
+            assert _hurwitz(complex(sigma), [1 / q], tol)[1] == 10, (sigma, q, tol)
 
     def test_high_t_values_stay_within_their_estimate(self):
         # two characters mod 13 on the critical line: the error is within
@@ -584,6 +658,100 @@ class TestBisection:
 
         root = _bisect_sign_change(f, 0.0, 1.0, -0.1)
         assert root in (math.nextafter(0.1, 0.0), 0.1)
+
+
+def akiyama_tanigawa(n):
+    """B_0 .. B_n as exact Fractions (B_1 = +1/2)."""
+    row = [Fraction(0)] * (n + 1)
+    numbers = []
+    for m in range(n + 1):
+        row[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        numbers.append(row[0])
+    return numbers
+
+
+def chi_mp(v):
+    """chi(a) at mpmath precision from its exact form."""
+    if isinstance(v, int):
+        return v
+    order, exponent = v
+    return mpmath.expjpi(mpmath.mpf(2 * exponent) / order)
+
+
+def l_value_mp(chi, s, dps):
+    """q^-s sum(chi(a) zeta(s, a/q)) at `dps` digits."""
+    q = chi.modulus
+    with mpmath.workdps(dps):
+        s_mp = mpmath.mpc(s.real, s.imag)
+        total = mpmath.fsum(
+            chi_mp(v) * mpmath.zeta(s_mp, mpmath.mpf(a) / q) for a, v in enumerate(chi.values) if v
+        )
+        return complex(mpmath.mpf(q) ** -s_mp * total)
+
+
+class TestBernoulliTable:
+    def test_each_entry_is_the_exact_value_correctly_rounded(self):
+        pairs = lseries_mod._MAX_PAIRS
+        exact = akiyama_tanigawa(2 * pairs)
+        want = [float(exact[2 * j] / math.factorial(2 * j)) for j in range(1, pairs + 1)]
+        assert list(lseries_mod._B_OVER_FACT) == want
+        assert exact[2] == Fraction(1, 6) and exact[12] == Fraction(-691, 2730)
+
+
+class TestNearOne:
+    """Off s = 1 but next to it, a non-principal character's pole terms
+    w^(1-s)/(s-1), each about 1/(s-1), cancel over the residues; the kernel
+    sums (w^(1-s) - 1)/(s-1) instead, with no 1/(s-1) to cancel."""
+
+    POINTS = (1 + 1e-12, 1 - 1e-12, 1 + 1e-9, complex(1.0, 1e-12), complex(1 - 1e-12, 1e-12))
+
+    @pytest.mark.parametrize("s", POINTS)
+    @pytest.mark.parametrize("q,index", [(4, 1), (101, 1), (5, 1), (13, 2)])
+    def test_value_next_to_the_pole_matches_mpmath(self, s, q, index):
+        chi = enumerate_characters(q)[index]
+        ev = evaluate(chi, s)
+        error = abs(ev.value - l_value_mp(chi, complex(s), 40))
+        assert error <= ev.err_estimate <= 1e-10, (q, s, error, ev)
+        assert error <= 1e-13, (q, s, error)
+
+    def test_pole_free_term_matches_mpmath(self):
+        points = (1 + 1e-12, 1 - 1e-9, 0.5, complex(1.0, 1e-12), complex(0.5, 14.0), 1e-3 - 900j)
+        for s in points:
+            for w in (10.0, 10.25, 200.5, 1e5):
+                got = lseries_mod._pole_free(s, math.log(w))
+                with mpmath.workdps(40):
+                    s_mp = mpmath.mpc(complex(s).real, complex(s).imag)
+                    want = complex((mpmath.mpf(w) ** (1 - s_mp) - 1) / (s_mp - 1))
+                # the phase t log w is itself rounded, to about 1e-16 of it
+                phase = abs(complex(s).imag) * math.log(w)
+                assert abs(got - want) <= 1e-15 * (1.0 + phase) * max(1.0, abs(want)), (s, w, got)
+
+
+class TestCalibration:
+    """err_estimate bounds the actual error on a seeded sweep: q <= 30, real
+    and complex characters, sigma in (-0.9, 3), |t| up to 1000 and points
+    next to s = 1, at two tolerances."""
+
+    def test_error_is_within_err_estimate(self):
+        rng = random.Random(20261019)
+        misses = []
+        for _ in range(70):
+            q = rng.randint(3, 30)
+            chi = rng.choice(enumerate_characters(q)[1:])
+            if rng.random() < 0.2:
+                d = rng.choice([1e-12, -1e-12, 1e-9, -1e-9, 1e-6])
+                s = rng.choice([complex(1.0 + d, 0.0), complex(1.0, d), complex(1.0 + d, d)])
+            else:
+                t = rng.choice([0.0, rng.uniform(-30.0, 30.0), rng.uniform(-1000.0, 1000.0)])
+                s = complex(rng.uniform(-0.9, 3.0), t)
+            ref = l_value_mp(chi, s, 30)
+            for tol in (1e-10, 1e-13):
+                ev = evaluate(chi, s, tol=tol)
+                if not abs(ev.value - ref) <= ev.err_estimate:
+                    misses.append((q, chi.values, s, tol, abs(ev.value - ref), ev.err_estimate))
+        assert misses == []
 
 
 class TestTolerances:
