@@ -2,8 +2,8 @@
 
 Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
-``_terms``: chi(n)^m * n^(-m s) with n^-s = n^-sigma * (cos(t ln n) -
-i sin(t ln n)), chi(n)^m read from a residue table converted once per call.
+``_terms``: chi(n)^m * n**(-m s), Python's power of the int n, chi(n)^m read
+from a residue table converted once per call.
 Every truncation sum over those terms is read from ``_running_sums`` (one
 walk, the sum at each of several truncations); every vector of them (step
 profile, factor vector) is laid out by ``_term_vector``.
@@ -24,14 +24,14 @@ Two evaluation routes:
   cost least, N >= 10, among those whose rigorous remainder bound
   (Johansson 2015) meets the tolerance (or the roundoff floor) at the
   smallest residue 1/q, and so at every residue.  Every real point gets
-  N = 10.  Valid for sigma > -1 and shifts below 2^20.  For non-principal
-  chi each pole term w^(1-s)/(s-1) becomes (w^(1-s) - 1)/(s-1): the
-  subtracted 1/(s-1) cancels because chi sums to zero over a period, and
-  nothing of size 1/(s-1) is left to cancel next to s = 1.  Off s = 1 the
-  method is ``hurwitz`` and ``n_used`` is the shift.  At s = 1 that term is
-  -log w, so each zeta(1, a/q) is taken as its finite part -digamma(a/q);
-  the method is ``grouped`` and ``n_used`` is shift * q, the complete
-  length-q periods the pass sums directly.
+  N = 10.  Valid for sigma > -1 and shifts below 2^20.  The pole term
+  w^(1-s)/(s-1) is taken as (w^(1-s) - 1)/(s-1): the pass gives
+  zeta(s, a/q) - 1/(s-1), with nothing of size 1/(s-1) to cancel next to
+  s = 1.  For non-principal chi the dropped poles sum to zero; principal
+  chi and ``hurwitz_zeta`` add them back once.  Off s = 1 the method is
+  ``hurwitz`` and ``n_used`` is the shift.  At s = 1 that term is -log w,
+  so each zeta(1, a/q) is its finite part -digamma(a/q); the method is
+  ``grouped`` and ``n_used`` is shift * q, the periods summed directly.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
@@ -91,7 +91,7 @@ class LEvaluation:
     ``hurwitz``; shift * q, the whole periods summed directly, for
     ``grouped``), and ``err_estimate``: the rigorous remainder bound at the
     plan the shift came from, summed over the residues, plus a roundoff
-    model."""
+    model (a principal chi's added-back pole included)."""
 
     value: complex
     method: str
@@ -114,21 +114,19 @@ def _check_finite(s: complex) -> None:
 
 
 def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: int = 1):
-    """Yield (n, chi(n)^m * n^(-m s)) for the units n in [start, stop), in
-    order; at t = 0 no logarithm is taken and real chi gives real floats.
-    A point with a NaN or infinite part raises ValueError before any term."""
+    """Yield (n, chi(n)^m * n**(-m s)) for the units n in [start, stop), in
+    order; -m s is built from its parts (a product can flip a zero's sign),
+    a float at t = 0, so real chi gives real floats there.  A point with a
+    NaN or infinite part raises ValueError before any term."""
     _check_finite(s)
     q = chi.modulus
     table = _residue_table(chi, m)
     sigma, t = m * s.real, m * s.imag
+    neg_s = complex(-sigma, -t) if t else -sigma
     for n in range(start, stop):
         v = table[n % q]
         if v:
-            amp = n ** (-sigma)
-            if t:
-                angle = t * math.log(n)
-                amp = complex(amp * math.cos(angle), -amp * math.sin(angle))
-            yield n, v * amp
+            yield n, v * n**neg_s
 
 
 def _term_vector(chi: DirichletCharacter, s: complex, n_terms: int) -> tuple:
@@ -257,26 +255,38 @@ def _pole_free(s_num, log_w: float):
     return num / (s_num - 1.0)
 
 
-def _euler_maclaurin_hurwitz(s_num, xs: Sequence, tol: float, q: int, drop_pole: bool) -> tuple:
-    """Core Euler-Maclaurin sum: ([(q^-s * zeta(s, x/q), err_estimate) for x
-    in xs], shift), every x at the plan ``_plan`` makes for min(xs)/q, which
-    every larger x meets too.
+def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
+    """([(q^-s (zeta(s, x/q) - 1/(s-1)), err_estimate) for x in xs], shift),
+    at s = 1 the finite part -digamma(x/q)/q, every x at the plan ``_plan``
+    makes for min(xs)/q.  x/q outside (0, 1], a NaN or infinite part,
+    sigma <= -1 and an x^-sigma past the float range raise first.
 
-    s_num is a float (real axis) or complex.  The direct terms are
-    (x + q k)^-s, k < N, integer bases for an integer x.  With w = N + x/q,
-    the tail q^-s [w^(1-s)/(s-1) + w^-s/2 + sum of B_2j/(2j)! (s)_(2j-1)
-    w^(-s-2j+1), j <= M] is summed as (x + q N)^-s [w/(s-1) + 1/2 + sum of
-    B_2j/(2j)! (s)_(2j-1) w^(1-2j)], each correction made from the one
-    before, so nothing overflows where L is finite (sigma = 1e30 included).
-    With drop_pole, and always at s = 1, the pole term is q^-s (w^(1-s) - 1)
-    / (s-1) (``_pole_free``): each value is q^-s (zeta(s, x/q) - 1/(s-1)),
-    at s = 1 the finite part -digamma(x/q)/q.  The error estimate is the
-    remainder bound at w times q^-sigma, plus 5e-16 per operation on the
-    value, plus 2^-53 (N + |t| log(x + q N)) times G, the sum of the direct
-    terms' sizes, for the additions and each term's rounded phase t log n.
-    On the real axis G is the direct sum; off it, its integral bound.
+    The point is a float on the real axis.  The direct terms are
+    (x + q k)^-s, k < N.  With w = N + x/q, the tail q^-s [w^-s/2 + sum of
+    B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1), j <= M] is summed as (x + q N)^-s
+    [1/2 + sum of B_2j/(2j)! (s)_(2j-1) w^(1-2j)], each correction made
+    from the one before, so nothing overflows where L is finite; the pole
+    term is q^-s (w^(1-s) - 1)/(s-1) (``_pole_free``).  The error estimate
+    is the remainder bound at w times q^-sigma, plus 5e-16 per operation on
+    the value, plus 2^-53 (N + |t| log(x + q N)) times G, the summed sizes
+    of the direct terms (on the real axis their sum; off it, its integral
+    bound), for the additions and each term's rounded phase t log n.
     """
-    shift, pairs, log_c, decay = _plan(s_num, min(xs) / q, tol)
+    for x in xs:
+        if not 0 < x <= q:
+            raise ValueError(f"x must lie in (0, 1], got {x / q}")
+    _check_finite(s)
+    if s.real <= -1.0:
+        raise ContinuationRangeError(f"sigma = {s.real} is outside the supported range sigma > -1")
+    x_min = min(xs)
+    try:
+        x_min ** -s.real
+    except OverflowError:
+        raise ContinuationRangeError(
+            f"x^-sigma at s = {s}, x = {x_min / q} is past the float range"
+        ) from None
+    s_num = s.real if s.imag == 0.0 else s
+    shift, pairs, log_c, decay = _plan(s_num, x_min / q, tol)
     neg_s = -s_num
     sigma = s_num.real
     t = abs(s_num.imag)
@@ -287,7 +297,6 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence, tol: float, q: int, drop_pole:
         _B_OVER_FACT[j] / _B_OVER_FACT[j - 1] * (s_num + (2 * j - 1)) * (s_num + 2 * j)
         for j in range(1, pairs)
     ]
-    regular = drop_pole or s_num == 1
     results = []
     for x in xs:
         direct = 0.0 if t == 0.0 else 0j
@@ -302,10 +311,7 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence, tol: float, q: int, drop_pole:
             term *= f * inv_w2
             tail += term
         wq = x + q * shift
-        if regular:
-            value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
-        else:
-            value = direct + wq**neg_s * (tail + w / (s_num - 1.0))
+        value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
         if t == 0.0:
             size, phase = direct, 0.0
         else:
@@ -318,42 +324,29 @@ def _euler_maclaurin_hurwitz(s_num, xs: Sequence, tol: float, q: int, drop_pole:
     return results, shift
 
 
-def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1, drop_pole: bool = False) -> tuple:
-    """([(q^-s * zeta(s, x/q), err_estimate) for x in xs], shift), after the
-    checks on x/q and on the point.  With drop_pole, and always at s = 1,
-    each value has its pole 1/(s-1) dropped (at s = 1 the finite part
-    -digamma(x/q)/q); the callers decide whether the pole they dropped
-    matters."""
-    for x in xs:
-        if not 0 < x <= q:
-            raise ValueError(f"x must lie in (0, 1], got {x / q}")
-    _check_finite(s)
-    if s.real <= -1.0:
-        raise ContinuationRangeError(
-            f"sigma = {s.real} is outside the supported range sigma > -1"
-        )
-    return _euler_maclaurin_hurwitz(s.real if s.imag == 0.0 else s, xs, tol, q, drop_pole)
-
-
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
-    """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin; raises
-    PoleError at s = 1 and ValueError at an s with a NaN or infinite part."""
+    """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin, the pole
+    added back to the pass's value; raises PoleError at s = 1, ValueError at
+    an s with a NaN or infinite part, and ContinuationRangeError where
+    x^-sigma is past the float range (x = 0.25 from sigma = 512)."""
     _check_tols(tol=tol)
     s = complex(s)
     if s == 1:
         raise PoleError("zeta(s, x) has a pole at s = 1")
     [(value, _)], _ = _hurwitz(s, [x], tol)
-    return complex(value)
+    return complex(value + 1.0 / (s.real - 1.0 if s.imag == 0.0 else s - 1.0))
 
 
 def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
     """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
     Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).
 
-    For non-principal chi (sum(chi(a)) = 0) the pass drops each residue's
-    pole 1/(s-1), so no two terms of size 1/(s-1) cancel next to s = 1; at
-    s = 1 it gives each zeta(1, a/q) as its finite part -digamma(a/q), so
+    The pass drops each residue's pole 1/(s-1), so no two terms of size
+    1/(s-1) cancel next to s = 1.  For non-principal chi they sum to zero,
+    and at s = 1 each zeta(1, a/q) is its finite part -digamma(a/q), so
     L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged ``grouped``.
+    Principal chi adds phi(q) q^-s/(s-1) back once, its size charged to the
+    roundoff model like each residue's.
     The PoleError check lives here, for principal chi at s = 1; sigma <= -1
     raises ContinuationRangeError, and a NaN or infinite part of s
     ValueError, before any series is summed; so does a point past the shift
@@ -369,7 +362,7 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
         raise PoleError("L(s, principal chi) has a pole at s = 1")
     table = _residue_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
-    zetas, shift = _hurwitz(s, units, tol, q, not chi.is_principal)
+    zetas, shift = _hurwitz(s, units, tol, q)
     acc = 0.0 if s.imag == 0.0 and chi.is_real else 0j
     abs_acc = 0.0
     err = 0.0
@@ -377,6 +370,11 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
         acc += table[a % q] * z
         abs_acc += abs(z)
         err += e
+    if chi.is_principal:
+        s_num = s.real if s.imag == 0.0 else s
+        pole = len(units) * q**-s_num / (s_num - 1.0)
+        acc += pole
+        abs_acc += abs(pole)
     err += _ROUNDOFF * abs_acc
     method, n_used = ("grouped", shift * q) if s == 1 else ("hurwitz", shift)
     return LEvaluation(value=complex(acc), method=method, n_used=n_used, err_estimate=err)

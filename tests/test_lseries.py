@@ -14,6 +14,7 @@ Oracles:
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -35,7 +36,6 @@ from lseries_lab.lseries import (
     PoleError,
     ScanGridError,
     _bisect_sign_change,
-    _euler_maclaurin_hurwitz,
     _hurwitz,
     _residue_table,
     _running_sums,
@@ -141,6 +141,44 @@ class TestTermKernel:
                 want.append(total)
             assert _running_sums(chi, complex(s), truncations, m) == want
             assert [_running_sums(chi, complex(s), [n], m)[0] for n in truncations] == want
+
+    def test_terms_match_the_hand_built_power_by_repr(self):
+        # the oracle builds n^-s from its parts, n^-sigma (cos(t ln n) -
+        # i sin(t ln n)); Python's complex power takes the same steps, so
+        # every sum and vector made from the kernel is the same to the bit
+        def oracle_terms(chi, s, stop, m):
+            table = _residue_table(chi, m)
+            sigma, t = m * s.real, m * s.imag
+            for n in range(1, stop):
+                v = table[n % chi.modulus]
+                if v:
+                    amp = n ** (-sigma)
+                    if t:
+                        angle = t * math.log(n)
+                        amp = complex(amp * math.cos(angle), -amp * math.sin(angle))
+                    yield n, v * amp
+
+        rng = random.Random(20261019)
+        for _ in range(60):
+            chi = rng.choice(enumerate_characters(rng.randint(1, 30)))
+            m = rng.choice([1, 2, 4])
+            t = rng.choice([0.0, -0.0, rng.uniform(0.0, 1000.0), -rng.uniform(0.0, 1000.0)])
+            s = complex(rng.uniform(-1.0, 3.0), t)
+            n_terms = rng.randint(1, 3000)
+            truncations = sorted({1, rng.randint(1, n_terms), n_terms})
+            terms = dict(oracle_terms(chi, s, n_terms + 1, m))
+            want, total = [], 0.0
+            for n in range(1, n_terms + 1):
+                if n in terms:
+                    total += terms[n]
+                if n in truncations:
+                    want.append(complex(total))
+            case = (chi.modulus, chi.values, m, s, n_terms)
+            assert repr(_running_sums(chi, s, truncations, m)) == repr(want), case
+            if m == 1:
+                vec = tuple(terms.get(n, 0j) for n in range(1, n_terms + 1))
+                assert repr(lseries_mod._term_vector(chi, s, n_terms)) == repr(vec), case
+                assert repr(partial_sum(chi, s, n_terms)) == repr(want[-1]), case
 
 
 class TestPointCoercion:
@@ -251,6 +289,20 @@ class TestHurwitzZeta:
         with pytest.raises(ContinuationRangeError, match="sigma = -2.0 is outside"):
             hurwitz_zeta(complex(-2.0, 5.0), 0.5)
 
+    @pytest.mark.parametrize("s,x", [(800, 0.25), (800 + 1j, 0.25), (512, 0.25), (400, 0.1)])
+    def test_x_power_past_the_float_range_raises(self, s, x):
+        # zeta(s, x) > x^-sigma, which is past the largest float here
+        message = re.escape(f"s = {complex(s)}, x = {x} is past the float range")
+        with pytest.raises(ContinuationRangeError, match=message):
+            hurwitz_zeta(s, x)
+
+    @pytest.mark.parametrize("s,x", [(511, 0.25), (300, 0.1)])
+    def test_largest_x_powers_in_range_are_finite(self, s, x):
+        # 0.25^-511 = 2^1022 is about 4.494e307; the rest adds below an ulp
+        value = hurwitz_zeta(s, x)
+        assert cmath.isfinite(value)
+        assert value == x**-s
+
     @pytest.mark.parametrize("x", [0.0, -0.25, 1.0001, 2.0])
     def test_x_domain(self, x):
         with pytest.raises(ValueError, match=rf"x must lie in \(0, 1\], got {x}"):
@@ -275,7 +327,7 @@ class TestHurwitzZeta:
                 continue
             [(value, err)], _ = _hurwitz(s, [x], 1e-10)
             ref = mpmath.zeta(mpmath.mpc(sigma, t), x)
-            actual = abs(complex(value) - complex(ref))
+            actual = abs(complex(value + 1.0 / (s - 1.0)) - complex(ref))
             assert actual <= 2.0 * err + 1e-12, (sigma, t, x, actual, err)
 
     def test_tighter_tolerance_tightens_the_answer(self):
@@ -285,7 +337,7 @@ class TestHurwitzZeta:
         assert tight_err <= loose_err
         mpmath.mp.dps = 30
         ref = float(mpmath.zeta(0.05, 0.05))
-        assert abs(tight - ref) <= 2.0 * tight_err + 1e-12
+        assert abs(tight + 1.0 / (0.05 - 1.0) - ref) <= 2.0 * tight_err + 1e-12
 
 
 class TestEvaluate:
@@ -424,7 +476,7 @@ class TestAtOne:
             assert pairs == sorted(pairs), (chi.modulus, pairs)
 
 
-def one_x_kernel(s_num, x, plan, q=1, drop_pole=False):
+def one_x_kernel(s_num, x, plan, q=1):
     """The single-x Euler-Maclaurin sum at a plan (shift, pairs, log_c,
     decay), written out in its own order: the oracle that the list kernel
     keeps the same arithmetic for every x.  Returns (value, truncation
@@ -442,10 +494,7 @@ def one_x_kernel(s_num, x, plan, q=1, drop_pole=False):
         term *= b[j] / b[j - 1] * (s_num + (2 * j - 1)) * (s_num + 2 * j) * (1.0 / (w * w))
         tail += term
     head = (x + q * shift) ** (-s_num)
-    if drop_pole or s_num == 1:
-        value = direct + head * tail + q ** (-s_num) * lseries_mod._pole_free(s_num, math.log(w))
-    else:
-        value = direct + head * (tail + w / (s_num - 1.0))
+    value = direct + head * tail + q ** (-s_num) * lseries_mod._pole_free(s_num, math.log(w))
     wq = x + q * shift
     if t == 0.0:
         size, phase = direct, 0.0
@@ -484,13 +533,13 @@ class TestOnePassPerEvaluation:
     def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
         # the kernel makes its own plan: one call per evaluate, both done
         calls = []
-        kernel = lseries_mod._euler_maclaurin_hurwitz
+        kernel = lseries_mod._hurwitz
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(lseries_mod, "_euler_maclaurin_hurwitz", counted)
+        monkeypatch.setattr(lseries_mod, "_hurwitz", counted)
         for chi in enumerate_characters(q)[:3]:
             for s in (0.5, complex(0.5, 14.0), complex(-0.5, 100.0)):
                 calls.clear()
@@ -504,12 +553,11 @@ class TestOnePassPerEvaluation:
             s_num = rng.choice([sigma, complex(sigma, rng.uniform(-1000.0, 1000.0))])
             q = rng.randint(1, 40)
             tol = rng.choice([1e-4, 1e-10, 1e-13])
-            drop_pole = rng.random() < 0.5
             units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
             for xs, scale in ((units, q), ([a / q for a in units], 1)):
-                got, shift = _euler_maclaurin_hurwitz(s_num, xs, tol, scale, drop_pole)
+                got, shift = _hurwitz(complex(s_num), xs, tol, scale)
                 plan = lseries_mod._plan(s_num, min(xs) / scale, tol)
-                oracle = [one_x_kernel(s_num, x, plan, scale, drop_pole) for x in xs]
+                oracle = [one_x_kernel(s_num, x, plan, scale) for x in xs]
                 oracle = [(value, trunc + roundoff) for value, trunc, roundoff in oracle]
                 assert shift == plan[0]
                 assert repr(got) == repr(oracle), (s_num, q, shift, scale)
@@ -727,6 +775,27 @@ class TestNearOne:
                 # the phase t log w is itself rounded, to about 1e-16 of it
                 phase = abs(complex(s).imag) * math.log(w)
                 assert abs(got - want) <= 1e-15 * (1.0 + phase) * max(1.0, abs(want)), (s, w, got)
+
+
+class TestPrincipalNearThePole:
+    """For principal chi the pass drops each residue's pole, and evaluate
+    adds phi(q) q^-s/(s-1) back once; next to s = 1 that term is the whole
+    value, so its rounding must be in err_estimate too."""
+
+    POINTS = (1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 + 1e-9j, 0.999, 0.5, -0.5, 0.5 + 500j, 60)
+
+    @pytest.mark.parametrize("s", POINTS)
+    @pytest.mark.parametrize("q", [1, 4, 12, 101, 210])
+    def test_error_is_within_err_estimate(self, s, q):
+        s = complex(s)
+        ev = evaluate(enumerate_characters(q)[0], s)
+        with mpmath.workdps(40):
+            s_mp = mpmath.mpc(s.real, s.imag)
+            total = mpmath.fsum(
+                mpmath.zeta(s_mp, mpmath.mpf(a) / q) for a in range(1, q + 1) if math.gcd(a, q) == 1
+            )
+            ref = complex(mpmath.mpf(q) ** -s_mp * total)
+        assert abs(ev.value - ref) <= ev.err_estimate, (q, s, abs(ev.value - ref), ev)
 
 
 class TestCalibration:
