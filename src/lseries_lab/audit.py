@@ -1,17 +1,18 @@
 """Truncation-evidence audit of the series-geometry claims.
 
 ``run_audit`` re-derives each claim below at several truncation points and
-attaches a verdict backed by the recorded evidence.  Claims never raise out
-of the audit: expected per-claim failures (isotropic vectors, zero profile
-area) become notes on that claim only.  Every truncation quantity is a sum
-over n <= N, so each series (factor vectors, step profile, S_N, V_N, W_N,
-the chi^4 sum) is walked once, up to the largest N, and each smaller
-truncation reads its prefix.
+attaches a verdict backed by the recorded evidence.  Expected per-claim
+failures (isotropic vectors, zero profile area) become notes on that claim
+only; a point with a NaN or infinite part, or one with a term past the
+float range, raises a ValueError out of the audit.  Every truncation
+quantity is a sum over n <= N, so each series (factor vectors, step
+profile, S_N, V_N, W_N, the chi^4 sum) is walked once, up to the largest
+N, and each smaller truncation reads its prefix.
 
 Claim registry (fixed order, fixed IDs -- these are the wire format):
 
 * EQ2_RECONSTRUCT    -- amplitude-variant factor vectors reproduce the
-                        truncation sum at every N (identity-exact).
+                        truncation sum at every N.
 * EQ3_RECONSTRUCT    -- same for the phase variant.
 * EQ45_FACTORIZATION -- dot = norm * norm * cosine for both variants'
                         factor pairs (exact by the cosine's definition, so
@@ -25,9 +26,14 @@ Claim registry (fixed order, fixed IDs -- these are the wire format):
                         slope phi(q)/q (the 4ti-exponent variant).
 * PAPPUS_IDENTITY    -- V = 2 pi eta S holds at every truncation.
 * TRANSFORMED_EQ_POSITIVITY -- W_N = sum(chi(n)^2 n^-2 sigma) at t = 0 is
-                        strictly positive and nondecreasing for real chi.
+                        finite, > 0 and nondecreasing for real chi.
 * NONVANISHING_SCAN  -- a default grid scan of (0, 1) finds no sign change
                         (evidence: grid min of |L| and its sigma).
+
+The four identity claims (EQ2, EQ3, EQ45, PAPPUS) are identity-exact only
+when at least one relative residual was checked and every checked one is
+<= its tolerance (1e-12; 1e-9 for PAPPUS), which a NaN is not; otherwise
+they hold at truncation, noting the worst residual or that none was checkable.
 
 Growth verdicts require at least three truncation points; when the caller
 supplies fewer, the growth claims extend the list internally (noted on the
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass
-from math import gcd, isfinite
+from math import gcd, isfinite, isnan
 
 from .cgeom import bilinear_dot
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
@@ -146,14 +152,19 @@ def _relative(residual: float, scale: complex) -> float:
     return residual / max(1.0, abs(scale))
 
 
-def _identity_verdict(rels, tol: float, notes: list) -> str:
-    """identity-exact when no checked relative residual (None = unchecked)
-    exceeds `tol`; otherwise holds-at-truncation, noting the worst one."""
-    worst = max([0.0, *(rel for rel in rels if rel is not None)])
-    if worst <= tol:
-        return VERDICT_IDENTITY_EXACT
-    notes.append(f"max relative residual {worst:.3e}")
-    return VERDICT_HOLDS_AT_TRUNCATION
+def _identity_claim(claim_id, inputs, evidence, tol, notes) -> ClaimResult:
+    """The identity rule of the module docstring over the relative residuals
+    after N in each evidence row (None = unchecked; a NaN is the worst)."""
+    checked = [rel for row in evidence for rel in row[1:] if rel is not None]
+    if checked and all(rel <= tol for rel in checked):
+        verdict = VERDICT_IDENTITY_EXACT
+    else:
+        verdict = VERDICT_HOLDS_AT_TRUNCATION
+        worst = max(checked, key=lambda rel: (isnan(rel), rel), default=None)
+        notes.append(
+            "no truncation was checkable" if worst is None else f"max relative residual {worst:.3e}"
+        )
+    return ClaimResult(claim_id, inputs, evidence, verdict, "; ".join(notes))
 
 
 def _growth_claim(claim_id, inputs, evidence, expected, padded) -> ClaimResult:
@@ -181,51 +192,6 @@ def _growth_claim(claim_id, inputs, evidence, expected, padded) -> ClaimResult:
     )
 
 
-def _claim_reconstruct(claim_id, chi, s, truncations, variant, dots, series) -> ClaimResult:
-    evidence = [
-        (n, _relative(abs(lhs - rhs), rhs))
-        for n, lhs, rhs in zip(truncations, dots[variant], series)
-    ]
-    notes = []
-    verdict = _identity_verdict((rel for _, rel in evidence), _IDENTITY_REL_TOL, notes)
-    return ClaimResult(
-        claim_id=claim_id,
-        inputs={"q": chi.modulus, "s": [s.real, s.imag], "variant": variant},
-        evidence=evidence,
-        verdict=verdict,
-        note="; ".join(notes),
-    )
-
-
-def _claim_factorization(chi, s, truncations, pairs, dots) -> ClaimResult:
-    evidence = []
-    notes = []
-    for i, n in enumerate(truncations):
-        row = [n]
-        for variant in VARIANTS:
-            a_vec, p_vec = pairs[variant][i]
-            try:
-                cosine = formal_cosine(a_vec, p_vec)
-            except IsotropicVectorError as exc:
-                notes.append(f"N={n} {variant}: {exc}")
-                row.append(None)
-                continue
-            dot = dots[variant][i]
-            product = formal_norm(a_vec) * formal_norm(p_vec) * cosine
-            row.append(_relative(abs(dot - product), dot))
-        evidence.append(tuple(row))
-    verdict = _identity_verdict(
-        (rel for row in evidence for rel in row[1:]), _IDENTITY_REL_TOL, notes
-    )
-    return ClaimResult(
-        claim_id="EQ45_FACTORIZATION",
-        inputs={"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)},
-        evidence=evidence,
-        verdict=verdict,
-        note="; ".join(notes),
-    )
-
-
 def _claim_phase_sum(truncations) -> ClaimResult:
     ns, padded = _growth_truncations(truncations)
     evidence = [(n, *phase_series_sums(0.0, n)) for n in ns]
@@ -250,44 +216,23 @@ def _claim_chi4_sum(chi, truncations) -> ClaimResult:
     )
 
 
-def _claim_pappus(chi, s, truncations) -> ClaimResult:
-    heights = step_profile(chi, s, truncations[-1])
-    evidence = []
-    notes = []
-    for n, square_sum in zip(truncations, _running_sums(chi, s, truncations, 2)):
-        try:
-            evidence.append((n, _pappus_report(heights[:n], square_sum).relative_residual))
-        except ZeroAreaError as exc:
-            notes.append(f"N={n}: {exc}")
-            evidence.append((n, None))
-    if all(rel is None for _, rel in evidence):
-        verdict = VERDICT_HOLDS_AT_TRUNCATION
-        notes.append("no truncation was checkable (all had zero profile area)")
-    else:
-        verdict = _identity_verdict((rel for _, rel in evidence), _PAPPUS_REL_TOL, notes)
-    return ClaimResult(
-        claim_id="PAPPUS_IDENTITY",
-        inputs={"q": chi.modulus, "s": [s.real, s.imag]},
-        evidence=evidence,
-        verdict=verdict,
-        note="; ".join(notes),
-    )
-
-
 def _claim_positivity(chi, s, truncations) -> ClaimResult:
     # The positivity fact is about the real axis; audit it at (sigma, 0).
     ws = [w.real for w in _running_sums(chi, complex(s.real, 0.0), truncations, 2)]
     positive = all(w > 0.0 for w in ws)
+    finite = all(isfinite(w) for w in ws)
     nondecreasing = not any(b < a for a, b in zip(ws, ws[1:]))
     notes = []
     if not chi.is_real:
         notes.append("character is not real; positivity is not guaranteed")
     if s.imag != 0.0:
         notes.append("audited at t = 0 (positivity is a real-axis fact)")
-    ok = positive and nondecreasing and chi.is_real
+    ok = positive and finite and nondecreasing and chi.is_real
     verdict = VERDICT_POSITIVE_DEFINITE if ok else VERDICT_HOLDS_AT_TRUNCATION
     if not positive:
         notes.append("some W_N was not strictly positive")
+    if not finite:
+        notes.append("some W_N was not finite")
     if not nondecreasing:
         notes.append("W_N decreased between truncations")
     return ClaimResult(
@@ -304,21 +249,45 @@ def _truncation_claims(chi, s, truncations) -> list:
     once, at the largest N, and every smaller truncation reads its prefix.
     The tables die with this frame, before the zero scan runs: an exception
     raised there would otherwise keep them alive in its traceback."""
-    pairs, dots = {}, {}
-    for variant in VARIANTS:
+    series = _running_sums(chi, s, truncations)
+    claims, pairs, dots = [], {}, {}
+    for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
         a_vec, p_vec = build_vectors(chi, s, truncations[-1], variant)
         pairs[variant] = [(a_vec[:n], p_vec[:n]) for n in truncations]
         dots[variant] = [bilinear_dot(*pair) for pair in pairs[variant]]
-    series = _running_sums(chi, s, truncations)
-    return [
-        _claim_reconstruct("EQ2_RECONSTRUCT", chi, s, truncations, AMPLITUDE_CHI, dots, series),
-        _claim_reconstruct("EQ3_RECONSTRUCT", chi, s, truncations, PHASE_CHI, dots, series),
-        _claim_factorization(chi, s, truncations, pairs, dots),
-        _claim_phase_sum(truncations),
-        _claim_chi4_sum(chi, truncations),
-        _claim_pappus(chi, s, truncations),
-        _claim_positivity(chi, s, truncations),
-    ]
+        evidence = [
+            (n, _relative(abs(d - r), r)) for n, d, r in zip(truncations, dots[variant], series)
+        ]
+        inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variant": variant}
+        claims.append(_identity_claim(claim_id, inputs, evidence, _IDENTITY_REL_TOL, []))
+    evidence, notes = [], []
+    for i, n in enumerate(truncations):
+        row = [n]
+        for variant in VARIANTS:
+            a_vec, p_vec = pairs[variant][i]
+            try:
+                cosine = formal_cosine(a_vec, p_vec)
+            except IsotropicVectorError as exc:
+                notes.append(f"N={n} {variant}: {exc}")
+                row.append(None)
+                continue
+            dot = dots[variant][i]
+            row.append(_relative(abs(dot - formal_norm(a_vec) * formal_norm(p_vec) * cosine), dot))
+        evidence.append(tuple(row))
+    inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)}
+    claims.append(_identity_claim("EQ45_FACTORIZATION", inputs, evidence, _IDENTITY_REL_TOL, notes))
+    claims += [_claim_phase_sum(truncations), _claim_chi4_sum(chi, truncations)]
+    heights = step_profile(chi, s, truncations[-1])
+    evidence, notes = [], []
+    for n, square_sum in zip(truncations, _running_sums(chi, s, truncations, 2)):
+        try:
+            evidence.append((n, _pappus_report(heights[:n], square_sum).relative_residual))
+        except ZeroAreaError as exc:
+            notes.append(f"N={n}: {exc}")
+            evidence.append((n, None))
+    inputs = {"q": chi.modulus, "s": [s.real, s.imag]}
+    claims.append(_identity_claim("PAPPUS_IDENTITY", inputs, evidence, _PAPPUS_REL_TOL, notes))
+    return claims + [_claim_positivity(chi, s, truncations)]
 
 
 def _scan_grid(grid_step: float) -> tuple:
@@ -373,7 +342,8 @@ def run_audit(
     for any expected failure (isotropic vector, zero profile area) -- a
     single claim's trouble never aborts the audit.  The zero scan is
     ``scan_zeros`` on the `grid_step` grid.  A point with a NaN or infinite
-    part raises ValueError from the term kernel, and no claim is returned.
+    part raises ValueError from the term kernel, and a term past the float
+    range ContinuationRangeError (a ValueError); no claim is returned.
     """
     s = complex(s)
     truncations = tuple(int(n) for n in truncations)

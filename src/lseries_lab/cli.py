@@ -23,10 +23,10 @@ complex literal like ``0.5``, ``0.5+2i``, ``-1.2i`` or ``inf``.  Exit codes:
 0 for success / no finding, 1 for a finding (sign change or golden
 mismatch), 2 for usage or domain errors (a ``--grid-step`` that is not
 positive or leaves under 2 grid points, an ``lfun eval --tol`` that is not
-positive, an ``-s`` with a NaN or infinite part, and an ``lfun eval`` point
-past the continuation range, included), 3 for an internal arithmetic
-failure, 141 (the shell's SIGPIPE status) when stdout is closed before the
-output is written.
+positive, an ``-s`` with a NaN or infinite part, an ``lfun eval`` point
+past the continuation range, and a series term past the float range,
+included), 3 for an internal arithmetic failure, 141 (the shell's SIGPIPE
+status) when stdout is closed before the output is written.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; it sets only

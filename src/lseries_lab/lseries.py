@@ -28,10 +28,10 @@ Two evaluation routes:
   w^(1-s)/(s-1) is taken as (w^(1-s) - 1)/(s-1): the pass gives
   zeta(s, a/q) - 1/(s-1), with nothing of size 1/(s-1) to cancel next to
   s = 1.  For non-principal chi the dropped poles sum to zero; principal
-  chi and ``hurwitz_zeta`` add them back once.  Off s = 1 the method is
-  ``hurwitz`` and ``n_used`` is the shift.  At s = 1 that term is -log w,
-  so each zeta(1, a/q) is its finite part -digamma(a/q); the method is
-  ``grouped`` and ``n_used`` is shift * q, the periods summed directly.
+  chi and ``hurwitz_zeta`` add them back once.  ``n_used`` is the shift.
+  Off s = 1 the method is ``hurwitz``.  At s = 1 that term is -log w, so
+  each zeta(1, a/q) is its finite part -digamma(a/q), from the same pass;
+  the method tag there is ``grouped``.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values, and refines each bracket by
@@ -70,8 +70,9 @@ class PoleError(ValueError):
 
 
 class ContinuationRangeError(ValueError):
-    """The point is outside the continuation range: sigma <= -1, or it needs
-    an Euler-Maclaurin shift of 2^20 or more at its tolerance with every
+    """The point is outside the range computed here: sigma <= -1, a series
+    term (or x^-sigma) past the float range, or a point that needs an
+    Euler-Maclaurin shift of 2^20 or more at its tolerance with every
     number of Bernoulli corrections up to 60 (at sigma = 0.5 and tol 1e-10,
     from |t| near 5.3e6)."""
 
@@ -87,11 +88,10 @@ class ScanGridError(ValueError):
 @dataclass(frozen=True)
 class LEvaluation:
     """An L-value with its provenance: method tag (``hurwitz`` off s = 1,
-    ``grouped`` at s = 1), ``n_used`` (the Euler-Maclaurin shift for
-    ``hurwitz``; shift * q, the whole periods summed directly, for
-    ``grouped``), and ``err_estimate``: the rigorous remainder bound at the
-    plan the shift came from, summed over the residues, plus a roundoff
-    model (a principal chi's added-back pole included)."""
+    ``grouped`` at s = 1, the same Euler-Maclaurin pass), ``n_used`` (the
+    pass's shift at every s), and ``err_estimate``: the rigorous remainder
+    bound at the plan the shift came from, summed over the residues, plus a
+    roundoff model (a principal chi's added-back pole included)."""
 
     value: complex
     method: str
@@ -117,16 +117,25 @@ def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: in
     """Yield (n, chi(n)^m * n**(-m s)) for the units n in [start, stop), in
     order; -m s is built from its parts (a product can flip a zero's sign),
     a float at t = 0, so real chi gives real floats there.  A point with a
-    NaN or infinite part raises ValueError before any term."""
+    NaN or infinite part raises ValueError before any term, and a term past
+    the float range (-m s itself, n^(-m sigma) or the phase m t log n)
+    ContinuationRangeError naming the point."""
     _check_finite(s)
     q = chi.modulus
     table = _residue_table(chi, m)
     sigma, t = m * s.real, m * s.imag
     neg_s = complex(-sigma, -t) if t else -sigma
-    for n in range(start, stop):
-        v = table[n % q]
-        if v:
-            yield n, v * n**neg_s
+    if not cmath.isfinite(neg_s):
+        raise ContinuationRangeError(f"at s = {s}, -{m}s = {neg_s} is past the float range")
+    try:
+        for n in range(start, stop):
+            v = table[n % q]
+            if v:
+                yield n, v * n**neg_s
+    except (OverflowError, ZeroDivisionError):  # libm's range or domain error in the power
+        raise ContinuationRangeError(
+            f"at s = {s}, the term n^(-m s) with n = {n}, m = {m} is past the float range"
+        ) from None
 
 
 def _term_vector(chi: DirichletCharacter, s: complex, n_terms: int) -> tuple:
@@ -344,7 +353,8 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     The pass drops each residue's pole 1/(s-1), so no two terms of size
     1/(s-1) cancel next to s = 1.  For non-principal chi they sum to zero,
     and at s = 1 each zeta(1, a/q) is its finite part -digamma(a/q), so
-    L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged ``grouped``.
+    L(1, chi) = -(1/q) * sum(chi(a) * digamma(a/q)), tagged ``grouped``;
+    ``n_used`` is the pass's shift there too.
     Principal chi adds phi(q) q^-s/(s-1) back once, its size charged to the
     roundoff model like each residue's.
     The PoleError check lives here, for principal chi at s = 1; sigma <= -1
@@ -376,8 +386,8 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
         acc += pole
         abs_acc += abs(pole)
     err += _ROUNDOFF * abs_acc
-    method, n_used = ("grouped", shift * q) if s == 1 else ("hurwitz", shift)
-    return LEvaluation(value=complex(acc), method=method, n_used=n_used, err_estimate=err)
+    method = "grouped" if s == 1 else "hurwitz"
+    return LEvaluation(value=complex(acc), method=method, n_used=shift, err_estimate=err)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Claim audit: registry order, verdict logic, note paths, survey rows."""
 
 import json
+import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -17,7 +19,12 @@ from lseries_lab.audit import (
 )
 from lseries_lab import lseries, resolution, rotation
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
-from lseries_lab.lseries import LEvaluation, NonRealCharacterError, ScanGridError
+from lseries_lab.lseries import (
+    ContinuationRangeError,
+    LEvaluation,
+    NonRealCharacterError,
+    ScanGridError,
+)
 from lseries_lab.resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
@@ -90,6 +97,18 @@ class TestInputValidation:
         # NaN residuals would otherwise read as exact identities
         with pytest.raises(ValueError, match="s must be a finite point"):
             run_audit(CHI4, s, [10, 100], grid_step=0.1)
+
+    @pytest.mark.parametrize(
+        "s,truncations,where",
+        [
+            (-40.0, [10, 1000, 100000], "n = 7133, m = 2"),  # W_N's terms n^80
+            (complex(0.5, 1e308), [10, 100], "n = 7, m = 1"),  # the phase t log n
+        ],
+    )
+    def test_term_past_the_float_range_is_a_domain_error(self, s, truncations, where):
+        message = f"at s = {complex(s)}, the term n^(-m s) with {where} is past the float range"
+        with pytest.raises(ContinuationRangeError, match=re.escape(message)):
+            run_audit(CHI4, s, truncations, grid_step=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +224,7 @@ class TestNotePaths:
         assert claim.verdict == "holds-at-truncation"
         assert "zero" in claim.note
         assert all(rel is None for _, rel in claim.evidence)
+        assert claim.note.endswith("; no truncation was checkable")
         # the rest of the audit still ran
         assert by_id(results, "EQ2_RECONSTRUCT").verdict == "identity-exact"
         assert by_id(results, "NONVANISHING_SCAN").verdict == "no-zero-found"
@@ -235,6 +255,35 @@ class TestNotePaths:
         assert "isotropic" in claim.note
         assert claim.evidence[0][1] is None  # skipped cell, first N / first variant
         assert claim.verdict == "identity-exact"  # remaining cells still exact
+
+    def test_all_isotropic_factorization_is_not_checkable(self, monkeypatch):
+        def isotropic(u, v):
+            raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
+
+        monkeypatch.setattr(audit_module, "formal_cosine", isotropic)
+        claim = by_id(run_audit(CHI4, 0.5, [10, 100]), "EQ45_FACTORIZATION")
+        assert claim.evidence == [(10, None, None), (100, None, None)]
+        assert claim.verdict == "holds-at-truncation"
+        assert claim.note.endswith("; no truncation was checkable")
+
+    def test_nan_residual_is_not_identity_exact(self):
+        # at sigma = -51.3 the N = 1000 terms reach 1000^51.3 ~ 1e154, so the
+        # products behind the EQ45 and PAPPUS residuals overflow to NaN there
+        results = run_audit(CHI4, -51.3, [10, 100, 1000], grid_step=0.1)
+        for claim_id in ("EQ45_FACTORIZATION", "PAPPUS_IDENTITY"):
+            claim = by_id(results, claim_id)
+            assert math.isnan(claim.evidence[-1][1])
+            assert claim.verdict == "holds-at-truncation"
+            assert claim.note == "max relative residual nan"
+
+    def test_infinite_w_is_not_positive_definite(self):
+        # W_1000 = sum(n^102.6) over odd n <= 1000 overflows to inf
+        claim = by_id(
+            run_audit(CHI4, -51.3, [10, 100, 1000], grid_step=0.1), "TRANSFORMED_EQ_POSITIVITY"
+        )
+        assert claim.evidence[-1] == (1000, math.inf)
+        assert claim.verdict == "holds-at-truncation"
+        assert claim.note == "some W_N was not finite"
 
     def test_sign_change_found_verdict(self, monkeypatch):
         root_at = 0.512

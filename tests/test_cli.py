@@ -462,6 +462,19 @@ class TestPappusCommand:
         assert code == EXIT_USAGE
         assert "zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "s,where", [("-150", "n = 11, m = 2"), ("0.5+1e308i", "n = 7, m = 1")]
+    )
+    def test_term_past_the_float_range_is_domain_error(self, s, where, capsys):
+        code, text = run_cli("pappus", "check", "-q", "4", "-k", "1", "-s", s, "-N", "100")
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: at s = {parse_complex_s(s)}, the term n^(-m s) with {where} "
+            "is past the float range\n"
+        )
+
     @pytest.mark.parametrize("s", ["nan", "0.5+infi"])
     def test_non_finite_point_is_domain_error(self, s, capsys):
         code, text = run_cli("pappus", "check", "-q", "4", "-k", "1", "-s", s, "-N", "10")
@@ -471,6 +484,18 @@ class TestPappusCommand:
 
 
 class TestAuditCommand:
+    @pytest.mark.parametrize(
+        "s,truncations,where",
+        [("-40", "10,1000,100000", "n = 7133, m = 2"), ("0.5+1e308i", "10,100", "n = 7, m = 1")],
+    )
+    def test_term_past_the_float_range_is_domain_error(self, s, truncations, where, capsys):
+        code, text = run_cli("audit", "-q", "4", "-k", "1", "-s", s, "-N", truncations)
+        assert code == EXIT_USAGE
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: at s = {parse_complex_s(s)}, ")
+        assert err.endswith(f"the term n^(-m s) with {where} is past the float range\n")
+
     def test_eight_claims_in_order(self):
         code, text = run_cli(
             "audit",

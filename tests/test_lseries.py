@@ -142,6 +142,18 @@ class TestTermKernel:
             assert _running_sums(chi, complex(s), truncations, m) == want
             assert [_running_sums(chi, complex(s), [n], m)[0] for n in truncations] == want
 
+    @pytest.mark.parametrize(
+        "s,m,where",
+        [
+            (-400.0, 1, "the term n^(-m s) with n = 7, m = 1"),  # 7^400 > 1.8e308
+            (complex(0.5, 1e308), 1, "the term n^(-m s) with n = 7, m = 1"),  # t log 7 > 1.8e308
+            (complex(0.5, 1e308), 2, "-2s = (-1-infj)"),  # 2t is infinite
+        ],
+    )
+    def test_term_past_the_float_range_is_a_domain_error_naming_the_point(self, s, m, where):
+        with pytest.raises(ContinuationRangeError, match=re.escape(f"at s = {complex(s)}, {where}")):
+            _running_sums(CHI4, complex(s), [10], m)
+
     def test_terms_match_the_hand_built_power_by_repr(self):
         # the oracle builds n^-s from its parts, n^-sigma (cos(t ln n) -
         # i sin(t ln n)); Python's complex power takes the same steps, so
@@ -360,7 +372,7 @@ class TestEvaluate:
         assert ev.method == "grouped"
         assert abs(ev.value - PI_OVER_4) <= ev.err_estimate + 5e-16
         assert abs(ev.value - PI_OVER_4) < 1e-10
-        assert ev.n_used == 10 * 4  # the shift floor's whole periods
+        assert ev.n_used == 10  # the shift floor, as off s = 1
 
     def test_grouped_at_one_chi3(self):
         ev = evaluate(CHI3, 1.0)
@@ -466,12 +478,12 @@ class TestAtOne:
 
     def test_smaller_tolerance_never_uses_fewer_terms(self):
         # at s = 1 the shift floor meets every tolerance down to the roundoff
-        # floor at every residue, so every tolerance sums the same 10 * q
-        # terms directly, and a smaller one never takes fewer corrections
+        # floor at every residue, so every tolerance sums the same 10 terms
+        # per residue directly, and a smaller one never takes fewer corrections
         tols = [1e-4, 1e-8, 1e-10, 1e-13, 1e-14, 1e-15, 1e-16, 1e-20, 1e-300]
         for chi in (CHI3, CHI4, enumerate_real_characters(401)[1]):
             used = [evaluate(chi, 1, tol=tol).n_used for tol in tols]
-            assert used == [10 * chi.modulus] * len(tols), (chi.modulus, used)
+            assert used == [10] * len(tols), (chi.modulus, used)
             pairs = [lseries_mod._plan(1.0, 1 / chi.modulus, tol)[1] for tol in tols]
             assert pairs == sorted(pairs), (chi.modulus, pairs)
 
@@ -729,12 +741,14 @@ def chi_mp(v):
 
 
 def l_value_mp(chi, s, dps):
-    """q^-s sum(chi(a) zeta(s, a/q)) at `dps` digits."""
+    """q^-s sum(chi(a) zeta(s, a/q), a = 1..q) at `dps` digits."""
     q = chi.modulus
     with mpmath.workdps(dps):
         s_mp = mpmath.mpc(s.real, s.imag)
         total = mpmath.fsum(
-            chi_mp(v) * mpmath.zeta(s_mp, mpmath.mpf(a) / q) for a, v in enumerate(chi.values) if v
+            chi_mp(chi.values[a % q]) * mpmath.zeta(s_mp, mpmath.mpf(a) / q)
+            for a in range(1, q + 1)
+            if chi.values[a % q]
         )
         return complex(mpmath.mpf(q) ** -s_mp * total)
 
@@ -788,13 +802,9 @@ class TestPrincipalNearThePole:
     @pytest.mark.parametrize("q", [1, 4, 12, 101, 210])
     def test_error_is_within_err_estimate(self, s, q):
         s = complex(s)
-        ev = evaluate(enumerate_characters(q)[0], s)
-        with mpmath.workdps(40):
-            s_mp = mpmath.mpc(s.real, s.imag)
-            total = mpmath.fsum(
-                mpmath.zeta(s_mp, mpmath.mpf(a) / q) for a in range(1, q + 1) if math.gcd(a, q) == 1
-            )
-            ref = complex(mpmath.mpf(q) ** -s_mp * total)
+        chi = enumerate_characters(q)[0]
+        ev = evaluate(chi, s)
+        ref = l_value_mp(chi, s, 40)  # q = 1 included: its one residue is a = 1
         assert abs(ev.value - ref) <= ev.err_estimate, (q, s, abs(ev.value - ref), ev)
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
-from lseries_lab.lseries import partial_sum
+from lseries_lab.lseries import ContinuationRangeError, partial_sum
 from lseries_lab.rotation import (
     PappusReport,
     ZeroAreaError,
@@ -167,6 +167,11 @@ class TestPappus:
     def test_zero_area_propagates(self):
         with pytest.raises(ZeroAreaError):
             pappus_check(CHI4, 0.0, 4)
+
+    def test_term_past_the_float_range_is_a_domain_error(self):
+        # the volume's squared terms n^300 leave the float range at n = 11
+        with pytest.raises(ContinuationRangeError, match=r"at s = \(-150\+0j\).* n = 11, m = 2"):
+            pappus_check(CHI4, -150, 100)
 
     def test_report_fields_consistent(self):
         report = pappus_check(CHI4, 0.7, 100)
