@@ -20,13 +20,11 @@ The package is pure standard-library Python.  Modules:
 
 from .audit import CLAIM_IDS, ClaimResult, SurveyRow, nonvanishing_survey, run_audit
 from .cgeom import (
-    TriangleReport,
     bilinear_dot,
     cosine_theorem_check,
     formal_norm_sq,
     principal_sqrt,
     triangle_area,
-    triangle_report,
     verify_appendix,
 )
 from .characters import (
@@ -52,16 +50,7 @@ from .resolution import (
     formal_cosine,
     formal_norm,
     phase_series_sums,
-    reconstruct_identity,
 )
-from .rotation import (
-    PappusReport,
-    barycenter,
-    cylinder_volume,
-    pappus_check,
-    rect_area,
-    step_profile,
-    transformed_equation_residual,
-)
+from .rotation import PappusReport, barycenter, pappus_check, step_profile
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ __all__ = [
     "AppendixCheck",
     "DimensionMismatchError",
     "IsotropicVectorError",
-    "TriangleReport",
     "bilinear_dot",
     "cosine_theorem_check",
     "formal_cosine",
@@ -40,7 +39,6 @@ __all__ = [
     "formal_norm_sq",
     "principal_sqrt",
     "triangle_area",
-    "triangle_report",
     "verify_appendix",
 ]
 
@@ -51,21 +49,6 @@ class DimensionMismatchError(ValueError):
 
 class IsotropicVectorError(ValueError):
     """A vector with formal norm exactly zero has no formal cosine."""
-
-
-@dataclass(frozen=True)
-class TriangleReport:
-    """All bilinear data of the triangle ABC: squared side norms, both vertex
-    dots, both formal cosines, and the formal area."""
-
-    ab_sq: complex
-    ac_sq: complex
-    bc_sq: complex
-    dot_ab_ac: complex
-    dot_ac_bc: complex
-    cos_ab_ac: complex
-    cos_ac_bc: complex
-    area: complex
 
 
 def bilinear_dot(u, v) -> complex:
@@ -142,22 +125,6 @@ def _area_from_pair(u, v) -> complex:
 def triangle_area(a, b, c) -> complex:
     """Formal area principal_sqrt(|AB|^2 |AC|^2 - (AB . AC)^2) / 2."""
     return _area_from_pair(_side(a, b), _side(a, c))
-
-
-def triangle_report(a, b, c) -> TriangleReport:
-    """Full bilinear triangle data for the points A, B, C (an isotropic side
-    raises IsotropicVectorError from its cosine)."""
-    ab, ac, bc = _side(a, b), _side(a, c), _side(b, c)
-    return TriangleReport(
-        ab_sq=formal_norm_sq(ab),
-        ac_sq=formal_norm_sq(ac),
-        bc_sq=formal_norm_sq(bc),
-        dot_ab_ac=bilinear_dot(ab, ac),
-        dot_ac_bc=bilinear_dot(ac, bc),
-        cos_ab_ac=formal_cosine(ab, ac),
-        cos_ac_bc=formal_cosine(ac, bc),
-        area=_area_from_pair(ab, ac),
-    )
 
 
 @dataclass(frozen=True)

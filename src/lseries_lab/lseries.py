@@ -34,9 +34,10 @@ Two evaluation routes:
   the method tag there is ``grouped``.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
-brackets sign changes of the (real) L-values, and refines each bracket by
-bisection until the midpoint's |L| is within its error estimate
-(``_scan_result`` does the bracketing for it and for the survey).
+brackets sign changes of the (real) L-values and exact zeros at any grid
+point, and refines each sign change by bisection until the midpoint's |L|
+is within its error estimate (``_scan_result`` does the bracketing for it
+and for the survey).
 Err estimates propagate: the Euler-Maclaurin remainder bound plus a
 floating-point roundoff model.
 """
@@ -436,9 +437,10 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
 
 def _scan_result(chi, sigmas, pairs) -> ScanResult:
     """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
-    consecutive values of opposite signs are bracketed and refined by
-    bisection (evaluating chi directly) until the sign is lost in the error
-    estimate, and the grid minimum of |L| is recorded."""
+    an exact zero at any grid point, the first and last included, is its own
+    bracket; consecutive nonzero values of opposite signs are bracketed and
+    refined by bisection (evaluating chi directly) until the sign is lost in
+    the error estimate; and the grid minimum of |L| is recorded."""
     values, errs = map(tuple, zip(*pairs))
 
     def l_real(sigma: float) -> tuple:
@@ -446,12 +448,11 @@ def _scan_result(chi, sigmas, pairs) -> ScanResult:
         return ev.value.real, ev.err_estimate
 
     brackets = []
-    for i in range(len(sigmas) - 1):
-        left, right = values[i], values[i + 1]
+    for i, left in enumerate(values):
+        right = values[i + 1] if i + 1 < len(values) else 0.0  # the last point pairs with none
         if left == 0.0:
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
-            continue
-        if (left < 0.0) != (right < 0.0) and right != 0.0:
+        elif (left < 0.0) != (right < 0.0) and right != 0.0:
             root = _bisect_sign_change(l_real, sigmas[i], sigmas[i + 1], left)
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
 

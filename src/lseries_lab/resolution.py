@@ -9,7 +9,7 @@ length-N vectors in either of two ways:
   p_vec[n] = chi(n) * n^-it carries the character.
 
 In both variants a_vec[k] * p_vec[k] = chi(k+1) * (k+1)^-s, so the bilinear
-dot of the pair reproduces the truncation (``reconstruct_identity``).  Both
+dot of the pair reproduces the truncation (audit claims EQ2, EQ3).  Both
 factors are kernel terms, the amplitude at the point complex(sigma, 0) and the
 phase at complex(0, t), the bare ones of the trivial character mod 1, and
 s is a Python complex.  ``build_vectors`` returns the pair (a_vec, p_vec) of
@@ -25,8 +25,8 @@ divergence witness the audit module fits.
 from __future__ import annotations
 
 from .characters import DirichletCharacter, principal_character
-from .cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
-from .lseries import _check_finite, _running_sums, _term_vector, partial_sum
+from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
+from .lseries import _check_finite, _running_sums, _term_vector
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -37,7 +37,6 @@ __all__ = [
     "formal_cosine",
     "formal_norm",
     "phase_series_sums",
-    "reconstruct_identity",
 ]
 
 AMPLITUDE_CHI = "amplitude_chi"
@@ -61,17 +60,6 @@ def build_vectors(chi: DirichletCharacter, s, n_terms: int, variant: str) -> tup
     a_chi, p_chi = (chi, _TRIVIAL) if variant == AMPLITUDE_CHI else (_TRIVIAL, chi)
     a_vec = _term_vector(a_chi, complex(s.real, 0.0), n_terms)
     return a_vec, _term_vector(p_chi, complex(0.0, s.imag), n_terms)
-
-
-def reconstruct_identity(
-    chi: DirichletCharacter, s, n_terms: int, variant: str
-) -> tuple:
-    """(lhs, rhs, residual): bilinear dot of the factor vectors vs the
-    direct truncation.  The residual |lhs - rhs| sits at rounding level for
-    every N -- the factorization is exact term by term."""
-    lhs = bilinear_dot(*build_vectors(chi, s, n_terms, variant))
-    rhs = partial_sum(chi, s, n_terms)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def phase_series_sums(t: float, n_terms: int) -> tuple:

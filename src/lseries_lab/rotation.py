@@ -20,10 +20,6 @@ The tests check the barycenter closed forms against midpoint quadrature.
 V is built from the squared character values at 2s, never from the squared
 heights, so the Pappus residual compares two independent computations.  The
 abscissa xi is reported for completeness but nothing downstream consumes it.
-
-``transformed_equation_residual`` returns the pair (S_N, W_N) with
-W_N = sum(chi(n)^2 * n^-2s): W is a sum of nonnegative terms whenever chi is
-real and t = 0, which is the positivity fact the audit module records.
 """
 
 from __future__ import annotations
@@ -32,39 +28,19 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .lseries import _running_sums, _term_vector, _terms
+from .lseries import _running_sums, _term_vector
 
 __all__ = [
     "PappusReport",
     "ZeroAreaError",
     "barycenter",
-    "cylinder_volume",
     "pappus_check",
-    "rect_area",
     "step_profile",
-    "transformed_equation_residual",
 ]
 
 
 class ZeroAreaError(ValueError):
     """The step profile's total area is exactly zero; no barycenter exists."""
-
-
-def _term(chi: DirichletCharacter, s, n: int, m: int) -> complex:
-    """chi(n)^m * n^(-m s) for one rectangle index n (0 off the units)."""
-    if n < 1:
-        raise ValueError(f"rectangle index must be >= 1, got {n}")
-    return 0j + next((f for _, f in _terms(chi, complex(s), n + 1, m, start=n)), 0.0)
-
-
-def rect_area(chi: DirichletCharacter, s, n: int) -> complex:
-    """Signed (complex) area of rectangle n: chi(n) * n^-s."""
-    return _term(chi, s, n, 1)
-
-
-def cylinder_volume(chi: DirichletCharacter, s, n: int) -> complex:
-    """Volume of the revolved rectangle n: pi * chi(n)^2 * n^-2s."""
-    return math.pi * _term(chi, s, n, 2)
 
 
 def step_profile(chi: DirichletCharacter, s, n_rects: int) -> tuple:
@@ -129,13 +105,3 @@ def _pappus_report(heights, square_sum: complex) -> PappusReport:
     return PappusReport(
         profile_area=area, volume=volume, xi=xi, eta=eta, residual=residual
     )
-
-
-def transformed_equation_residual(chi: DirichletCharacter, s, n_terms: int) -> tuple:
-    """(S_N, W_N): the truncation sum and its squared-character companion
-    W_N = sum(chi(n)^2 * n^-2s).  For real chi at t = 0 every W term is
-    nonnegative, so W_N > 0 and is nondecreasing in N."""
-    s = complex(s)
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
-    return _running_sums(chi, s, [n_terms])[0], _running_sums(chi, s, [n_terms], 2)[0]

@@ -21,7 +21,6 @@ from lseries_lab.cgeom import (
     APPENDIX_EXPECTED,
     APPENDIX_POINTS,
     DimensionMismatchError,
-    IsotropicVectorError,
     bilinear_dot,
     cosine_theorem_check,
     formal_cosine,
@@ -29,7 +28,6 @@ from lseries_lab.cgeom import (
     formal_norm_sq,
     principal_sqrt,
     triangle_area,
-    triangle_report,
     verify_appendix,
 )
 
@@ -156,7 +154,6 @@ class TestVectorForms:
             (formal_cosine, (a, b), (ref_a, ref_b)),
             (cosine_theorem_check, (a, b, c), (ref_a, ref_b, ref_c)),
             (triangle_area, (a, b, c), (ref_a, ref_b, ref_c)),
-            (triangle_report, (a, b, c), (ref_a, ref_b, ref_c)),
         ]
         for func, args, ref_args in calls:
             assert func(*args) == func(*ref_args), func.__name__
@@ -252,19 +249,16 @@ class TestGoldenExamples:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_report_bundles_everything(self):
+        # example 2's triangle data, each piece from its own function
         a, b, c = APPENDIX_POINTS[2]
-        report = triangle_report(a, b, c)
-        assert report.ab_sq == -24
-        assert report.dot_ac_bc == 6
+        ab, ac, bc = _minus(b, a), _minus(c, a), _minus(c, b)
+        assert formal_norm_sq(ab) == -24
+        assert bilinear_dot(ac, bc) == 6
         # cos(AC, BC) = 6 / (sqrt(-2-2i) sqrt(-10+2i))
         denom = principal_sqrt(-2 - 2j) * principal_sqrt(-10 + 2j)
-        assert abs(report.cos_ac_bc - 6 / denom) < 1e-14
-        assert abs(4 * report.area**2 + report.dot_ab_ac**2 - report.ab_sq * report.ac_sq) < 1e-12
-
-    def test_report_isotropic_side_is_a_distinct_error(self):
-        # AB = (1, i) has formal norm 0, so cos(AB, AC) is undefined.
-        with pytest.raises(IsotropicVectorError):
-            triangle_report((0, 0), (1, 1j), (2, 0))
+        assert abs(formal_cosine(ac, bc) - 6 / denom) < 1e-14
+        area, dot_ab_ac = triangle_area(a, b, c), bilinear_dot(ab, ac)
+        assert abs(4 * area**2 + dot_ab_ac**2 - formal_norm_sq(ab) * formal_norm_sq(ac)) < 1e-12
 
 
 class TestVerifyAppendix:

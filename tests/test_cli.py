@@ -352,6 +352,24 @@ class TestScanCommand:
         assert len(payload["brackets"]) == 1
         assert abs(payload["brackets"][0]["root"] - 0.55) < 1e-8
 
+    def test_exact_zero_at_the_last_grid_point_exits_finding(self, monkeypatch):
+        last = audit_module._scan_grid(0.1)[1]
+
+        def fake_evaluate(chi, s, *, tol=1e-10):
+            value = 0.0 if complex(s).real == last else 1.0
+            return LEvaluation(
+                value=complex(value, 0.0), method="hurwitz", n_used=1, err_estimate=1e-15
+            )
+
+        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
+        code, text = run_cli(
+            "lfun", "scan", "-q", "4", "-k", "1", "--grid-step", "0.1", "--format", "json"
+        )
+        assert code == EXIT_FINDING
+        payload = json.loads(text)
+        assert payload["rows"][-1]["sigma"] == last
+        assert [b["root"] for b in payload["brackets"]] == [last]
+
     def test_internal_arithmetic_failure_is_not_a_finding(self, monkeypatch, capsys):
         def fake_evaluate(chi, s, *, tol=1e-10):
             raise OverflowError("L-value out of range")

@@ -35,10 +35,12 @@ from lseries_lab.lseries import (
     NonRealCharacterError,
     PoleError,
     ScanGridError,
+    SignChangeBracket,
     _bisect_sign_change,
     _hurwitz,
     _residue_table,
     _running_sums,
+    _scan_result,
     _terms,
     evaluate,
     hurwitz_zeta,
@@ -883,6 +885,17 @@ class TestScanZeros:
     def test_rejects_bad_window(self, lo, hi):
         with pytest.raises(ValueError):
             scan_zeros(CHI4, lo, hi, 5)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_exact_zero_at_any_grid_point_is_its_own_bracket(self, at):
+        # the last grid point pairs with no right neighbour; a zero there
+        # still counts.  No sign changes, so nothing is evaluated.
+        sigmas = (0.25, 0.5, 0.75)
+        values = [1.0, 0.5, 0.25]
+        values[at] = 0.0
+        result = _scan_result(CHI4, sigmas, [(v, 1e-15) for v in values])
+        assert result.brackets == (SignChangeBracket(sigmas[at], sigmas[at], sigmas[at]),)
+        assert (result.min_abs, result.argmin_sigma) == (0.0, sigmas[at])
 
     def test_synthetic_sign_change_is_bracketed_and_refined(self, monkeypatch):
         root_at = 0.4371

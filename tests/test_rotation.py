@@ -19,17 +19,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lseries_lab.audit import run_audit
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import ContinuationRangeError, partial_sum
 from lseries_lab.rotation import (
     PappusReport,
     ZeroAreaError,
     barycenter,
-    cylinder_volume,
     pappus_check,
-    rect_area,
     step_profile,
-    transformed_equation_residual,
 )
 
 CHI0_1 = enumerate_real_characters(1)[0]
@@ -74,16 +72,6 @@ class TestProfileGeometry:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             step_profile(CHI4, 0.5, 0)
-
-    def test_rect_area_and_cylinder_volume_terms(self):
-        assert rect_area(CHI4, 0.5, 3) == pytest.approx(-(3.0**-0.5))
-        # squared character value: (-1)^2 = 1
-        assert cylinder_volume(CHI4, 0.5, 3) == pytest.approx(math.pi / 3.0)
-        assert cylinder_volume(CHI4, 0.5, 2) == 0j
-        with pytest.raises(ValueError):
-            rect_area(CHI4, 0.5, 0)
-        with pytest.raises(ValueError):
-            cylinder_volume(CHI4, 0.5, -1)
 
     def test_complex_s_heights_match_power(self):
         s = complex(0.5, 2.0)
@@ -184,29 +172,30 @@ class TestPappus:
         )
 
 
+def positivity_evidence(chi, s, truncations):
+    """The TRANSFORMED_EQ_POSITIVITY claim of the audit: its verdict and the
+    W_N = sum(chi(n)^2 * n^-2 sigma) of each truncation."""
+    claims = run_audit(chi, s, truncations, grid_step=0.2)
+    (claim,) = [c for c in claims if c.claim_id == "TRANSFORMED_EQ_POSITIVITY"]
+    return claim.verdict, [w for _, w in claim.evidence]
+
+
 class TestTransformedEquation:
     def test_chi4_hand_values(self):
-        series_sum, w_sum = transformed_equation_residual(CHI4, 0.5, 4)
-        assert abs(series_sum - (1.0 - 3.0**-0.5)) < 1e-15
+        assert abs(partial_sum(CHI4, 0.5, 4) - (1.0 - 3.0**-0.5)) < 1e-15
+        _, (w_sum,) = positivity_evidence(CHI4, 0.5, [4])
         assert abs(w_sum - 4.0 / 3.0) < 1e-15
 
     def test_w_positive_and_nondecreasing_for_real_chi(self):
-        previous = 0.0
-        for n_terms in (1, 2, 5, 20, 100):
-            _, w_sum = transformed_equation_residual(CHI3, 0.35, n_terms)
-            assert w_sum.imag == 0.0
-            assert w_sum.real > 0.0
-            assert w_sum.real >= previous
-            previous = w_sum.real
+        verdict, ws = positivity_evidence(CHI3, 0.35, [1, 2, 5, 20, 100])
+        assert verdict == "positive-definite"
+        assert all(w > 0.0 for w in ws)
+        assert ws == sorted(ws)
 
     def test_w_matches_doubled_s_truncation(self):
         # chi^2 is principal for a real character, so W_N is the principal
         # truncation at 2s restricted to units: check against partial_sum of
         # the principal character at 2s.
         chi0_4 = enumerate_real_characters(4)[0]
-        _, w_sum = transformed_equation_residual(CHI4, 0.8, 333)
+        _, (w_sum,) = positivity_evidence(CHI4, 0.8, [333])
         assert abs(w_sum - partial_sum(chi0_4, 1.6, 333)) < 1e-13
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            transformed_equation_residual(CHI4, 0.5, 0)
