@@ -5,9 +5,9 @@ attaches a verdict backed by the recorded evidence.  Expected per-claim
 failures (isotropic vectors, zero profile area) become notes on that claim
 only; a point with a NaN or infinite part, or one with a term past the
 float range, raises a ValueError out of the audit.  Every truncation
-quantity is a sum over n <= N, so each series (factor vectors, step
-profile, S_N, V_N, W_N, the chi^4 sum) is walked once, up to the largest
-N, and each smaller truncation reads its prefix.
+quantity is a sum over n <= N: each series is walked once, to the largest N,
+and every N reads a running sum (a variant's a . p, a . a and p . p from one
+pass over its factor vectors); the Pappus barycenter reads profile prefixes.
 
 Claim registry (fixed order, fixed IDs -- these are the wire format):
 
@@ -46,18 +46,17 @@ from __future__ import annotations
 import statistics
 from dataclasses import asdict, dataclass
 from math import gcd, isfinite, isnan
+from operator import mul
 
-from .cgeom import bilinear_dot
+from .cgeom import _cosine
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import ScanGridError, _running_sums, _scan_result, scan_zeros
+from .lseries import ScanGridError, _prefix_sums, _running_sums, _scan_result, scan_zeros
 from .resolution import (
     AMPLITUDE_CHI,
     PHASE_CHI,
     VARIANTS,
     IsotropicVectorError,
     build_vectors,
-    formal_cosine,
-    formal_norm,
     phase_series_sums,
 )
 from .rotation import ZeroAreaError, _pappus_report, step_profile
@@ -245,34 +244,32 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
 
 
 def _truncation_claims(chi, s, truncations) -> list:
-    """The seven truncation claims, in registry order.  Each series is made
-    once, at the largest N, and every smaller truncation reads its prefix.
-    The tables die with this frame, before the zero scan runs: an exception
-    raised there would otherwise keep them alive in its traceback."""
+    """The seven truncation claims, in registry order, from series made once,
+    at the largest N.  The factor vectors and the profile die with this
+    frame, before the zero scan runs: an exception raised there would
+    otherwise keep them alive in its traceback."""
     series = _running_sums(chi, s, truncations)
-    claims, pairs, dots = [], {}, {}
+    claims, sums = [], {}
     for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
         a_vec, p_vec = build_vectors(chi, s, truncations[-1], variant)
-        pairs[variant] = [(a_vec[:n], p_vec[:n]) for n in truncations]
-        dots[variant] = [bilinear_dot(*pair) for pair in pairs[variant]]
-        evidence = [
-            (n, _relative(abs(d - r), r)) for n, d, r in zip(truncations, dots[variant], series)
-        ]
+        pairings = ((a_vec, p_vec), (a_vec, a_vec), (p_vec, p_vec))
+        dots, aa, pp = (_prefix_sums(map(mul, u, v), truncations) for u, v in pairings)
+        sums[variant] = list(zip(dots, aa, pp))
+        evidence = [(n, _relative(abs(d - r), r)) for n, d, r in zip(truncations, dots, series)]
         inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variant": variant}
         claims.append(_identity_claim(claim_id, inputs, evidence, _IDENTITY_REL_TOL, []))
     evidence, notes = [], []
     for i, n in enumerate(truncations):
         row = [n]
         for variant in VARIANTS:
-            a_vec, p_vec = pairs[variant][i]
+            dot, aa, pp = sums[variant][i]
             try:
-                cosine = formal_cosine(a_vec, p_vec)
+                cosine, norms = _cosine(dot, aa, pp)
             except IsotropicVectorError as exc:
                 notes.append(f"N={n} {variant}: {exc}")
                 row.append(None)
                 continue
-            dot = dots[variant][i]
-            row.append(_relative(abs(dot - formal_norm(a_vec) * formal_norm(p_vec) * cosine), dot))
+            row.append(_relative(abs(dot - norms * cosine), dot))
         evidence.append(tuple(row))
     inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)}
     claims.append(_identity_claim("EQ45_FACTORIZATION", inputs, evidence, _IDENTITY_REL_TOL, notes))

@@ -106,14 +106,20 @@ def formal_cosine(u, v) -> complex:
     Raises IsotropicVectorError if either formal norm is exactly zero --
     e.g. (1, i) is a nonzero isotropic vector.
     """
-    dot = bilinear_dot(u, v)
-    norm_u = formal_norm(u)
+    return _cosine(bilinear_dot(u, v), formal_norm_sq(u), formal_norm_sq(v))[0]
+
+
+def _cosine(dot, uu, vv) -> tuple:
+    """(cosine, norm_u * norm_v) from the pairing u . v and the squared
+    norms u . u and v . v; the isotropic rule of ``formal_cosine``."""
+    norm_u = principal_sqrt(uu)
     if norm_u == 0:
         raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
-    norm_v = formal_norm(v)
+    norm_v = principal_sqrt(vv)
     if norm_v == 0:
         raise IsotropicVectorError("second vector is isotropic (formal norm 0)")
-    return dot / (norm_u * norm_v)
+    norms = norm_u * norm_v
+    return dot / norms, norms
 
 
 def _area_from_pair(u, v) -> complex:

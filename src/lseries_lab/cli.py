@@ -34,7 +34,7 @@ the default ``--tol`` of ``lfun eval``: ``lfun scan``, ``audit`` and
 ``survey`` take no tolerance and evaluate at the default one),
 ``default_n`` (default 10000), ``grid_step`` (default 0.01),
 ``output_format`` (default table).
-Command-line flags override the config file.
+A ``#`` starts a comment.  Command-line flags override the config file.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def load_config(environ=None) -> Config:
     fields = {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()  # no key or value holds a "#"
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key=value): {line!r}")

@@ -2,11 +2,11 @@
 
 Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
-``_terms``: chi(n)^m * n**(-m s), Python's power of the int n, chi(n)^m read
-from a residue table converted once per call.
-Every truncation sum over those terms is read from ``_running_sums`` (one
-walk, the sum at each of several truncations); every vector of them (step
-profile, factor vector) is laid out by ``_term_vector``.
+``_terms``: the dense stream chi(n)^m * n**(-m s), n = 1, 2, ..., 0j off the
+units, Python's power of the int n, chi(n)^m read from a residue table
+converted once per call.  A step profile or factor vector is the tuple of
+that stream, and every truncation sum is read from ``_prefix_sums``: one
+running sum over a stream, taken at each of several truncations.
 
 A point s = sigma + i*t is a Python complex from entry to kernel: every
 public function takes an int, float or complex and converts it with
@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .characters import DirichletCharacter, _to_number, _value
@@ -114,9 +115,9 @@ def _check_finite(s: complex) -> None:
         raise ValueError(f"s must be a finite point, got {s}")
 
 
-def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: int = 1):
-    """Yield (n, chi(n)^m * n**(-m s)) for the units n in [start, stop), in
-    order; -m s is built from its parts (a product can flip a zero's sign),
+def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1):
+    """Yield chi(n)^m * n**(-m s) for n = 1..stop-1, in order, 0j off the
+    units; -m s is built from its parts (a product can flip a zero's sign),
     a float at t = 0, so real chi gives real floats there.  A point with a
     NaN or infinite part raises ValueError before any term, and a term past
     the float range (-m s itself, n^(-m sigma) or the phase m t log n)
@@ -129,36 +130,27 @@ def _terms(chi: DirichletCharacter, s: complex, stop: int, m: int = 1, start: in
     if not cmath.isfinite(neg_s):
         raise ContinuationRangeError(f"at s = {s}, -{m}s = {neg_s} is past the float range")
     try:
-        for n in range(start, stop):
+        for n in range(1, stop):
             v = table[n % q]
-            if v:
-                yield n, v * n**neg_s
+            yield v * n**neg_s if v else 0j
     except (OverflowError, ZeroDivisionError):  # libm's range or domain error in the power
         raise ContinuationRangeError(
             f"at s = {s}, the term n^(-m s) with n = {n}, m = {m} is past the float range"
         ) from None
 
 
-def _term_vector(chi: DirichletCharacter, s: complex, n_terms: int) -> tuple:
-    """(chi(n) * n^-s for n = 1..n_terms) as a dense tuple, 0j off the units."""
-    vec = [0j] * n_terms
-    for n, term in _terms(chi, s, n_terms + 1):
-        vec[n - 1] = term
-    return tuple(vec)
+def _prefix_sums(terms, truncations) -> list:
+    """[sum(terms[:N], 0j) for N in truncations], N increasing, bit for bit:
+    one running sum over the stream, read at each N."""
+    running = accumulate(terms, initial=0j)  # item k is sum(terms[:k])
+    skips = [n - m - 1 for m, n in zip([-1, *truncations], truncations)]  # items between Ns
+    return [next(islice(running, k, None)) for k in skips]
 
 
 def _running_sums(chi: DirichletCharacter, s: complex, truncations, m: int = 1) -> list:
-    """[sum(chi(n)^m * n^(-m s), n <= N) for N in truncations], N increasing:
-    one walk of the terms in index order, each sum continuing the last."""
-    sums = []
-    total = 0.0
-    done = 0
-    for n in truncations:
-        for _, term in _terms(chi, s, n + 1, m, start=done + 1):
-            total += term
-        done = n
-        sums.append(complex(total))
-    return sums
+    """[sum(chi(n)^m * n^(-m s), n <= N) for N in truncations], N increasing,
+    from one walk of the terms."""
+    return _prefix_sums(_terms(chi, s, truncations[-1] + 1, m), truncations)
 
 
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:

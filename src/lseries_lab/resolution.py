@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .characters import DirichletCharacter, principal_character
 from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
-from .lseries import _check_finite, _running_sums, _term_vector
+from .lseries import _check_finite, _running_sums, _terms
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -58,8 +58,8 @@ def build_vectors(chi: DirichletCharacter, s, n_terms: int, variant: str) -> tup
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     a_chi, p_chi = (chi, _TRIVIAL) if variant == AMPLITUDE_CHI else (_TRIVIAL, chi)
-    a_vec = _term_vector(a_chi, complex(s.real, 0.0), n_terms)
-    return a_vec, _term_vector(p_chi, complex(0.0, s.imag), n_terms)
+    a_vec = tuple(_terms(a_chi, complex(s.real, 0.0), n_terms + 1))
+    return a_vec, tuple(_terms(p_chi, complex(0.0, s.imag), n_terms + 1))
 
 
 def phase_series_sums(t: float, n_terms: int) -> tuple:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter
-from .lseries import _running_sums, _term_vector
+from .lseries import _running_sums, _terms
 
 __all__ = [
     "PappusReport",
@@ -47,7 +47,7 @@ def step_profile(chi: DirichletCharacter, s, n_rects: int) -> tuple:
     """The truncation profile: the tuple of heights chi(n) * n^-s, n = 1..N."""
     if n_rects < 1:
         raise ValueError(f"need at least one rectangle, got {n_rects}")
-    return _term_vector(chi, complex(s), n_rects)
+    return tuple(_terms(chi, complex(s), n_rects + 1))
 
 
 def barycenter(heights) -> tuple:

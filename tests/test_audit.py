@@ -17,7 +17,7 @@ from lseries_lab.audit import (
     nonvanishing_survey,
     run_audit,
 )
-from lseries_lab import lseries, resolution, rotation
+from lseries_lab import cgeom, lseries, resolution, rotation
 from lseries_lab.cgeom import bilinear_dot
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import (
@@ -243,15 +243,15 @@ class TestNotePaths:
 
     def test_isotropic_vector_becomes_note_not_crash(self, monkeypatch):
         calls = {"n": 0}
-        real_cosine = audit_module.formal_cosine
+        real_cosine = audit_module._cosine
 
-        def flaky_cosine(u, v):
+        def flaky_cosine(dot, uu, vv):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
-            return real_cosine(u, v)
+            return real_cosine(dot, uu, vv)
 
-        monkeypatch.setattr(audit_module, "formal_cosine", flaky_cosine)
+        monkeypatch.setattr(audit_module, "_cosine", flaky_cosine)
         results = run_audit(CHI4, 0.5, [10, 100])
         claim = by_id(results, "EQ45_FACTORIZATION")
         assert "isotropic" in claim.note
@@ -259,10 +259,10 @@ class TestNotePaths:
         assert claim.verdict == "identity-exact"  # remaining cells still exact
 
     def test_all_isotropic_factorization_is_not_checkable(self, monkeypatch):
-        def isotropic(u, v):
+        def isotropic(dot, uu, vv):
             raise IsotropicVectorError("first vector is isotropic (formal norm 0)")
 
-        monkeypatch.setattr(audit_module, "formal_cosine", isotropic)
+        monkeypatch.setattr(audit_module, "_cosine", isotropic)
         claim = by_id(run_audit(CHI4, 0.5, [10, 100]), "EQ45_FACTORIZATION")
         assert claim.evidence == [(10, None, None), (100, None, None)]
         assert claim.verdict == "holds-at-truncation"
@@ -397,7 +397,7 @@ def count_calls(monkeypatch, functions):
             counts[_name] += 1
             return _function(*args, **kwargs)
 
-        for module in (lseries, resolution, rotation, audit_module):
+        for module in (lseries, resolution, rotation, audit_module, cgeom):
             if getattr(module, name, None) is function:
                 monkeypatch.setattr(module, name, wrapper)
     return counts
@@ -418,6 +418,9 @@ class TestOneWalkPerSeries:
                 rotation.step_profile,
                 lseries.partial_sum,
                 rotation.pappus_check,
+                bilinear_dot,
+                formal_norm,
+                formal_cosine,
             ],
         )
         monkeypatch.setattr(audit_module, "build_vectors", recording_build_vectors)
@@ -428,13 +431,19 @@ class TestOneWalkPerSeries:
             "step_profile": 1,
             "partial_sum": 0,
             "pappus_check": 0,
+            # each truncation's pairing and norms are running sums, not
+            # a fresh pass over a prefix of the factor vectors
+            "bilinear_dot": 0,
+            "formal_norm": 0,
+            "formal_cosine": 0,
         }
 
     def test_aborting_audit_pins_no_tables(self):
         # The zero scan raises on a complex character (a known defect); the
-        # traceback it carries must not keep the truncation tables alive.  A
-        # table is a tuple of max(N) entries (a profile or a factor vector),
-        # held by a frame directly or inside its dicts, lists and tuples.
+        # traceback it carries must not keep the step profile or a factor
+        # vector alive: a tuple of max(N) entries, held by a frame directly
+        # or inside its dicts, lists and tuples.  The claims read running
+        # sums, so once they return no frame should hold one.
         truncations = [10, 100, 1000]
 
         def holds_table(value):

@@ -102,6 +102,15 @@ class TestConfig:
             hurwitz_tol=1e-12, default_n=500, grid_step=0.05, output_format="json"
         )
 
+    def test_readme_config_block_loads_the_defaults(self, tmp_path):
+        # the README example spells out every default, comments after values
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("`LSERIES_LAB_CONFIG`:\n", 1)[1].split("```\n", 2)[1]
+        assert "# default --tol" in block
+        path = tmp_path / "lab.conf"
+        path.write_text(block)
+        assert load_config(environ={"LSERIES_LAB_CONFIG": str(path)}) == Config()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "lab.conf"
         path.write_text("colour=blue\n")
@@ -597,7 +606,7 @@ class TestAuditCommand:
         def walked(*args):
             raise AssertionError("a series was walked")
 
-        monkeypatch.setattr(resolution_module, "_term_vector", walked)
+        monkeypatch.setattr(resolution_module, "_terms", walked)
         code, text = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5+infi", "-N", "10,1000")
         assert code == EXIT_USAGE
         assert text == ""

@@ -38,6 +38,7 @@ from lseries_lab.lseries import (
     SignChangeBracket,
     _bisect_sign_change,
     _hurwitz,
+    _prefix_sums,
     _residue_table,
     _running_sums,
     _scan_result,
@@ -116,13 +117,16 @@ class TestTermKernel:
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("s", [0.5, complex(0.5, 3.0)])
     def test_powered_terms_match_brute_force_on_units(self, m, s):
+        # the stream is dense: stop - 1 terms, exactly 0j off the units
         for chi in enumerate_characters(5) + enumerate_characters(12):
-            terms = dict(_terms(chi, complex(s), 40, m, start=7))
-            units = [n for n in range(7, 40) if chi.values[n % chi.modulus] != 0]
-            assert list(terms) == units
-            for n in units:
+            terms = list(_terms(chi, complex(s), 40, m))
+            assert len(terms) == 39
+            for n, term in enumerate(terms, start=1):
+                if chi.values[n % chi.modulus] == 0:
+                    assert repr(term) == "0j"
+                    continue
                 want = chi.value_complex(n) ** m * n ** (-m * complex(s))
-                assert abs(terms[n] - want) <= 1e-14
+                assert abs(term - want) <= 1e-14
 
     def test_fourth_power_of_order_four_character_is_exact(self):
         for chi in enumerate_characters(5):
@@ -138,7 +142,7 @@ class TestTermKernel:
             want = []
             for stop in truncations:
                 total = 0j
-                for _, term in _terms(chi, complex(s), stop + 1, m):
+                for term in _terms(chi, complex(s), stop + 1, m):
                     total += term
                 want.append(total)
             assert _running_sums(chi, complex(s), truncations, m) == want
@@ -189,10 +193,33 @@ class TestTermKernel:
                     want.append(complex(total))
             case = (chi.modulus, chi.values, m, s, n_terms)
             assert repr(_running_sums(chi, s, truncations, m)) == repr(want), case
+            vec = tuple(terms.get(n, 0j) for n in range(1, n_terms + 1))
+            assert repr(tuple(_terms(chi, s, n_terms + 1, m))) == repr(vec), case
             if m == 1:
-                vec = tuple(terms.get(n, 0j) for n in range(1, n_terms + 1))
-                assert repr(lseries_mod._term_vector(chi, s, n_terms)) == repr(vec), case
                 assert repr(partial_sum(chi, s, n_terms)) == repr(want[-1]), case
+
+    def test_prefix_sums_are_the_sums_of_slices_by_repr(self):
+        # one running sum read at each N performs the additions of
+        # sum(stream[:N], 0j), in the same order, for complex, real and zero terms
+        rng = random.Random(20261019)
+        for _ in range(200):
+            stream = [
+                rng.choice(
+                    [
+                        0j,
+                        0.0,
+                        -0.0,
+                        rng.uniform(-1e3, 1e3),
+                        complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                        complex(rng.expovariate(1e-3), -rng.expovariate(1e3)),
+                    ]
+                )
+                for _ in range(rng.randint(1, 400))
+            ]
+            ns = sorted(rng.sample(range(len(stream) + 1), rng.randint(1, min(5, len(stream) + 1))))
+            want = [sum(stream[:n], 0j) for n in ns]
+            assert repr(_prefix_sums(stream, ns)) == repr(want), (stream, ns)
+            assert repr(_prefix_sums(iter(stream), ns)) == repr(want), (stream, ns)
 
 
 class TestPointCoercion:
