@@ -8,9 +8,9 @@ The package is pure standard-library Python.  Modules:
 * :mod:`~lseries_lab.lseries`    -- partial sums, Euler-Maclaurin Hurwitz
   zeta continuation, L-evaluation with error estimates, zero scanning.
 * :mod:`~lseries_lab.resolution` -- amplitude/phase factor vectors of a
-  truncation, formal norms/cosines, phase-sum divergence witnesses.
+  truncation, phase-sum divergence witnesses.
 * :mod:`~lseries_lab.cgeom`      -- unconjugated bilinear geometry in C^n
-  and the frozen golden worked examples.
+  (formal norms/cosines) and the frozen golden worked examples.
 * :mod:`~lseries_lab.rotation`   -- step profiles (tuples of heights),
   barycenters, and the Pappus V = 2 pi eta S identity at finite truncation.
 * :mod:`~lseries_lab.audit`      -- the eight-claim truncation audit and the
@@ -22,6 +22,8 @@ from .audit import CLAIM_IDS, ClaimResult, SurveyRow, nonvanishing_survey, run_a
 from .cgeom import (
     bilinear_dot,
     cosine_theorem_check,
+    formal_cosine,
+    formal_norm,
     formal_norm_sq,
     principal_sqrt,
     triangle_area,
@@ -43,14 +45,7 @@ from .lseries import (
     partial_sum,
     scan_zeros,
 )
-from .resolution import (
-    AMPLITUDE_CHI,
-    PHASE_CHI,
-    build_vectors,
-    formal_cosine,
-    formal_norm,
-    phase_series_sums,
-)
+from .resolution import AMPLITUDE_CHI, PHASE_CHI, build_vectors, phase_series_sums
 from .rotation import PappusReport, barycenter, pappus_check, step_profile
 
 __version__ = "0.1.0"

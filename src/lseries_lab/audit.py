@@ -6,8 +6,8 @@ failures (isotropic vectors, zero profile area) become notes on that claim
 only; a point with a NaN or infinite part, or one with a term past the
 float range, raises a ValueError out of the audit.  Every truncation
 quantity is a sum over n <= N: each series is walked once, to the largest N,
-and every N reads a running sum (a variant's a . p, a . a and p . p from one
-pass over its factor vectors); the Pappus barycenter reads profile prefixes.
+and every N reads a running sum (the step profile's f_n, (n - 1/2) f_n and
+f_n^2, whose area EQ2/EQ3 also read, and a variant's a . p, a . a and p . p).
 
 Claim registry (fixed order, fixed IDs -- these are the wire format):
 
@@ -48,18 +48,11 @@ from dataclasses import asdict, dataclass
 from math import gcd, isfinite, isnan
 from operator import mul
 
-from .cgeom import _cosine
+from .cgeom import IsotropicVectorError, _cosine
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
 from .lseries import ScanGridError, _prefix_sums, _running_sums, _scan_result, scan_zeros
-from .resolution import (
-    AMPLITUDE_CHI,
-    PHASE_CHI,
-    VARIANTS,
-    IsotropicVectorError,
-    build_vectors,
-    phase_series_sums,
-)
-from .rotation import ZeroAreaError, _pappus_report, step_profile
+from .resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors, phase_series_sums
+from .rotation import ZeroAreaError, _pappus_report, _profile_sums, step_profile
 
 __all__ = [
     "CLAIM_IDS",
@@ -245,17 +238,17 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
 
 def _truncation_claims(chi, s, truncations) -> list:
     """The seven truncation claims, in registry order, from series made once,
-    at the largest N.  The factor vectors and the profile die with this
-    frame, before the zero scan runs: an exception raised there would
-    otherwise keep them alive in its traceback."""
-    series = _running_sums(chi, s, truncations)
+    at the largest N.  The profile dies before the factor vectors are built,
+    and they die with this frame, before the zero scan runs: an exception
+    raised there would otherwise keep them alive in its traceback."""
+    profile = _profile_sums(step_profile(chi, s, truncations[-1]), truncations)
     claims, sums = [], {}
     for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
         a_vec, p_vec = build_vectors(chi, s, truncations[-1], variant)
         pairings = ((a_vec, p_vec), (a_vec, a_vec), (p_vec, p_vec))
         dots, aa, pp = (_prefix_sums(map(mul, u, v), truncations) for u, v in pairings)
         sums[variant] = list(zip(dots, aa, pp))
-        evidence = [(n, _relative(abs(d - r), r)) for n, d, r in zip(truncations, dots, series)]
+        evidence = [(n, _relative(abs(d - r), r)) for n, d, (r, *_) in zip(truncations, dots, profile)]
         inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variant": variant}
         claims.append(_identity_claim(claim_id, inputs, evidence, _IDENTITY_REL_TOL, []))
     evidence, notes = [], []
@@ -274,11 +267,10 @@ def _truncation_claims(chi, s, truncations) -> list:
     inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)}
     claims.append(_identity_claim("EQ45_FACTORIZATION", inputs, evidence, _IDENTITY_REL_TOL, notes))
     claims += [_claim_phase_sum(truncations), _claim_chi4_sum(chi, truncations)]
-    heights = step_profile(chi, s, truncations[-1])
     evidence, notes = [], []
-    for n, square_sum in zip(truncations, _running_sums(chi, s, truncations, 2)):
+    for n, row, square_sum in zip(truncations, profile, _running_sums(chi, s, truncations, 2)):
         try:
-            evidence.append((n, _pappus_report(heights[:n], square_sum).relative_residual))
+            evidence.append((n, _pappus_report(*row, square_sum).relative_residual))
         except ZeroAreaError as exc:
             notes.append(f"N={n}: {exc}")
             evidence.append((n, None))

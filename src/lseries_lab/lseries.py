@@ -73,7 +73,8 @@ class PoleError(ValueError):
 
 class ContinuationRangeError(ValueError):
     """The point is outside the range computed here: sigma <= -1, a series
-    term (or x^-sigma) past the float range, or a point that needs an
+    term, x^-sigma or a Hurwitz power (q^-s, (x + q k)^-s) past the float
+    range (at s = 1000 + 1e308i, say), or a point that needs an
     Euler-Maclaurin shift of 2^20 or more at its tolerance with every
     number of Bernoulli corrections up to 60 (at sigma = 0.5 and tol 1e-10,
     from |t| near 5.3e6)."""
@@ -261,7 +262,8 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     """([(q^-s (zeta(s, x/q) - 1/(s-1)), err_estimate) for x in xs], shift),
     at s = 1 the finite part -digamma(x/q)/q, every x at the plan ``_plan``
     makes for min(xs)/q.  x/q outside (0, 1], a NaN or infinite part,
-    sigma <= -1 and an x^-sigma past the float range raise first.
+    sigma <= -1 and an x^-sigma past the float range raise first, and a
+    power past the float range in the pass ContinuationRangeError.
 
     The point is a float on the real axis.  The direct terms are
     (x + q k)^-s, k < N.  With w = N + x/q, the tail q^-s [w^-s/2 + sum of
@@ -292,7 +294,6 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     neg_s = -s_num
     sigma = s_num.real
     t = abs(s_num.imag)
-    scale = q**neg_s
     bound_scale = q**-sigma
     first = _B_OVER_FACT[0] * s_num
     factors = [
@@ -300,37 +301,41 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
         for j in range(1, pairs)
     ]
     results = []
-    for x in xs:
-        direct = 0.0 if t == 0.0 else 0j
-        for k in range(shift):
-            direct += (x + q * k) ** neg_s
-        w = shift + x / q
-        log_w = math.log(w)
-        inv_w2 = 1.0 / (w * w)
-        term = first / w
-        tail = 0.5 + term
-        for f in factors:
-            term *= f * inv_w2
-            tail += term
-        wq = x + q * shift
-        value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
-        if t == 0.0:
-            size, phase = direct, 0.0
-        else:
-            x_pow = x**-sigma
-            size = x_pow - x * x_pow * _pole_free(sigma, math.log(wq / x)) / q
-            phase = t * math.log(wq)
-        err = bound_scale * math.exp(log_c - decay * log_w)
-        err += _ROUNDOFF * (shift + pairs) * abs(value) + _EPS * (shift + phase) * size
-        results.append((value, err))
+    try:
+        scale = q**neg_s
+        for x in xs:
+            direct = 0.0 if t == 0.0 else 0j
+            for k in range(shift):
+                direct += (x + q * k) ** neg_s
+            w = shift + x / q
+            log_w = math.log(w)
+            inv_w2 = 1.0 / (w * w)
+            term = first / w
+            tail = 0.5 + term
+            for f in factors:
+                term *= f * inv_w2
+                tail += term
+            wq = x + q * shift
+            value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
+            if t == 0.0:
+                size, phase = direct, 0.0
+            else:
+                x_pow = x**-sigma
+                size = x_pow - x * x_pow * _pole_free(sigma, math.log(wq / x)) / q
+                phase = t * math.log(wq)
+            err = bound_scale * math.exp(log_c - decay * log_w)
+            err += _ROUNDOFF * (shift + pairs) * abs(value) + _EPS * (shift + phase) * size
+            results.append((value, err))
+    except (OverflowError, ZeroDivisionError):  # libm's range or domain error in a power
+        raise ContinuationRangeError(f"at s = {s}, a Hurwitz power is past the float range") from None
     return results, shift
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin, the pole
     added back to the pass's value; raises PoleError at s = 1, ValueError at
-    an s with a NaN or infinite part, and ContinuationRangeError where
-    x^-sigma is past the float range (x = 0.25 from sigma = 512)."""
+    an s with a NaN or infinite part, and ContinuationRangeError where a
+    power is past the float range (x^-sigma at x = 0.25 from sigma = 512)."""
     _check_tols(tol=tol)
     s = complex(s)
     if s == 1:

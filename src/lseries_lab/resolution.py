@@ -13,9 +13,9 @@ dot of the pair reproduces the truncation (audit claims EQ2, EQ3).  Both
 factors are kernel terms, the amplitude at the point complex(sigma, 0) and the
 phase at complex(0, t), the bare ones of the trivial character mod 1, and
 s is a Python complex.  ``build_vectors`` returns the pair (a_vec, p_vec) of
-plain tuples, and the pairing, formal norms and cosines are the
-unconjugated ones of :mod:`lseries_lab.cgeom` (norm and cosine re-exported);
-a vector whose formal norm is exactly zero is *isotropic* and has no cosine
+plain tuples, and their pairing, formal norms and cosines are the
+unconjugated ones of :mod:`lseries_lab.cgeom`, where a vector whose formal
+norm is exactly zero is *isotropic* and has no cosine
 (that is a distinct error, not a division blowup).  ``phase_series_sums``
 exposes the raw phase partial sums (sum cos(t ln n), sum sin(t ln n)); at
 t = 0 the cosine sum counts terms exactly (integer path), which is the
@@ -25,17 +25,13 @@ divergence witness the audit module fits.
 from __future__ import annotations
 
 from .characters import DirichletCharacter, principal_character
-from .cgeom import IsotropicVectorError, formal_cosine, formal_norm
 from .lseries import _check_finite, _running_sums, _terms
 
 __all__ = [
     "AMPLITUDE_CHI",
-    "IsotropicVectorError",
     "PHASE_CHI",
     "VARIANTS",
     "build_vectors",
-    "formal_cosine",
-    "formal_norm",
     "phase_series_sums",
 ]
 

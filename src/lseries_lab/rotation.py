@@ -16,7 +16,9 @@ residual.  All quantities are formal: heights are complex, so "areas" and
 "volumes" are complex numbers and a profile can have total area exactly zero
 (then the barycenter is undefined -- ZeroAreaError).
 
-The tests check the barycenter closed forms against midpoint quadrature.
+``_profile_sums`` reads S and both barycenter numerators as running sums, at
+any truncations in one pass each.  The tests check the barycenter closed
+forms against midpoint quadrature.
 V is built from the squared character values at 2s, never from the squared
 heights, so the Pappus residual compares two independent computations.  The
 abscissa xi is reported for completeness but nothing downstream consumes it.
@@ -26,9 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from operator import mul
 
 from .characters import DirichletCharacter
-from .lseries import _running_sums, _terms
+from .lseries import _prefix_sums, _running_sums, _terms
 
 __all__ = [
     "PappusReport",
@@ -50,6 +54,21 @@ def step_profile(chi: DirichletCharacter, s, n_rects: int) -> tuple:
     return tuple(_terms(chi, complex(s), n_rects + 1))
 
 
+def _profile_sums(heights, truncations) -> list:
+    """[(S_N, M_N, Q_N) for N in truncations]: the running sums of f_n,
+    (n - 1/2) * f_n and f_n^2 over a sequence of heights, each bit for bit
+    its sum(..., 0j) over the first N heights."""
+    addends = (heights, map(mul, count(0.5), heights), map(mul, heights, heights))
+    return list(zip(*(_prefix_sums(terms, truncations) for terms in addends)))
+
+
+def _barycenter(area, moment, square) -> tuple:
+    """(xi, eta) from a profile's sums; ZeroAreaError when the area is 0."""
+    if area == 0:
+        raise ZeroAreaError("step profile has total area exactly zero")
+    return moment / area, square / (2 * area)
+
+
 def barycenter(heights) -> tuple:
     """(xi, eta) of the step profile with these heights, from the closed forms
 
@@ -58,12 +77,7 @@ def barycenter(heights) -> tuple:
 
     Raises ZeroAreaError when sum(f_n) is exactly zero.
     """
-    area = sum(heights, 0j)
-    if area == 0:
-        raise ZeroAreaError("step profile has total area exactly zero")
-    moment = sum(((n - 0.5) * f for n, f in enumerate(heights, start=1)), 0j)
-    square = sum((f * f for f in heights), 0j)
-    return moment / area, square / (2 * area)
+    return _barycenter(*_profile_sums(heights, [len(heights)])[0])
 
 
 @dataclass(frozen=True)
@@ -92,15 +106,15 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     area raises ZeroAreaError (propagated from the barycenter).
     """
     s = complex(s)
-    return _pappus_report(step_profile(chi, s, n_rects), _running_sums(chi, s, [n_rects], 2)[0])
+    sums = _profile_sums(step_profile(chi, s, n_rects), [n_rects])[0]
+    return _pappus_report(*sums, _running_sums(chi, s, [n_rects], 2)[0])
 
 
-def _pappus_report(heights, square_sum: complex) -> PappusReport:
-    """The Pappus report of a profile's heights, given sum(chi(n)^2 * n^-2s)
-    over its rectangles; shared by ``pappus_check`` and the audit's prefixes."""
-    area = sum(heights, 0j)
+def _pappus_report(area, moment, square, square_sum: complex) -> PappusReport:
+    """The Pappus report of a profile from its sums (``_profile_sums``) and
+    sum(chi(n)^2 * n^-2s) over its rectangles; shared with the audit."""
     volume = math.pi * square_sum
-    xi, eta = barycenter(heights)
+    xi, eta = _barycenter(area, moment, square)
     residual = abs(volume - 2 * math.pi * eta * area)
     return PappusReport(
         profile_area=area, volume=volume, xi=xi, eta=eta, residual=residual

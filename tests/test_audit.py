@@ -18,7 +18,7 @@ from lseries_lab.audit import (
     run_audit,
 )
 from lseries_lab import cgeom, lseries, resolution, rotation
-from lseries_lab.cgeom import bilinear_dot
+from lseries_lab.cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import (
     ContinuationRangeError,
@@ -28,15 +28,7 @@ from lseries_lab.lseries import (
     _running_sums,
     partial_sum,
 )
-from lseries_lab.resolution import (
-    AMPLITUDE_CHI,
-    PHASE_CHI,
-    VARIANTS,
-    IsotropicVectorError,
-    build_vectors,
-    formal_cosine,
-    formal_norm,
-)
+from lseries_lab.resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors
 from lseries_lab.rotation import ZeroAreaError, pappus_check
 
 CHI3 = enumerate_real_characters(3)[1]
@@ -437,6 +429,26 @@ class TestOneWalkPerSeries:
             "formal_norm": 0,
             "formal_cosine": 0,
         }
+
+    def test_each_term_stream_is_walked_once(self, monkeypatch):
+        # off the real axis the profile, the factor vectors, W_N and the
+        # chi^4 sum are all distinct streams; EQ2/EQ3 read the profile's area
+        walks = {}
+        real_terms = lseries._terms
+
+        def counting_terms(chi, s, stop, m=1):
+            key = (chi.values, s, m)
+            walks[key] = walks.get(key, 0) + 1
+            assert stop == 1001
+            return real_terms(chi, s, stop, m)
+
+        for module in (lseries, rotation, resolution):
+            monkeypatch.setattr(module, "_terms", counting_terms)
+        s = complex(0.5, 1.0)
+        run_audit(CHI4, s, [10, 100, 1000])
+        assert walks[(CHI4.values, s, 1)] == 1
+        assert set(walks.values()) == {1}
+        assert len(walks) == 8  # profile, 2 x 2 factors, chi^2 at s and at sigma, chi^4 at 0
 
     def test_aborting_audit_pins_no_tables(self):
         # The zero scan raises on a complex character (a known defect); the

@@ -314,6 +314,14 @@ class TestEvalCommand:
         assert text == ""
         assert "needs an Euler-Maclaurin shift above" in capsys.readouterr().err
 
+    def test_hurwitz_power_past_the_float_range_is_domain_error(self, capsys):
+        code, text = run_cli("lfun", "eval", "-q", "3", "-k", "1", "-s", "1000+1e308i")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: at s = (1000+1e+308j), a Hurwitz power is past the float range\n"
+        )
+
 
 class TestScanCommand:
     def test_table_summary_line(self):

@@ -71,6 +71,9 @@ CHI0_1 = enumerate_real_characters(1)[0]
 CHI3 = enumerate_real_characters(3)[1]
 CHI4 = enumerate_real_characters(4)[1]
 CHI0_6 = enumerate_real_characters(6)[0]
+# sigma >= 1000 with |t| = 1e308: the plan is small, but a power's phase
+# t log(x + q k) (or t log q) overflows, which libm reports as a domain error
+FAR_POINTS = [complex(sigma, t) for sigma in (1e3, 1e30, 1e300, 1e308) for t in (1e308, -1e308)]
 
 
 def brute_partial_sum(chi, s, n_terms):
@@ -337,6 +340,11 @@ class TestHurwitzZeta:
         with pytest.raises(ContinuationRangeError, match=message):
             hurwitz_zeta(s, x)
 
+    @pytest.mark.parametrize("s", FAR_POINTS)
+    def test_power_past_the_float_range_in_the_pass_raises(self, s):
+        with pytest.raises(ContinuationRangeError, match=re.escape(f"at s = {s}, a Hurwitz power")):
+            hurwitz_zeta(s, 1.0)
+
     @pytest.mark.parametrize("s,x", [(511, 0.25), (300, 0.1)])
     def test_largest_x_powers_in_range_are_finite(self, s, x):
         # 0.25^-511 = 2^1022 is about 4.494e307; the rest adds below an ulp
@@ -433,6 +441,21 @@ class TestEvaluate:
     def test_continuation_range(self):
         with pytest.raises(ContinuationRangeError):
             evaluate(CHI4, -1.5)
+
+    @pytest.mark.parametrize("s", FAR_POINTS)
+    @pytest.mark.parametrize(
+        "chi",
+        [
+            CHI4,
+            CHI0_6,
+            next(c for c in enumerate_characters(5) if not c.is_real),
+            enumerate_real_characters(7)[1],  # t log 7 is past the float range: q^-s raises
+        ],
+        ids=["real-mod-4", "principal-mod-6", "complex-mod-5", "real-mod-7"],
+    )
+    def test_hurwitz_power_past_the_float_range_is_a_domain_error(self, chi, s):
+        with pytest.raises(ContinuationRangeError, match=re.escape(f"at s = {s}, a Hurwitz power")):
+            evaluate(chi, s)
 
     def test_tail_bound_links_evaluate_to_partial_sum(self):
         n_terms = 2000

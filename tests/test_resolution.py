@@ -17,19 +17,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lseries_lab.cgeom import bilinear_dot
+from lseries_lab.cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import partial_sum
-from lseries_lab.resolution import (
-    AMPLITUDE_CHI,
-    PHASE_CHI,
-    VARIANTS,
-    IsotropicVectorError,
-    build_vectors,
-    formal_cosine,
-    formal_norm,
-    phase_series_sums,
-)
+from lseries_lab.resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors, phase_series_sums
 
 CHI0_1 = enumerate_real_characters(1)[0]
 CHI4 = enumerate_real_characters(4)[1]

@@ -15,6 +15,7 @@ to the unit steps integrate the step data exactly).
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +59,24 @@ def barycenter_quadrature(profile):
     moment = _midpoint_quadrature(lambda z: z * height(z), 0.0, float(n), n)
     square = _midpoint_quadrature(lambda z: height(z) ** 2, 0.0, float(n), n)
     return moment / area, square / (2 * area)
+
+
+def barycenter_by_whole_sums(heights):
+    """The barycenter closed forms as three plain sums over all the heights:
+    a running sum must give the same floats, bit for bit."""
+    area = sum(heights, 0j)
+    if area == 0:
+        raise ZeroAreaError("step profile has total area exactly zero")
+    moment = sum(((n - 0.5) * f for n, f in enumerate(heights, start=1)), 0j)
+    square = sum((f * f for f in heights), 0j)
+    return moment / area, square / (2 * area)
+
+
+def seeded_profiles(seed=20261019, count=30):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 300)
+        yield tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) / k for k in range(1, n + 1))
 
 
 class TestProfileGeometry:
@@ -137,6 +156,33 @@ class TestBarycenter:
         scale = max(1.0, abs(xi), abs(eta))
         assert abs(xi - xi_q) <= 1e-10 * scale
         assert abs(eta - eta_q) <= 1e-10 * scale
+
+
+class TestRunningSumsMatchWholeSums:
+    def test_barycenter_by_repr(self):
+        for heights in seeded_profiles():
+            assert repr(barycenter(heights)) == repr(barycenter_by_whole_sums(heights))
+
+    def test_zero_area_raises_on_both_sides(self):
+        heights = next(seeded_profiles(seed=7, count=1))
+        heights += (-sum(heights, 0j),)  # the running area ends at exactly 0
+        for function in (barycenter, barycenter_by_whole_sums):
+            with pytest.raises(ZeroAreaError):
+                function(heights)
+
+    def test_pappus_check_fields_by_repr(self):
+        rng = random.Random(20261019)
+        for chi in enumerate_characters(5) + enumerate_characters(12):
+            s = complex(rng.uniform(0.1, 2.0), rng.choice([0.0, rng.uniform(-30.0, 30.0)]))
+            n_rects = rng.randint(1, 400)
+            report = pappus_check(chi, s, n_rects)
+            heights = step_profile(chi, s, n_rects)
+            area = sum(heights, 0j)
+            xi, eta = barycenter_by_whole_sums(heights)
+            residual = abs(report.volume - 2 * math.pi * eta * area)
+            assert repr((report.profile_area, report.xi, report.eta, report.residual)) == repr(
+                (area, xi, eta, residual)
+            )
 
 
 class TestPappus:
