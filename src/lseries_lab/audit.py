@@ -50,7 +50,7 @@ from operator import mul
 
 from .cgeom import IsotropicVectorError, _cosine
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import ScanGridError, _prefix_sums, _running_sums, _scan_result, scan_zeros
+from .lseries import _DEFAULT_GRID_STEP, _prefix_sums, _running_sums, _scan_grid, _scan_result, scan_zeros
 from .resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors, phase_series_sums
 from .rotation import ZeroAreaError, _pappus_report, _profile_sums, step_profile
 
@@ -95,7 +95,6 @@ VERDICTS = (
 _IDENTITY_REL_TOL = 1e-12
 _PAPPUS_REL_TOL = 1e-9
 _FIT_REL_MISFIT = 1e-6
-_DEFAULT_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -277,18 +276,6 @@ def _truncation_claims(chi, s, truncations) -> list:
     inputs = {"q": chi.modulus, "s": [s.real, s.imag]}
     claims.append(_identity_claim("PAPPUS_IDENTITY", inputs, evidence, _PAPPUS_REL_TOL, notes))
     return claims + [_claim_positivity(chi, s, truncations)]
-
-
-def _scan_grid(grid_step: float) -> tuple:
-    """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
-    if not grid_step > 0:
-        raise ValueError(f"grid step must be > 0, got {grid_step}")
-    if not isfinite(grid_step):
-        raise ValueError(f"grid step must be finite, got {grid_step}")
-    points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
-    if points < 2:
-        raise ScanGridError(f"need at least 2 grid points, got {points}")
-    return grid_step, grid_step + (points - 1) * grid_step, points
 
 
 def _claim_nonvanishing(chi, grid_step, grid) -> ClaimResult:

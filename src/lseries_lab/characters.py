@@ -150,14 +150,10 @@ def _to_number(v: CharacterValue):
 
 def _conductor_of_table(q: int, values: Sequence[CharacterValue]) -> int:
     """Smallest f | q such that n = 1 (mod f), gcd(n, q) = 1 implies chi(n) = 1."""
-    for f in _divisors(q):
-        if all(
-            values[n % q] == 1
-            for n in range(1, q + 1, f)
-            if gcd(n, q) == 1
-        ):
+    for f in _divisors(q)[:-1]:  # f = q always passes
+        if all(values[n % q] == 1 for n in range(1, q + 1, f) if gcd(n, q) == 1):
             return f
-    return q  # unreachable: f = q always passes
+    return q
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ import sys
 from . import audit as audit_mod
 from . import cgeom
 from .characters import enumerate_characters, enumerate_real_characters
-from .lseries import _DEFAULT_TOL, _check_tols, evaluate, scan_zeros
+from .lseries import _DEFAULT_GRID_STEP, _DEFAULT_TOL, _check_tols, _scan_grid, evaluate, scan_zeros
 from .rotation import pappus_check
 
 __all__ = ["Config", "load_config", "main", "run"]
@@ -70,7 +70,7 @@ class Config:
 
     hurwitz_tol: float = _DEFAULT_TOL
     default_n: int = 10_000
-    grid_step: float = audit_mod._DEFAULT_GRID_STEP
+    grid_step: float = _DEFAULT_GRID_STEP
     output_format: str = "table"
 
     def validate(self) -> "Config":
@@ -78,7 +78,7 @@ class Config:
         if self.default_n < 1:
             raise ValueError(f"default_n must be >= 1, got {self.default_n}")
         try:
-            audit_mod._scan_grid(self.grid_step)
+            _scan_grid(self.grid_step)
         except ValueError as exc:
             raise ValueError(f"grid_step {self.grid_step}: {exc}") from None
         if self.output_format not in FORMATS:
@@ -200,7 +200,7 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
 
 def _cmd_lfun_scan(args, config: Config, out) -> int:
     chi = _select_character(args.q, args.k)
-    result = scan_zeros(chi, *audit_mod._scan_grid(args.grid_step))
+    result = scan_zeros(chi, *_scan_grid(args.grid_step))
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
     rows = [
         [args.q, args.k, *point]
@@ -261,8 +261,6 @@ def _cmd_audit(args, config: Config, out) -> int:
 
 
 def _cmd_survey(args, config: Config, out) -> int:
-    if args.qmax < 1:
-        raise ValueError(f"--qmax must be >= 1, got {args.qmax}")
     rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step)
     headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
     _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
@@ -271,12 +269,9 @@ def _cmd_survey(args, config: Config, out) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def build_parser(config: Config) -> argparse.ArgumentParser:

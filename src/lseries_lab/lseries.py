@@ -36,8 +36,9 @@ Two evaluation routes:
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
 point, and refines each sign change by bisection until the midpoint's |L|
-is within its error estimate (``_scan_result`` does the bracketing for it
-and for the survey).
+is within its error estimate (``_scan_result`` does the bracketing, for
+the survey too).  ``_scan_grid`` makes the grid of every CLI, audit and
+survey scan: sigma = h, 2h, ... up to ~1 - h, a finite step h > 0 (0.01).
 Err estimates propagate: the Euler-Maclaurin remainder bound plus a
 floating-point roundoff model.
 """
@@ -73,8 +74,8 @@ class PoleError(ValueError):
 
 class ContinuationRangeError(ValueError):
     """The point is outside the range computed here: sigma <= -1, a series
-    term, x^-sigma or a Hurwitz power (q^-s, (x + q k)^-s) past the float
-    range (at s = 1000 + 1e308i, say), or a point that needs an
+    term or a Hurwitz power (q^-s, (x + q k)^-s, x^-s itself at k = 0) past
+    the float range (at s = 1000 + 1e308i, say), or a point that needs an
     Euler-Maclaurin shift of 2^20 or more at its tolerance with every
     number of Bernoulli corrections up to 60 (at sigma = 0.5 and tol 1e-10,
     from |t| near 5.3e6)."""
@@ -187,6 +188,7 @@ _B_OVER_FACT = _bernoulli_over_factorial(_MAX_PAIRS)
 _ROUNDOFF = 5e-16
 _EPS = 2.0**-53
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
+_DEFAULT_GRID_STEP = 0.01  # every scan's default sigma spacing (``_scan_grid``)
 _LOG_4 = math.log(4.0)
 _LOG_TAU = math.log(2.0 * math.pi)
 _LOG_MAX_W = math.log(2.0 * _MAX_SHIFT)  # past it exp() could overflow; no N fits anyway
@@ -261,9 +263,9 @@ def _pole_free(s_num, log_w: float):
 def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     """([(q^-s (zeta(s, x/q) - 1/(s-1)), err_estimate) for x in xs], shift),
     at s = 1 the finite part -digamma(x/q)/q, every x at the plan ``_plan``
-    makes for min(xs)/q.  x/q outside (0, 1], a NaN or infinite part,
-    sigma <= -1 and an x^-sigma past the float range raise first, and a
-    power past the float range in the pass ContinuationRangeError.
+    makes for min(xs)/q; the caller keeps each x/q in (0, 1].  A NaN or
+    infinite part and sigma <= -1 raise first, and a power past the float
+    range in the pass, x^-s the first, ContinuationRangeError.
 
     The point is a float on the real axis.  The direct terms are
     (x + q k)^-s, k < N.  With w = N + x/q, the tail q^-s [w^-s/2 + sum of
@@ -276,21 +278,11 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     of the direct terms (on the real axis their sum; off it, its integral
     bound), for the additions and each term's rounded phase t log n.
     """
-    for x in xs:
-        if not 0 < x <= q:
-            raise ValueError(f"x must lie in (0, 1], got {x / q}")
     _check_finite(s)
     if s.real <= -1.0:
         raise ContinuationRangeError(f"sigma = {s.real} is outside the supported range sigma > -1")
-    x_min = min(xs)
-    try:
-        x_min ** -s.real
-    except OverflowError:
-        raise ContinuationRangeError(
-            f"x^-sigma at s = {s}, x = {x_min / q} is past the float range"
-        ) from None
     s_num = s.real if s.imag == 0.0 else s
-    shift, pairs, log_c, decay = _plan(s_num, x_min / q, tol)
+    shift, pairs, log_c, decay = _plan(s_num, min(xs) / q, tol)
     neg_s = -s_num
     sigma = s_num.real
     t = abs(s_num.imag)
@@ -333,13 +325,15 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin, the pole
-    added back to the pass's value; raises PoleError at s = 1, ValueError at
-    an s with a NaN or infinite part, and ContinuationRangeError where a
-    power is past the float range (x^-sigma at x = 0.25 from sigma = 512)."""
+    added back to the pass's value.  PoleError at s = 1, ValueError at an x
+    outside (0, 1] or an s with a NaN or infinite part, ContinuationRangeError
+    where a power is past the float range (x^-s at x = 0.25 from sigma = 512)."""
     _check_tols(tol=tol)
     s = complex(s)
     if s == 1:
         raise PoleError("zeta(s, x) has a pole at s = 1")
+    if not 0 < x <= 1:
+        raise ValueError(f"x must lie in (0, 1], got {x}")
     [(value, _)], _ = _hurwitz(s, [x], tol)
     return complex(value + 1.0 / (s.real - 1.0 if s.imag == 0.0 else s - 1.0))
 
@@ -462,6 +456,18 @@ def _scan_result(chi, sigmas, pairs) -> ScanResult:
         min_abs=abs(values[i_min]),
         argmin_sigma=sigmas[i_min],
     )
+
+
+def _scan_grid(grid_step: float) -> tuple:
+    """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
+    if not grid_step > 0:
+        raise ValueError(f"grid step must be > 0, got {grid_step}")
+    if not math.isfinite(grid_step):
+        raise ValueError(f"grid step must be finite, got {grid_step}")
+    points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
+    if points < 2:
+        raise ScanGridError(f"need at least 2 grid points, got {points}")
+    return grid_step, grid_step + (points - 1) * grid_step, points
 
 
 def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) -> ScanResult:

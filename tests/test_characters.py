@@ -256,6 +256,19 @@ class TestFromValues:
         with pytest.raises(ValueError):
             DirichletCharacter.from_values(5, [0, 1, 1, -1, 1])
 
+    @pytest.mark.parametrize(
+        "q,values,message",
+        [
+            (0, [], "modulus must be >= 1, got 0"),
+            (5, [0, 1, -1, -1], "value table must have length 5, got 4"),
+            (1, [-1], r"chi\(1\) must equal 1"),
+            (5, [0, -1, -1, 1, 1], r"chi\(1\) must equal 1"),
+        ],
+    )
+    def test_rejects_a_table_that_is_no_character_mod_q(self, q, values, message):
+        with pytest.raises(ValueError, match=message):
+            DirichletCharacter.from_values(q, values)
+
     def test_matches_enumeration(self):
         for q in range(1, 41):
             for chi in enumerate_characters(q):

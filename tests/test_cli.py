@@ -29,7 +29,7 @@ from lseries_lab.cli import (
     main,
     parse_complex_s,
 )
-from lseries_lab.lseries import LEvaluation
+from lseries_lab.lseries import LEvaluation, ScanResult, SignChangeBracket
 
 PI_OVER_4 = 0.78539816339744830962
 
@@ -369,6 +369,26 @@ class TestScanCommand:
         assert len(payload["brackets"]) == 1
         assert abs(payload["brackets"][0]["root"] - 0.55) < 1e-8
 
+    def test_table_lists_each_bracket(self, monkeypatch):
+        bracket = SignChangeBracket(lo=0.5, hi=0.6, root=0.55)
+
+        def fake_scan(chi, lo, hi, grid_points):
+            return ScanResult(
+                sigmas=(0.5, 0.6),
+                values=(-1.0, 1.0),
+                err_estimates=(1e-15, 1e-15),
+                brackets=(bracket,),
+                min_abs=1.0,
+                argmin_sigma=0.5,
+            )
+
+        monkeypatch.setattr(cli_module, "scan_zeros", fake_scan)
+        code, text = run_cli("lfun", "scan", "-q", "4", "-k", "1")
+        assert code == EXIT_FINDING
+        lines = text.splitlines()
+        assert lines[-2] == "min |L| = 1.0 at sigma = 0.5; sign changes: 1"
+        assert lines[-1] == "  bracket [0.5, 0.6] root 0.55"
+
     def test_exact_zero_at_the_last_grid_point_exits_finding(self, monkeypatch):
         last = audit_module._scan_grid(0.1)[1]
 
@@ -624,6 +644,12 @@ class TestAuditCommand:
         code, _ = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "1000,100")
         assert code == EXIT_USAGE
 
+    def test_empty_truncation_list_is_the_audit_s_domain_error(self, capsys):
+        code, text = run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", ",")
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == "error: need at least one truncation point\n"
+
     def test_malformed_truncation_list_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("audit", "-q", "4", "-k", "1", "-s", "0.5", "-N", "10,abc")
@@ -640,8 +666,10 @@ class TestSurveyCommand:
         assert all(r[4] == "0" for r in rows)
 
     def test_bad_qmax(self, capsys):
-        code, _ = run_cli("survey", "--qmax", "0")
+        code, text = run_cli("survey", "--qmax", "0")
         assert code == EXIT_USAGE
+        assert text == ""
+        assert capsys.readouterr().err == "error: q_max must be >= 1, got 0\n"
 
     def test_sign_change_exits_finding(self, monkeypatch):
         from lseries_lab.audit import SurveyRow

@@ -335,8 +335,9 @@ class TestHurwitzZeta:
 
     @pytest.mark.parametrize("s,x", [(800, 0.25), (800 + 1j, 0.25), (512, 0.25), (400, 0.1)])
     def test_x_power_past_the_float_range_raises(self, s, x):
-        # zeta(s, x) > x^-sigma, which is past the largest float here
-        message = re.escape(f"s = {complex(s)}, x = {x} is past the float range")
+        # zeta(s, x) > x^-sigma, which is past the largest float here: the
+        # pass's first direct term x^-s overflows
+        message = re.escape(f"at s = {complex(s)}, a Hurwitz power is past the float range")
         with pytest.raises(ContinuationRangeError, match=message):
             hurwitz_zeta(s, x)
 
@@ -357,9 +358,20 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError, match=rf"x must lie in \(0, 1\], got {x}"):
             hurwitz_zeta(2.0, x)
 
-    def test_bad_x_anywhere_in_a_list_is_rejected(self):
-        with pytest.raises(ValueError, match="got 1.5"):
-            _hurwitz(complex(2.0), [0.5, 1.0, 1.5], 1e-10)
+    @pytest.mark.parametrize("x", [0.0, 1.5, math.nan])
+    def test_bad_x_is_rejected_before_the_kernel_runs(self, x, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _hurwitz(*args, **kwargs)
+
+        monkeypatch.setattr(lseries_mod, "_hurwitz", counting)
+        with pytest.raises(ValueError, match=r"x must lie in \(0, 1\]"):
+            hurwitz_zeta(2.0, x)
+        assert calls == []
+        hurwitz_zeta(2.0, 0.5)  # the wrapper is live: a good x reaches the kernel
+        assert len(calls) == 1
 
     def test_x_equals_one_allowed(self):
         assert abs(hurwitz_zeta(2.0, 1.0) - PI2_OVER_6) < 1e-12
