@@ -2,13 +2,13 @@
 
 Characters are built from the structure of the unit group (Z/qZ)^*: the group
 is presented as a direct product over the prime-power factors of q, using the
-smallest primitive root for odd prime powers and the {-1, 5} generator pair
-for 2^k with k >= 3.  Each character value is stored exactly -- as an integer
-in {-1, 0, +1} when the character is real, and otherwise as an (order,
-exponent) pair (d, k) meaning exp(2*pi*i*k/d).  Exact arithmetic is on integer
-exponents e over the group exponent L = lcm(d_i), standing for exp(2*pi*i*e/L),
-and ``from_values`` validates a table by rebuilding it from its generator
-images.  No floating point enters until ``_to_number`` converts a value (which
+smallest primitive root for odd prime powers, and -1 (k >= 2) and 5 (k >= 3)
+for 2^k.  Each character value is stored exactly -- as an integer in
+{-1, 0, +1} when the character is real, and otherwise as an (order, exponent)
+pair (d, k) meaning exp(2*pi*i*k/d).  Exact arithmetic is on integer exponents
+e over the group exponent L = lcm(d_i), standing for exp(2*pi*i*e/L), and
+``from_values`` validates a table by rebuilding it from its generator images.
+No floating point enters until ``_to_number`` converts a value (which
 :meth:`DirichletCharacter.value_complex` and the L-series term tables share).
 
 The Kronecker symbol lives here as well; for fundamental discriminants it is
@@ -55,18 +55,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _smallest_generator(p: int, e: int) -> int:
     """Smallest generator of the cyclic group (Z/p^eZ)^* for odd prime p."""
     pe = p**e
@@ -80,14 +68,10 @@ def _smallest_generator(p: int, e: int) -> int:
 
 
 def _crt_lift(residue: int, pe: int, q: int) -> int:
-    """The x in [0, q) with x = residue (mod pe) and x = 1 (mod q // pe)."""
+    """The x in [0, q) with x = residue (mod pe) and x = 1 (mod rest = q // pe),
+    for a unit residue mod pe > 1: x = 1 + rest * k, k = (residue - 1) / rest mod pe."""
     rest = q // pe
-    if rest == 1:
-        return residue % q
-    inv = pow(pe, -1, rest)
-    # x = residue + pe * k with pe * k = 1 - residue (mod rest)
-    k = ((1 - residue) * inv) % rest
-    return (residue + pe * k) % q
+    return 1 + rest * ((residue - 1) * pow(rest, -1, pe) % pe)
 
 
 def unit_group_structure(q: int) -> list[tuple[int, int]]:
@@ -95,8 +79,8 @@ def unit_group_structure(q: int) -> list[tuple[int, int]]:
 
     Returns [(g_1, d_1), ...] with each g_i in [0, q) acting only on its own
     prime-power factor (it is 1 mod the others).  The product of the orders
-    d_i equals phi(q).  The 2-power factor comes first (generator -1, then 5,
-    for 2^k with k >= 3); odd prime-power factors follow in ascending order
+    d_i equals phi(q).  The 2-power factor 2^k comes first (-1 when k >= 2,
+    then 5 when k >= 3); odd prime-power factors follow in ascending order
     of p, each contributing its smallest generator.  q = 1, 2 give [].
     """
     if q < 1:
@@ -105,12 +89,9 @@ def unit_group_structure(q: int) -> list[tuple[int, int]]:
     for p, e in _factorize(q):
         pe = p**e
         if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                gens.append((_crt_lift(3, 4, q), 2))
-            else:
+            if e >= 2:
                 gens.append((_crt_lift(pe - 1, pe, q), 2))
+            if e >= 3:
                 gens.append((_crt_lift(5, pe, q), 2 ** (e - 2)))
         else:
             g = _smallest_generator(p, e)
@@ -149,11 +130,14 @@ def _to_number(v: CharacterValue):
 
 
 def _conductor_of_table(q: int, values: Sequence[CharacterValue]) -> int:
-    """Smallest f | q such that n = 1 (mod f), gcd(n, q) = 1 implies chi(n) = 1."""
-    for f in _divisors(q)[:-1]:  # f = q always passes
-        if all(values[n % q] == 1 for n in range(1, q + 1, f) if gcd(n, q) == 1):
-            return f
-    return q
+    """Smallest f | q such that n = 1 (mod f), gcd(n, q) = 1 implies chi(n) = 1.
+    The f | q with that property are the multiples of the conductor, so dividing
+    f = q by each prime p of q while f / p keeps it leaves the smallest one."""
+    f = q
+    for p, _ in _factorize(q):
+        while f % p == 0 and all(values[n] == 1 for n in range(1, q, f // p) if gcd(n, q) == 1):
+            f //= p
+    return f
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def _values_cell(chi) -> str:
     return ";".join(map(str, chi.values)).replace(" ", "")
 
 
-def _cmd_characters(args, config: Config, out) -> int:
+def _cmd_characters(args, out) -> int:
     chars = enumerate_real_characters(args.q) if args.real else enumerate_characters(args.q)
     headers = ["q", "index", "real", "principal", "conductor", "values"]
     # Each format prints only one of these, and both are large for a large q:
@@ -188,7 +188,7 @@ def _cmd_characters(args, config: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_lfun_eval(args, config: Config, out) -> int:
+def _cmd_lfun_eval(args, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
     ev = evaluate(chi, s, tol=args.tol)
@@ -198,7 +198,7 @@ def _cmd_lfun_eval(args, config: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_lfun_scan(args, config: Config, out) -> int:
+def _cmd_lfun_scan(args, out) -> int:
     chi = _select_character(args.q, args.k)
     result = scan_zeros(chi, *_scan_grid(args.grid_step))
     headers = ["q", "char_index", "sigma", "L_value", "err_estimate"]
@@ -226,7 +226,7 @@ def _cmd_lfun_scan(args, config: Config, out) -> int:
     return EXIT_FINDING if result.found_sign_change else EXIT_OK
 
 
-def _cmd_geom_verify(args, config: Config, out) -> int:
+def _cmd_geom_verify(args, out) -> int:
     checks = cgeom.verify_appendix()
     # the table rounds the residual and names the status; the JSON keeps each field
     headers = ["example", "quantity", "computed", "expected", "residual", "status"]
@@ -239,7 +239,7 @@ def _cmd_geom_verify(args, config: Config, out) -> int:
     return EXIT_OK if all(c.ok for c in checks) else EXIT_FINDING
 
 
-def _cmd_pappus_check(args, config: Config, out) -> int:
+def _cmd_pappus_check(args, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
     r = pappus_check(chi, s, args.N)
@@ -249,7 +249,7 @@ def _cmd_pappus_check(args, config: Config, out) -> int:
     return EXIT_OK
 
 
-def _cmd_audit(args, config: Config, out) -> int:
+def _cmd_audit(args, out) -> int:
     chi = _select_character(args.q, args.k)
     s = parse_complex_s(args.s)
     claims = audit_mod.run_audit(chi, s, args.N, grid_step=args.grid_step)
@@ -260,7 +260,7 @@ def _cmd_audit(args, config: Config, out) -> int:
     return EXIT_FINDING if found else EXIT_OK
 
 
-def _cmd_survey(args, config: Config, out) -> int:
+def _cmd_survey(args, out) -> int:
     rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step)
     headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
     _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
@@ -382,7 +382,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser(config)
     args = parser.parse_args(argv)
     try:
-        return args.func(args, config, out)
+        return args.func(args, out)
     except ValueError as exc:  # every domain error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -127,6 +127,33 @@ class TestUnitGroupStructure:
             span = {x * pow(g, a, q) % q for x in span for a in range(d)}
         assert span == set(units(q))
 
+    def test_generators_are_the_documented_lifts(self):
+        """Each generator g is 1 mod q / pe and, mod its prime power pe, is
+        pe - 1 (4 | q) then 5 (8 | q) for p = 2, and for odd p the smallest
+        primitive root mod pe, found here by brute-force orders."""
+
+        def order(g, m):
+            power, k = g % m, 1
+            while power != 1:
+                power, k = power * g % m, k + 1
+            return k
+
+        for q in range(1, 301):
+            expected = []  # (pe, the generator's residue mod pe), in order
+            for p in (p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))):
+                pe = p
+                while q % (pe * p) == 0:
+                    pe *= p
+                if p == 2:
+                    expected += [(pe, pe - 1)] * (pe >= 4) + [(pe, 5)] * (pe >= 8)
+                else:
+                    root = next(g for g in range(2, pe) if gcd(g, pe) == 1 and order(g, pe) == phi(pe))
+                    expected.append((pe, root))
+            gens = unit_group_structure(q)
+            assert len(gens) == len(expected), q
+            for (g, _), (pe, residue) in zip(gens, expected):
+                assert 0 <= g < q and g % pe == residue and g % (q // pe) == 1 % (q // pe), (q, g)
+
     def test_deterministic(self):
         for q in (12, 40, 45):
             assert unit_group_structure(q) == unit_group_structure(q)
@@ -367,19 +394,19 @@ class TestConductor:
         induced = DirichletCharacter.from_values(8, values)
         assert induced.conductor == 4
 
-    @pytest.mark.parametrize("q", [1, 3, 4, 8, 9, 12, 16, 24, 36, 40])
+    @pytest.mark.parametrize("q", [1, 3, 4, 8, 9, 12, 16, 24, 36, 40, 48, 60, 64, 72, 96, 120])
     def test_pairwise_oracle(self, q):
-        """f is an induced modulus iff chi is constant on unit classes mod f."""
-        for chi in enumerate_real_characters(q):
+        """f is an induced modulus iff chi is constant on unit classes mod f;
+        checked for every character mod q, complex ones included."""
+        us = units(q)
+        for chi in enumerate_characters(q):
             def induced_modulus(f):
-                for a in range(q):
-                    if gcd(a, q) != 1:
-                        continue
-                    for b in range(a, q):
-                        if gcd(b, q) == 1 and (a - b) % f == 0:
-                            if chi.values[a] != chi.values[b]:
-                                return False
-                return True
+                return all(
+                    chi.values[a] == chi.values[b]
+                    for i, a in enumerate(us)
+                    for b in us[i + 1:]
+                    if (a - b) % f == 0
+                )
 
             oracle = min(f for f in range(1, q + 1) if q % f == 0 and induced_modulus(f))
             assert chi.conductor == oracle
