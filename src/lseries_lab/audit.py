@@ -348,19 +348,6 @@ class SurveyRow:
         return asdict(self)
 
 
-def _inducing(chi, index, primitive) -> tuple:
-    """(chi*, its scan) for the stored primitive chi* mod f = conductor
-    inducing chi: the one agreeing with chi on every unit mod q."""
-    f = chi.conductor
-    for star, scan in primitive.get(f, ()):
-        if all(v == star.values[n % f] for n, v in enumerate(chi.values) if v):
-            return star, scan
-    raise ArithmeticError(
-        f"no stored primitive character of conductor {f} induces character {index} "
-        f"mod {chi.modulus}"
-    )
-
-
 def _induced_pairs(chi, star, star_pairs, sigmas) -> list:
     """Grid values of chi from those of the primitive chi* mod f inducing it:
     L(sigma, chi) = L(sigma, chi*) * prod(1 - chi*(p) p^-sigma, p | q, p not | f).
@@ -384,31 +371,36 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
     the grid_step grid in (0, 1) and any sign changes (refined by bisection,
     as in ``scan_zeros``, if one ever appears).
 
-    Primitive characters (conductor q) are scanned by ``scan_zeros``.  An
-    imprimitive character (conductor f < q) takes the grid values of the
-    primitive chi* mod f that induces it, scanned earlier in the same call,
-    times the Euler factors of the primes dividing q but not f, with no
-    Hurwitz call of its own: its values differ from the direct ``scan_zeros``
-    ones by rounding, well inside their error estimates.  Bisection of any
-    sign change evaluates the character directly.
+    Each primitive character is scanned by ``scan_zeros`` and stored under
+    its discriminant d = chi(-1) * conductor.  Every row then reads the scan
+    of the chi* with its d, times the Euler factors of the primes dividing q
+    but not the conductor (an empty product for a primitive row), so an
+    imprimitive row makes no Hurwitz call: its values differ from the direct
+    ``scan_zeros`` ones by rounding, well inside their error estimates.
+    Bisection of any sign change evaluates the character directly.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     grid = _scan_grid(grid_step)
-    primitive = {}  # conductor -> [(chi*, its ScanResult)], for this call only
+    primitive = {}  # d -> (chi*, its ScanResult), for this call only
     rows = []
     for q in range(1, q_max + 1):
         for index, chi in enumerate(enumerate_real_characters(q)):
             if chi.is_principal:
                 continue
+            # a real primitive chi* is the Kronecker symbol (d/.), and each chi it
+            # induces keeps chi*(-1) and f: d names chi* (its sign splits f = 8, 24, ...)
+            d = chi.values[q - 1] * chi.conductor
             if chi.conductor == q:
-                result = scan_zeros(chi, *grid)
-                primitive.setdefault(q, []).append((chi, result))
-            else:
-                star, scan = _inducing(chi, index, primitive)
-                star_pairs = zip(scan.values, scan.err_estimates)
-                pairs = _induced_pairs(chi, star, star_pairs, scan.sigmas)
-                result = _scan_result(chi, scan.sigmas, pairs)
+                primitive[d] = (chi, scan_zeros(chi, *grid))
+            if d not in primitive:
+                raise ArithmeticError(
+                    f"no stored primitive character of conductor {chi.conductor} induces "
+                    f"character {index} mod {q}"
+                )
+            star, scan = primitive[d]
+            pairs = _induced_pairs(chi, star, zip(scan.values, scan.err_estimates), scan.sigmas)
+            result = _scan_result(chi, scan.sigmas, pairs)
             rows.append(
                 SurveyRow(
                     q=q,

@@ -133,13 +133,11 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _emit(headers, rows, fmt: str, out, payload=None) -> None:
+def _emit(headers, rows, fmt: str, out, payload) -> None:
     """Print rows of raw values in fmt.  A table or CSV cell is `format_complex`
-    of a complex value and `str` of any other; JSON is `payload` if given,
-    else one {header: value} object per row, a complex value as {"re", "im"}."""
+    of a complex value and `str` of any other; JSON is `payload`, a complex
+    value as {"re", "im"}."""
     if fmt == "json":
-        if payload is None:
-            payload = [dict(zip(headers, row)) for row in rows]
         # dumps without indent, not dump: only that runs the C encoder
         out.write(json.dumps(payload, default=lambda z: {"re": z.real, "im": z.imag}))
         out.write("\n")
@@ -263,7 +261,8 @@ def _cmd_audit(args, out) -> int:
 def _cmd_survey(args, out) -> int:
     rows = audit_mod.nonvanishing_survey(args.qmax, args.grid_step)
     headers = [f.name for f in dataclasses.fields(audit_mod.SurveyRow)]
-    _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out)
+    payload = [r.to_json_dict() for r in rows]
+    _emit(headers, [dataclasses.astuple(r) for r in rows], args.format, out, payload)
     return EXIT_FINDING if any(r.sign_changes for r in rows) else EXIT_OK
 
 

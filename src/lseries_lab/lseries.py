@@ -426,6 +426,12 @@ def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
             lo, f_lo = mid, f_mid
 
 
+def _l_real(chi, sigma: float) -> tuple:
+    """(L(sigma, chi).real, its err_estimate): one scan value of real chi."""
+    ev = evaluate(chi, sigma)
+    return ev.value.real, ev.err_estimate
+
+
 def _scan_result(chi, sigmas, pairs) -> ScanResult:
     """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
     an exact zero at any grid point, the first and last included, is its own
@@ -433,18 +439,13 @@ def _scan_result(chi, sigmas, pairs) -> ScanResult:
     refined by bisection (evaluating chi directly) until the sign is lost in
     the error estimate; and the grid minimum of |L| is recorded."""
     values, errs = map(tuple, zip(*pairs))
-
-    def l_real(sigma: float) -> tuple:
-        ev = evaluate(chi, sigma)
-        return ev.value.real, ev.err_estimate
-
     brackets = []
     for i, left in enumerate(values):
         right = values[i + 1] if i + 1 < len(values) else 0.0  # the last point pairs with none
         if left == 0.0:
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
         elif (left < 0.0) != (right < 0.0) and right != 0.0:
-            root = _bisect_sign_change(l_real, sigmas[i], sigmas[i + 1], left)
+            root = _bisect_sign_change(lambda x: _l_real(chi, x), sigmas[i], sigmas[i + 1], left)
             brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
 
     i_min = min(range(len(sigmas)), key=lambda i: abs(values[i]))
@@ -488,6 +489,4 @@ def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) 
         raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
     step = (hi - lo) / (grid_points - 1)
     sigmas = tuple(lo + i * step for i in range(grid_points))
-    evs = [evaluate(chi, sigma) for sigma in sigmas]
-    pairs = [(ev.value.real, ev.err_estimate) for ev in evs]
-    return _scan_result(chi, sigmas, pairs)
+    return _scan_result(chi, sigmas, [_l_real(chi, sigma) for sigma in sigmas])

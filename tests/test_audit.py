@@ -19,7 +19,11 @@ from lseries_lab.audit import (
 )
 from lseries_lab import cgeom, lseries, resolution, rotation
 from lseries_lab.cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
-from lseries_lab.characters import enumerate_characters, enumerate_real_characters
+from lseries_lab.characters import (
+    enumerate_characters,
+    enumerate_real_characters,
+    kronecker_symbol,
+)
 from lseries_lab.lseries import (
     ContinuationRangeError,
     LEvaluation,
@@ -564,7 +568,7 @@ def direct_survey(q_max, grid_step):
 
 
 class TestSharedSurvey:
-    @pytest.mark.parametrize("q_max,grid_step", [(60, 0.05), (30, 0.01)])
+    @pytest.mark.parametrize("q_max,grid_step", [(60, 0.05), (30, 0.01), (200, 0.1)])
     def test_rows_match_per_character_scans(self, q_max, grid_step):
         rows = nonvanishing_survey(q_max, grid_step)
         want = direct_survey(q_max, grid_step)
@@ -646,11 +650,36 @@ class TestSharedSurvey:
         assert bisected == {(c.modulus, c.values) for c in chars}
         assert any(c.conductor < c.modulus for c in chars)
 
-    def test_inducing_lookup_miss_is_an_arithmetic_error(self):
-        chi = enumerate_real_characters(9)[1]  # induced from the character mod 3
-        with pytest.raises(ArithmeticError, match="conductor 3 induces character 1 mod 9"):
-            audit_module._inducing(chi, 1, {})
-        wrong = replace(chi, conductor=5)
-        chi5 = enumerate_real_characters(5)[1]
-        with pytest.raises(ArithmeticError, match="conductor 5 induces character 1 mod 9"):
-            audit_module._inducing(wrong, 1, {5: [(chi5, None)]})
+    def test_inducing_lookup_miss_is_an_arithmetic_error(self, monkeypatch):
+        # the real non-principal character mod 9 is induced from the one mod
+        # 3; claim a conductor with no stored primitive character (2) or with
+        # one of the other sign, which does not induce it (5)
+        real = audit_module.enumerate_real_characters
+        for conductor in (2, 5):
+
+            def wrong_conductor(q, conductor=conductor):
+                chars = real(q)
+                if q == 9:
+                    chars = [c if c.is_principal else replace(c, conductor=conductor) for c in chars]
+                return chars
+
+            monkeypatch.setattr(audit_module, "enumerate_real_characters", wrong_conductor)
+            with pytest.raises(
+                ArithmeticError, match=f"conductor {conductor} induces character 1 mod 9"
+            ):
+                nonvanishing_survey(12)
+
+    def test_discriminant_names_the_real_primitive_character(self):
+        # d = chi(-1) * conductor is one key per real primitive character, and
+        # chi is the Kronecker symbol (d/.); without the sign the two
+        # characters of conductor 8, 24, 40, ... would share a key
+        seen = set()
+        for f in range(1, 601):
+            for chi in enumerate_real_characters(f):
+                if chi.conductor != f or chi.is_principal:
+                    continue
+                d = chi.values[f - 1] * f
+                assert d not in seen, d
+                seen.add(d)
+                assert all(v == kronecker_symbol(d, n) for n, v in enumerate(chi.values)), d
+        assert {8, -8, 24, -24} <= seen
