@@ -46,11 +46,11 @@ from __future__ import annotations
 import statistics
 from dataclasses import asdict, dataclass
 from math import gcd, isfinite, isnan
-from operator import mul
+from operator import index, mul
 
 from .cgeom import IsotropicVectorError, _cosine
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import _DEFAULT_GRID_STEP, _prefix_sums, _running_sums, _scan_grid, _scan_result, scan_zeros
+from .lseries import _DEFAULT_GRID_STEP, _prefix_sums, _running_sums, _scan_grid, scan_zeros
 from .resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors, phase_series_sums
 from .rotation import ZeroAreaError, _pappus_report, _profile_sums, step_profile
 
@@ -313,16 +313,17 @@ def run_audit(
 ) -> list[ClaimResult]:
     """Audit all eight claims for (chi, s) at the given truncation points.
 
-    `truncations` must be nonempty and strictly increasing.  Results come
-    back in registry order, one ClaimResult per claim, with per-claim notes
-    for any expected failure (isotropic vector, zero profile area) -- a
-    single claim's trouble never aborts the audit.  The zero scan is
+    `truncations` must be nonempty, strictly increasing and integral (a
+    float raises TypeError).  Results come back in registry order, one
+    ClaimResult per claim, with per-claim notes for any expected failure
+    (isotropic vector, zero profile area) -- a single claim's trouble never
+    aborts the audit.  The zero scan is
     ``scan_zeros`` on the `grid_step` grid.  A point with a NaN or infinite
     part raises ValueError from the term kernel, and a term past the float
     range ContinuationRangeError (a ValueError); no claim is returned.
     """
     s = complex(s)
-    truncations = tuple(int(n) for n in truncations)
+    truncations = tuple(map(index, truncations))
     if not truncations:
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
@@ -335,8 +336,8 @@ def run_audit(
 @dataclass(frozen=True)
 class SurveyRow:
     """One surveyed character: grid minimum of |L| on (0, 1), where it is
-    attained, and how many grid sign changes were seen (0 everywhere at desk
-    scale)."""
+    attained, and how many sign changes the scan of its primitive character
+    bracketed (0 everywhere at desk scale)."""
 
     q: int
     char_index: int
@@ -348,19 +349,20 @@ class SurveyRow:
         return asdict(self)
 
 
-def _induced_pairs(chi, star, star_pairs, sigmas) -> list:
+def _induced_values(chi, star, sigmas, values) -> list:
     """Grid values of chi from those of the primitive chi* mod f inducing it:
     L(sigma, chi) = L(sigma, chi*) * prod(1 - chi*(p) p^-sigma, p | q, p not | f).
-    Each factor lies in (0, 2) for sigma > 0, so signs and brackets carry over."""
+    Each factor lies in (0, 2) for sigma > 0, so chi has the zeros and grid
+    signs of chi*; a primitive chi's product is empty, its values unchanged."""
     f = star.modulus
     removed = [(p, star.values[p % f]) for p, _ in _factorize(chi.modulus) if f % p]
-    pairs = []
-    for sigma, (value, err) in zip(sigmas, star_pairs):
+    induced = []
+    for sigma, value in zip(sigmas, values):
         factor = 1.0
         for p, c in removed:
             factor *= 1.0 - c * p ** -sigma
-        pairs.append((value * factor, err * factor))
-    return pairs
+        induced.append(value * factor)
+    return induced
 
 
 def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> list[SurveyRow]:
@@ -368,16 +370,14 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
 
     Row order is deterministic: ascending (q, index in the real character
     enumeration).  Each row records the grid minimum of |L(sigma, chi)| on
-    the grid_step grid in (0, 1) and any sign changes (refined by bisection,
-    as in ``scan_zeros``, if one ever appears).
+    the grid_step grid in (0, 1) and how many sign changes it has.
 
-    Each primitive character is scanned by ``scan_zeros`` and stored under
-    its discriminant d = chi(-1) * conductor.  Every row then reads the scan
-    of the chi* with its d, times the Euler factors of the primes dividing q
-    but not the conductor (an empty product for a primitive row), so an
-    imprimitive row makes no Hurwitz call: its values differ from the direct
-    ``scan_zeros`` ones by rounding, well inside their error estimates.
-    Bisection of any sign change evaluates the character directly.
+    Each primitive character is scanned once by ``scan_zeros`` and stored
+    under its discriminant d = chi(-1) * conductor.  Every row reads the
+    scan of the chi* with its d: its sign changes are that scan's brackets,
+    and its grid values are the scan's times the (positive) Euler factors
+    of the primes dividing q but not the conductor (``_induced_values``).
+    So an imprimitive row takes no L-value and no bisection of its own.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
@@ -399,15 +399,15 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
                     f"character {index} mod {q}"
                 )
             star, scan = primitive[d]
-            pairs = _induced_pairs(chi, star, zip(scan.values, scan.err_estimates), scan.sigmas)
-            result = _scan_result(chi, scan.sigmas, pairs)
+            values = _induced_values(chi, star, scan.sigmas, scan.values)
+            i_min = min(range(len(values)), key=lambda i: abs(values[i]))
             rows.append(
                 SurveyRow(
                     q=q,
                     char_index=index,
-                    min_abs=result.min_abs,
-                    argmin_sigma=result.argmin_sigma,
-                    sign_changes=len(result.brackets),
+                    min_abs=abs(values[i_min]),
+                    argmin_sigma=scan.sigmas[i_min],
+                    sign_changes=len(scan.brackets),
                 )
             )
     return rows

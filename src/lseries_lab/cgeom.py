@@ -215,15 +215,12 @@ def _expected_value(spec) -> complex:
     return complex(spec)
 
 
-def verify_appendix(expected: dict | None = None) -> list[AppendixCheck]:
+def verify_appendix() -> list[AppendixCheck]:
     """Recompute every golden example quantity and compare to the table.
 
-    `expected` defaults to the frozen table; passing a modified copy is how
-    tests exercise the mismatch path.  Residuals are |computed - expected| /
-    max(1, |expected|) and must stay within 1e-12 for `ok`.
+    Residuals are |computed - expected| / max(1, |expected|) and must stay
+    within 1e-12 for `ok`.
     """
-    if expected is None:
-        expected = APPENDIX_EXPECTED
     checks = []
     for example, (a, b, c) in APPENDIX_POINTS.items():
         ab, ac, bc = _side(a, b), _side(a, c), _side(b, c)
@@ -242,7 +239,7 @@ def verify_appendix(expected: dict | None = None) -> list[AppendixCheck]:
             "area_alt": _area_from_pair(ac, bc),
         }
         for quantity, got in computed.items():
-            want = _expected_value(expected[example][quantity])
+            want = _expected_value(APPENDIX_EXPECTED[example][quantity])
             residual = abs(got - want) / max(1.0, abs(want))
             checks.append(
                 AppendixCheck(

@@ -36,11 +36,10 @@ Two evaluation routes:
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
 point, and refines each sign change by bisection until the midpoint's |L|
-is within its error estimate (``_scan_result`` does the bracketing, for
-the survey too).  ``_scan_grid`` makes the grid of every CLI, audit and
-survey scan: sigma = h, 2h, ... up to ~1 - h, a finite step h > 0 (0.01).
-Err estimates propagate: the Euler-Maclaurin remainder bound plus a
-floating-point roundoff model.
+is within its error estimate.  ``_scan_grid`` makes the grid of every CLI,
+audit and survey scan: sigma = h, 2h, ... up to ~1 - h, a finite step
+h > 0 (0.01).  Err estimates propagate: the Euler-Maclaurin remainder bound
+plus a floating-point roundoff model.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from operator import index
 from typing import Sequence
 
 from .characters import DirichletCharacter, _to_number, _value
@@ -156,8 +156,10 @@ def _running_sums(chi: DirichletCharacter, s: complex, truncations, m: int = 1) 
 
 
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
-    """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order."""
+    """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order; a
+    non-integral n_terms raises TypeError."""
     s = complex(s)
+    n_terms = index(n_terms)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     return _running_sums(chi, s, [n_terms])[0]
@@ -432,33 +434,6 @@ def _l_real(chi, sigma: float) -> tuple:
     return ev.value.real, ev.err_estimate
 
 
-def _scan_result(chi, sigmas, pairs) -> ScanResult:
-    """The scan of real chi from its grid values pairs = [(L(sigma), err)]:
-    an exact zero at any grid point, the first and last included, is its own
-    bracket; consecutive nonzero values of opposite signs are bracketed and
-    refined by bisection (evaluating chi directly) until the sign is lost in
-    the error estimate; and the grid minimum of |L| is recorded."""
-    values, errs = map(tuple, zip(*pairs))
-    brackets = []
-    for i, left in enumerate(values):
-        right = values[i + 1] if i + 1 < len(values) else 0.0  # the last point pairs with none
-        if left == 0.0:
-            brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
-        elif (left < 0.0) != (right < 0.0) and right != 0.0:
-            root = _bisect_sign_change(lambda x: _l_real(chi, x), sigmas[i], sigmas[i + 1], left)
-            brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
-
-    i_min = min(range(len(sigmas)), key=lambda i: abs(values[i]))
-    return ScanResult(
-        sigmas=sigmas,
-        values=values,
-        err_estimates=errs,
-        brackets=tuple(brackets),
-        min_abs=abs(values[i_min]),
-        argmin_sigma=sigmas[i_min],
-    )
-
-
 def _scan_grid(grid_step: float) -> tuple:
     """(lo, hi, points): sigma = grid_step, 2 * grid_step, ... up to ~1 - grid_step."""
     if not grid_step > 0:
@@ -475,11 +450,13 @@ def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) 
     """Scan L(sigma, chi) for real chi on a uniform sigma grid in (0, 1).
 
     On the real axis ``evaluate`` runs in floats for real chi, so each value
-    is exactly real.  Grid values of opposite signs are bracketed and refined
-    by bisection, which stops at the first midpoint whose |L| is within its
-    own error estimate (or at adjacent floats).  The grid minimum of |L| and
-    its sigma are recorded whether or not any sign change exists.  Every
-    L-value is ``evaluate``'s at its default tolerance; a scan takes none.
+    is exactly real.  An exact zero at any grid point, the first and last
+    included, is its own bracket; consecutive nonzero values of opposite signs
+    are bracketed and refined by bisection, which stops at the first midpoint
+    whose |L| is within its own error estimate (or at adjacent floats).  The
+    grid minimum of |L| and its sigma are recorded whether or not any sign
+    change exists.  Every L-value is ``evaluate``'s at its default
+    tolerance; a scan takes none.
     """
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
@@ -489,4 +466,21 @@ def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) 
         raise ValueError(f"scan window must satisfy 0 < lo < hi < 1, got [{lo}, {hi}]")
     step = (hi - lo) / (grid_points - 1)
     sigmas = tuple(lo + i * step for i in range(grid_points))
-    return _scan_result(chi, sigmas, [_l_real(chi, sigma) for sigma in sigmas])
+    values, errs = map(tuple, zip(*(_l_real(chi, sigma) for sigma in sigmas)))
+    brackets = []
+    for i, left in enumerate(values):
+        right = values[i + 1] if i + 1 < len(values) else 0.0  # the last point pairs with none
+        if left == 0.0:
+            brackets.append(SignChangeBracket(sigmas[i], sigmas[i], sigmas[i]))
+        elif (left < 0.0) != (right < 0.0) and right != 0.0:
+            root = _bisect_sign_change(lambda x: _l_real(chi, x), sigmas[i], sigmas[i + 1], left)
+            brackets.append(SignChangeBracket(sigmas[i], sigmas[i + 1], root))
+    i_min = min(range(len(sigmas)), key=lambda i: abs(values[i]))
+    return ScanResult(
+        sigmas=sigmas,
+        values=values,
+        err_estimates=errs,
+        brackets=tuple(brackets),
+        min_abs=abs(values[i_min]),
+        argmin_sigma=sigmas[i_min],
+    )

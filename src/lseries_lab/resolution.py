@@ -24,6 +24,8 @@ divergence witness the audit module fits.
 
 from __future__ import annotations
 
+from operator import index
+
 from .characters import DirichletCharacter, principal_character
 from .lseries import _check_finite, _running_sums, _terms
 
@@ -62,8 +64,10 @@ def phase_series_sums(t: float, n_terms: int) -> tuple:
     """(sum cos(t ln n), sum sin(t ln n)) for n = 1..n_terms.
 
     At t = 0 every cosine term is exactly 1 and every sine term exactly 0,
-    so the sums are (n_terms, 0) by integer counting -- no rounding.
+    so the sums are (n_terms, 0) by integer counting -- no rounding.  A
+    non-integral n_terms raises TypeError.
     """
+    n_terms = index(n_terms)
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     if t == 0.0:

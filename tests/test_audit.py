@@ -73,6 +73,24 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_audit(CHI4, 0.5, bad)
 
+    # every term count is an integer: a float is a TypeError, never truncated
+    # to an int or counted as a total
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: resolution.phase_series_sums(0.0, 2.5),
+            lambda: run_audit(CHI4, 0.5, [10.7, 100]),
+            lambda: partial_sum(CHI4, 0.5, 10.7),
+            lambda: rotation.step_profile(CHI4, 0.5, 10.7),
+            lambda: build_vectors(CHI4, 0.5, 10.7, AMPLITUDE_CHI),
+            lambda: pappus_check(CHI4, 0.5, 10.7),
+        ],
+        ids=["phase_series_sums", "run_audit", "partial_sum", "step_profile", "build_vectors", "pappus_check"],
+    )
+    def test_non_integral_count_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
     # 0.4 and 0.6 are positive but leave a one-point grid in (0, 1); inf
     # leaves no grid at all
     @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), 0.4, 0.6, float("inf")])
@@ -597,12 +615,11 @@ class TestSharedSurvey:
                     if c.conductor == f
                     and all(v == c.values[n % f] for n, v in enumerate(chi.values) if v)
                 ]
-                star_pairs = []
-                for sigma in sigmas:
-                    ev = lseries.evaluate(star, sigma)
-                    star_pairs.append((ev.value.real, ev.err_estimate))
-                got = audit_module._induced_pairs(chi, star, star_pairs, sigmas)
-                for sigma, (value, err) in zip(sigmas, got):
+                evs = [lseries.evaluate(star, sigma) for sigma in sigmas]
+                got = audit_module._induced_values(chi, star, sigmas, [ev.value.real for ev in evs])
+                # the star's error estimates, scaled by the same Euler factors
+                errs = audit_module._induced_values(chi, star, sigmas, [ev.err_estimate for ev in evs])
+                for sigma, value, err in zip(sigmas, got, errs):
                     with mpmath.workdps(20):
                         s = mpmath.mpf(sigma)
                         for a, v in enumerate(chi.values):
@@ -623,10 +640,20 @@ class TestSharedSurvey:
             calls.append(len(xs))
             return hurwitz(s, xs, tol, *rest)
 
+        scans = []
+        scan_zeros = audit_module.scan_zeros
+
+        def counted_scan(chi, *grid):
+            scans.append(chi)
+            return scan_zeros(chi, *grid)
+
         monkeypatch.setattr(lseries, "_hurwitz", counted)
+        monkeypatch.setattr(audit_module, "scan_zeros", counted_scan)
         assert len(nonvanishing_survey(30, 0.1)) == 50
         # 19 of the 50 rows are primitive, one scan_zeros each on the 9-point
         # grid; the 31 imprimitive rows make no Hurwitz call
+        assert len(scans) == 19
+        assert all(chi.conductor == chi.modulus for chi in scans)
         assert len(calls) == 19 * 9
 
     def test_forced_sign_change_is_reported_and_bisected_through_evaluate(self, monkeypatch):
@@ -637,17 +664,19 @@ class TestSharedSurvey:
                 value=complex(sigma - root_at, 0.0), method="hurwitz", n_used=1, err_estimate=1e-15
             )
 
-        bisected = set()
+        evaluated = set()
 
         def fake_evaluate(chi, s, *, tol=1e-10):
-            bisected.add((chi.modulus, chi.values))
+            evaluated.add((chi.modulus, chi.values))
             return fake_value(complex(s).real)
 
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
         rows = nonvanishing_survey(12, grid_step=0.1)
+        # every row reports its primitive's bracket; only the primitive
+        # characters are scanned and bisected, no imprimitive one is evaluated
         assert [r.sign_changes for r in rows] == [1] * len(rows)
         chars = [enumerate_real_characters(r.q)[r.char_index] for r in rows]
-        assert bisected == {(c.modulus, c.values) for c in chars}
+        assert evaluated == {(c.modulus, c.values) for c in chars if c.conductor == c.modulus}
         assert any(c.conductor < c.modulus for c in chars)
 
     def test_inducing_lookup_miss_is_an_arithmetic_error(self, monkeypatch):

@@ -282,10 +282,11 @@ class TestVerifyAppendix:
             "area_alt",
         }
 
-    def test_corrupted_expected_table_fails(self):
+    def test_corrupted_expected_table_fails(self, monkeypatch):
         corrupted = {k: dict(v) for k, v in APPENDIX_EXPECTED.items()}
         corrupted[1]["dot_ab_ac"] = 9 + 2j  # wrong sign on the imaginary part
-        checks = verify_appendix(corrupted)
+        monkeypatch.setattr("lseries_lab.cgeom.APPENDIX_EXPECTED", corrupted)
+        checks = verify_appendix()
         bad = [c for c in checks if not c.ok]
         assert len(bad) == 1
         assert (bad[0].example, bad[0].quantity) == (1, "dot_ab_ac")

@@ -41,7 +41,6 @@ from lseries_lab.lseries import (
     _prefix_sums,
     _residue_table,
     _running_sums,
-    _scan_result,
     _terms,
     evaluate,
     hurwitz_zeta,
@@ -949,13 +948,19 @@ class TestScanZeros:
             scan_zeros(CHI4, lo, hi, 5)
 
     @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_exact_zero_at_any_grid_point_is_its_own_bracket(self, at):
+    def test_exact_zero_at_any_grid_point_is_its_own_bracket(self, at, monkeypatch):
         # the last grid point pairs with no right neighbour; a zero there
-        # still counts.  No sign changes, so nothing is evaluated.
+        # still counts.  No sign changes, so nothing is bisected.
         sigmas = (0.25, 0.5, 0.75)
         values = [1.0, 0.5, 0.25]
         values[at] = 0.0
-        result = _scan_result(CHI4, sigmas, [(v, 1e-15) for v in values])
+        planted = dict(zip(sigmas, values))
+
+        def fake_evaluate(chi, s, *, tol=1e-10):
+            return LEvaluation(complex(planted[complex(s).real]), "hurwitz", 1, 1e-15)
+
+        monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
+        result = scan_zeros(CHI4, 0.25, 0.75, 3)
         assert result.brackets == (SignChangeBracket(sigmas[at], sigmas[at], sigmas[at]),)
         assert (result.min_abs, result.argmin_sigma) == (0.0, sigmas[at])
 
