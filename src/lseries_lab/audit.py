@@ -109,22 +109,7 @@ class ClaimResult:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        def jsonable(x):
-            if isinstance(x, complex):
-                return {"re": x.real, "im": x.imag}
-            if isinstance(x, (list, tuple)):
-                return [jsonable(v) for v in x]
-            if isinstance(x, dict):
-                return {k: jsonable(v) for k, v in x.items()}
-            return x
-
-        return {
-            "claim_id": self.claim_id,
-            "inputs": jsonable(self.inputs),
-            "evidence": jsonable(self.evidence),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return {**vars(self), "evidence": [list(row) for row in self.evidence]}
 
 
 def _growth_truncations(truncations) -> tuple:
@@ -286,7 +271,7 @@ def _claim_nonvanishing(chi, grid_step, grid) -> ClaimResult:
         ("grid_points", len(result.sigmas)),
         ("sign_changes", len(result.brackets)),
     ]
-    if result.found_sign_change:
+    if result.brackets:
         verdict = VERDICT_SIGN_CHANGE_FOUND
         note = "; ".join(
             f"sign change in [{b.lo:.6f}, {b.hi:.6f}], root near {b.root}"
@@ -316,11 +301,11 @@ def run_audit(
     `truncations` must be nonempty, strictly increasing and integral (a
     float raises TypeError).  Results come back in registry order, one
     ClaimResult per claim, with per-claim notes for any expected failure
-    (isotropic vector, zero profile area) -- a single claim's trouble never
-    aborts the audit.  The zero scan is
-    ``scan_zeros`` on the `grid_step` grid.  A point with a NaN or infinite
-    part raises ValueError from the term kernel, and a term past the float
-    range ContinuationRangeError (a ValueError); no claim is returned.
+    (isotropic vector, zero profile area), which never aborts the audit.
+    The zero scan is ``scan_zeros`` on the `grid_step` grid.  A ValueError,
+    with no claim returned, comes from a point with a NaN or infinite part,
+    a term past the float range (ContinuationRangeError), or a complex chi
+    (NonRealCharacterError from the scan, after seven truncation claims ran).
     """
     s = complex(s)
     truncations = tuple(map(index, truncations))

@@ -188,10 +188,6 @@ class DirichletCharacter:
             )
         return chi
 
-    def value_exact(self, n: int) -> CharacterValue:
-        """chi(n) as stored: 0, +/-1, or an (order, exponent) pair."""
-        return self.values[n % self.modulus]
-
     def value_complex(self, n: int) -> complex:
         """chi(n) as a complex float."""
         return complex(_to_number(self.values[n % self.modulus]))
@@ -248,12 +244,12 @@ def _build_character(q: int, walk: tuple, exps: Sequence[int]) -> DirichletChara
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, principal first, then lexicographic by exponent over L."""
+    """All phi(q) characters mod q, lexicographic by exponent over L (so the principal first)."""
     gens = unit_group_structure(q)
     walk = _unit_walk(q, gens)
     exponent = {v: e for e, v in enumerate(walk[3] + [0])}  # 0 gets L: after every unit
     chars = [_build_character(q, walk, exps) for exps in product(*(range(d) for _, d in gens))]
-    chars.sort(key=lambda c: (0 if c.is_principal else 1, tuple(exponent[v] for v in c.values)))
+    chars.sort(key=lambda c: tuple(exponent[v] for v in c.values))
     return chars
 
 

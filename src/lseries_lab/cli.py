@@ -19,14 +19,16 @@ Commands
 Conventions: ``--format`` picks json/csv/table (default table); CSV uses a
 '.' decimal point regardless of locale; complex numbers print as "a+bi" in
 tables and CSV and as {"re": ..., "im": ...} in JSON.  ``-s`` accepts a
-complex literal like ``0.5``, ``0.5+2i``, ``-1.2i`` or ``inf``.  Exit codes:
-0 for success / no finding, 1 for a finding (sign change or golden
-mismatch), 2 for usage or domain errors (a ``--grid-step`` that is not
-positive or leaves under 2 grid points, an ``lfun eval --tol`` that is not
-positive, an ``-s`` with a NaN or infinite part, an ``lfun eval`` point
-past the continuation range, and a series term past the float range,
-included), 3 for an internal arithmetic failure, 141 (the shell's SIGPIPE
-status) when stdout is closed before the output is written.
+complex literal like ``0.5``, ``0.5+2i`` or ``inf``; one that starts with
+'-' stands apart only as an integer or exponent-free decimal (``-40``,
+``-0.5``), else argparse reads it as an option: attach it, ``-s=-1.2i``.
+Exit codes: 0 for success / no finding, 1 for a finding (sign change or
+golden mismatch), 2 for usage or domain errors (a ``--grid-step`` that is
+not positive or gives an infinite or under-2 grid point count, a ``--tol``
+(``lfun eval``) that is not positive, an ``-s`` with a NaN or infinite part,
+an ``lfun eval`` point past the continuation range, and a series term past
+the float range, included), 3 for an internal arithmetic failure, 141 (the
+shell's SIGPIPE status) when stdout is closed before the output is written.
 
 The environment variable LSERIES_LAB_CONFIG may point to a ``key=value``
 file overriding the defaults: ``hurwitz_tol`` (default 1e-10; it sets only
@@ -221,7 +223,7 @@ def _cmd_lfun_scan(args, out) -> int:
         )
         for b in result.brackets:
             print(f"  bracket [{b.lo!r}, {b.hi!r}] root {b.root!r}", file=out)
-    return EXIT_FINDING if result.found_sign_change else EXIT_OK
+    return EXIT_FINDING if result.brackets else EXIT_OK
 
 
 def _cmd_geom_verify(args, out) -> int:

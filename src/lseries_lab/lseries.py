@@ -405,10 +405,6 @@ class ScanResult:
     min_abs: float
     argmin_sigma: float
 
-    @property
-    def found_sign_change(self) -> bool:
-        return len(self.brackets) > 0
-
 
 def _bisect_sign_change(f, lo: float, hi: float, f_lo: float) -> float:
     """Bisect [lo, hi], where f (returning (value, err_estimate)) changes sign
@@ -440,7 +436,10 @@ def _scan_grid(grid_step: float) -> tuple:
         raise ValueError(f"grid step must be > 0, got {grid_step}")
     if not math.isfinite(grid_step):
         raise ValueError(f"grid step must be finite, got {grid_step}")
-    points = round((1.0 - 2.0 * grid_step) / grid_step) + 1
+    gaps = (1.0 - 2.0 * grid_step) / grid_step
+    if not math.isfinite(gaps):  # a subnormal step: the quotient overflows
+        raise ValueError(f"grid step must leave a finite number of grid points, got {grid_step}")
+    points = round(gaps) + 1
     if points < 2:
         raise ScanGridError(f"need at least 2 grid points, got {points}")
     return grid_step, grid_step + (points - 1) * grid_step, points

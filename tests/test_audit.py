@@ -12,7 +12,6 @@ from lseries_lab import audit as audit_module
 from lseries_lab.audit import (
     CLAIM_IDS,
     VERDICTS,
-    ClaimResult,
     SurveyRow,
     nonvanishing_survey,
     run_audit,
@@ -508,17 +507,6 @@ class TestJsonSchema:
             assert set(d) == {"claim_id", "inputs", "evidence", "verdict", "note"}
             text = json.dumps(d)  # must be JSON-serializable as-is
             assert json.loads(text) == d
-
-    def test_complex_values_become_re_im_pairs(self):
-        claim = ClaimResult(
-            claim_id="EQ2_RECONSTRUCT",
-            inputs={"s": complex(0.5, 1.0)},
-            evidence=[(10, complex(1.0, -2.0))],
-            verdict="identity-exact",
-        )
-        d = claim.to_json_dict()
-        assert d["inputs"]["s"] == {"re": 0.5, "im": 1.0}
-        assert d["evidence"][0][1] == {"re": 1.0, "im": -2.0}
 
 
 class TestSurvey:

@@ -276,6 +276,16 @@ class TestEvalCommand:
         assert abs(payload["value"]["im"]) < 1e-15
         assert payload["s"] == {"re": 1.0, "im": 0.0}
 
+    @pytest.mark.parametrize(
+        "literal, want",
+        [("-0.25i", {"re": 0.0, "im": -0.25}), ("-0.5+2i", {"re": -0.5, "im": 2.0})],
+    )
+    def test_literal_starting_with_minus_attaches_with_equals(self, literal, want):
+        # detached, such a token reads as an option to argparse
+        code, text = run_cli("lfun", "eval", "-q", "4", "-k", "1", f"-s={literal}", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(text)["s"] == want
+
     def test_complex_point_table(self):
         code, text = run_cli("lfun", "eval", "-q", "3", "-k", "1", "-s", "0.5+2i")
         assert code == EXIT_OK
@@ -705,6 +715,11 @@ class TestSurveyCommand:
 
 
 class TestGridStepNotPositive:
+    # below ~5.6e-309, (1 - 2 * step) / step overflows: no finite point count
+    SUBNORMAL = "leave a finite number of grid points"
+    RULES = {"0": "be > 0", "-0.01": "be > 0", "nan": "be > 0", "inf": "be finite, got inf",
+             "5e-324": SUBNORMAL, "1e-309": SUBNORMAL}
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -713,13 +728,23 @@ class TestGridStepNotPositive:
             ("lfun", "scan", "-q", "4", "-k", "1"),
         ],
     )
-    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+    @pytest.mark.parametrize("step", list(RULES))
     def test_is_a_usage_error(self, argv, step, capsys):
         code, text = run_cli(*argv, "--grid-step", step)
         assert code == EXIT_USAGE
         assert text == ""
-        rule = "finite, got inf" if step == "inf" else "> 0"
-        assert capsys.readouterr().err.startswith(f"error: grid step must be {rule}")
+        assert capsys.readouterr().err.startswith(f"error: grid step must {self.RULES[step]}")
+
+    @pytest.mark.parametrize("step", ["5e-324", "1e-309"])
+    def test_subnormal_step_in_config_is_a_usage_error(self, step, tmp_path, monkeypatch, capsys):
+        rule = f"grid step must {self.SUBNORMAL}"
+        with pytest.raises(ValueError, match=rule):
+            lseries_module._scan_grid(float(step))
+        path = tmp_path / "lab.conf"
+        path.write_text(f"grid_step = {step}\n")
+        monkeypatch.setenv("LSERIES_LAB_CONFIG", str(path))
+        assert run_cli("characters", "4") == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith(f"error: bad config (grid_step {step}: {rule}")
 
 
 def _readme_commands():

@@ -921,7 +921,6 @@ class TestTolerances:
 class TestScanZeros:
     def test_chi4_window_has_no_sign_change(self):
         result = scan_zeros(CHI4, 0.1, 0.9, 17)
-        assert not result.found_sign_change
         assert result.brackets == ()
         assert len(result.sigmas) == 17
         assert result.min_abs > 0.0
@@ -978,7 +977,6 @@ class TestScanZeros:
 
         monkeypatch.setattr("lseries_lab.lseries.evaluate", fake_evaluate)
         result = scan_zeros(CHI4, 0.1, 0.9, 9)
-        assert result.found_sign_change
         assert len(result.brackets) == 1
         bracket = result.brackets[0]
         assert bracket.lo < root_at < bracket.hi
