@@ -3,8 +3,9 @@
 ``run_audit`` re-derives each claim below at several truncation points and
 attaches a verdict backed by the recorded evidence.  Expected per-claim
 failures (isotropic vectors, zero profile area) become notes on that claim
-only; a point with a NaN or infinite part, or one with a term past the
-float range, raises a ValueError out of the audit.  Every truncation
+only.  Bad truncations, a point with a NaN or infinite part, a bad grid step
+and a complex chi are refused, in that order, before any series is walked; a
+term past the float range raises a ValueError from the walk.  Every truncation
 quantity is a sum over n <= N: each series is walked once, to the largest N,
 and every N reads a running sum (the step profile's f_n, (n - 1/2) f_n and
 f_n^2, whose area EQ2/EQ3 also read, and a variant's a . p, a . a and p . p).
@@ -45,12 +46,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import asdict, dataclass
-from math import gcd, isfinite, isnan
+from math import isfinite, isnan
 from operator import index, mul
 
 from .cgeom import IsotropicVectorError, _cosine
 from .characters import DirichletCharacter, _factorize, enumerate_real_characters
-from .lseries import _DEFAULT_GRID_STEP, _prefix_sums, _running_sums, _scan_grid, scan_zeros
+from .lseries import _DEFAULT_GRID_STEP, _check_finite, _prefix_sums, _running_sums, _scan_grid
+from .lseries import scan_zeros
 from .resolution import AMPLITUDE_CHI, PHASE_CHI, VARIANTS, build_vectors, phase_series_sums
 from .rotation import ZeroAreaError, _pappus_report, _profile_sums, step_profile
 
@@ -182,7 +184,7 @@ def _claim_chi4_sum(chi, truncations) -> ClaimResult:
     # evidence records its real part.
     totals = _running_sums(chi, 0j, ns, 4)
     evidence = [(n, total.real) for n, total in zip(ns, totals)]
-    expected_slope = sum(1 for a in range(q) if gcd(a, q) == 1) / q
+    expected_slope = sum(1 for v in chi.values if v) / q
     return _growth_claim(
         "CHI4_PHASE_SUM_DIVERGES",
         {"q": q, "t": 0.0},
@@ -222,9 +224,7 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
 
 def _truncation_claims(chi, s, truncations) -> list:
     """The seven truncation claims, in registry order, from series made once,
-    at the largest N.  The profile dies before the factor vectors are built,
-    and they die with this frame, before the zero scan runs: an exception
-    raised there would otherwise keep them alive in its traceback."""
+    at the largest N; the profile dies before the factor vectors are built."""
     profile = _profile_sums(step_profile(chi, s, truncations[-1]), truncations)
     claims, sums = [], {}
     for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
@@ -263,8 +263,8 @@ def _truncation_claims(chi, s, truncations) -> list:
     return claims + [_claim_positivity(chi, s, truncations)]
 
 
-def _claim_nonvanishing(chi, grid_step, grid) -> ClaimResult:
-    result = scan_zeros(chi, *grid)
+def _claim_nonvanishing(chi, grid_step) -> ClaimResult:
+    result = scan_zeros(chi, *_scan_grid(grid_step))
     evidence = [
         ("min_abs", result.min_abs),
         ("argmin_sigma", result.argmin_sigma),
@@ -280,13 +280,8 @@ def _claim_nonvanishing(chi, grid_step, grid) -> ClaimResult:
     else:
         verdict = VERDICT_NO_ZERO_FOUND
         note = f"grid min |L| = {result.min_abs:.6e} at sigma = {result.argmin_sigma:.4f}"
-    return ClaimResult(
-        claim_id="NONVANISHING_SCAN",
-        inputs={"q": chi.modulus, "grid_step": grid_step},
-        evidence=evidence,
-        verdict=verdict,
-        note=note,
-    )
+    inputs = {"q": chi.modulus, "grid_step": grid_step}
+    return ClaimResult("NONVANISHING_SCAN", inputs, evidence, verdict, note)
 
 
 def run_audit(
@@ -302,10 +297,11 @@ def run_audit(
     float raises TypeError).  Results come back in registry order, one
     ClaimResult per claim, with per-claim notes for any expected failure
     (isotropic vector, zero profile area), which never aborts the audit.
-    The zero scan is ``scan_zeros`` on the `grid_step` grid.  A ValueError,
-    with no claim returned, comes from a point with a NaN or infinite part,
-    a term past the float range (ContinuationRangeError), or a complex chi
-    (NonRealCharacterError from the scan, after seven truncation claims ran).
+    The zero scan (``scan_zeros`` on the `grid_step` grid) precedes the
+    walks: bad truncations, a NaN or infinite part of s, a bad grid step,
+    then a complex chi (NonRealCharacterError) are refused before any series
+    is walked; a term past the float range raises ContinuationRangeError
+    from the walk.  Each raise but the TypeError is a ValueError.
     """
     s = complex(s)
     truncations = tuple(map(index, truncations))
@@ -313,9 +309,9 @@ def run_audit(
         raise ValueError("need at least one truncation point")
     if any(b <= a for a, b in zip(truncations, truncations[1:])) or truncations[0] < 1:
         raise ValueError(f"truncations must be strictly increasing and >= 1, got {truncations}")
-    grid = _scan_grid(grid_step)  # checks the step before any series is walked
-    claims = _truncation_claims(chi, s, truncations)
-    return claims + [_claim_nonvanishing(chi, grid_step, grid)]
+    _check_finite(s)
+    scan = _claim_nonvanishing(chi, grid_step)
+    return _truncation_claims(chi, s, truncations) + [scan]
 
 
 @dataclass(frozen=True)

@@ -390,8 +390,8 @@ class TestPrefixEvidence:
         ],
     )
     def test_complex_character_claims_equal_single_n_functions(self, q, s, truncations):
-        # run_audit aborts on a complex character in its zero scan, so the
-        # truncation claims are read from the helper that runs before it
+        # run_audit refuses a complex character in its zero scan, so the
+        # truncation claims are read from the helper that runs after it
         for chi in [c for c in enumerate_characters(q) if not c.is_real][:2]:
             claims = audit_module._truncation_claims(chi, complex(s), tuple(truncations))
             assert tuple(c.claim_id for c in claims) == CLAIM_IDS[:7]
@@ -471,32 +471,22 @@ class TestOneWalkPerSeries:
         assert set(walks.values()) == {1}
         assert len(walks) == 8  # profile, 2 x 2 factors, chi^2 at s and at sigma, chi^4 at 0
 
-    def test_aborting_audit_pins_no_tables(self):
-        # The zero scan raises on a complex character (a known defect); the
-        # traceback it carries must not keep the step profile or a factor
-        # vector alive: a tuple of max(N) entries, held by a frame directly
-        # or inside its dicts, lists and tuples.  The claims read running
-        # sums, so once they return no frame should hold one.
-        truncations = [10, 100, 1000]
-
-        def holds_table(value):
-            if isinstance(value, dict):
-                value = list(value.values())
-            if isinstance(value, tuple) and len(value) >= truncations[-1]:
-                return True
-            return isinstance(value, (list, tuple)) and any(map(holds_table, value))
-
-        chi = next(c for c in enumerate_characters(5) if not c.is_real)
-        with pytest.raises(NonRealCharacterError) as info:
-            run_audit(chi, complex(0.5, 1.0), truncations)
-        tb = info.value.__traceback__
-        frames = 0
-        while tb is not None:
-            frames += 1
-            for name, value in tb.tb_frame.f_locals.items():
-                assert not holds_table(value), f"{tb.tb_frame.f_code.co_name} holds {name}"
-            tb = tb.tb_next
-        assert frames >= 3  # this test, run_audit, and the scan that raised
+    @pytest.mark.parametrize(
+        ("chi", "s", "error", "match"),
+        [
+            (next(c for c in enumerate_characters(5) if not c.is_real), 0.5 + 1j,
+             NonRealCharacterError, "real character"),
+            (CHI4, complex("nan"), ValueError, "finite"),
+        ],
+        ids=["complex-chi", "nan-point"],
+    )
+    def test_refusal_walks_no_series(self, monkeypatch, chi, s, error, match):
+        # the point and the character are checked before any term stream is
+        # walked or any L-value computed, so a refused audit does no work
+        counts = count_calls(monkeypatch, [lseries._terms, lseries.evaluate])
+        with pytest.raises(error, match=match):
+            run_audit(chi, s, [10, 100, 1000])
+        assert counts == {"_terms": 0, "evaluate": 0}
 
 
 class TestJsonSchema:
