@@ -4,11 +4,13 @@
 attaches a verdict backed by the recorded evidence.  Expected per-claim
 failures (isotropic vectors, zero profile area) become notes on that claim
 only.  Bad truncations, a point with a NaN or infinite part, a bad grid step
-and a complex chi are refused, in that order, before any series is walked; a
-term past the float range raises a ValueError from the walk.  Every truncation
-quantity is a sum over n <= N: each series is walked once, to the largest N,
-and every N reads a running sum (the step profile's f_n, (n - 1/2) f_n and
-f_n^2, whose area EQ2/EQ3 also read, and a variant's a . p, a . a and p . p).
+and a complex chi are refused, in that order, before any series is walked.
+Every truncation quantity is a running sum over n <= N, each series walked once
+to the largest N: the widest, chi^2 n^-2s, first, so a term past the float
+range raises a ValueError before any tuple is built; then chi^4, the step
+profile and one factor pair at a time.  Every N reads the step profile's f_n,
+(n - 1/2) f_n and f_n^2 (whose area EQ2/EQ3 also read) and a variant's a . p,
+a . a and p . p.
 
 Claim registry (fixed order, fixed IDs -- these are the wire format):
 
@@ -170,33 +172,18 @@ def _growth_claim(claim_id, inputs, evidence, expected, padded) -> ClaimResult:
     )
 
 
-def _claim_phase_sum(truncations) -> ClaimResult:
-    ns, padded = _growth_truncations(truncations)
-    evidence = [(n, *phase_series_sums(0.0, n)) for n in ns]
-    return _growth_claim("PHASE_SUM_DIVERGES_T0", {"t": 0.0}, evidence, "1", padded)
-
-
-def _claim_chi4_sum(chi, truncations) -> ClaimResult:
-    ns, padded = _growth_truncations(truncations)
+def _claim_chi4_sum(chi, ns, padded, totals) -> ClaimResult:
     q = chi.modulus
     # chi(n)^4 at t = 0 is exactly 1 on units when the value order divides 4
     # (always for real chi), so the total counts units; otherwise the
     # evidence records its real part.
-    totals = _running_sums(chi, 0j, ns, 4)
     evidence = [(n, total.real) for n, total in zip(ns, totals)]
-    expected_slope = sum(1 for v in chi.values if v) / q
-    return _growth_claim(
-        "CHI4_PHASE_SUM_DIVERGES",
-        {"q": q, "t": 0.0},
-        evidence,
-        f"phi(q)/q = {expected_slope:.12g}",
-        padded,
-    )
+    expected = f"phi(q)/q = {sum(1 for v in chi.values if v) / q:.12g}"
+    return _growth_claim("CHI4_PHASE_SUM_DIVERGES", {"q": q, "t": 0.0}, evidence, expected, padded)
 
 
-def _claim_positivity(chi, s, truncations) -> ClaimResult:
-    # The positivity fact is about the real axis; audit it at (sigma, 0).
-    ws = [w.real for w in _running_sums(chi, complex(s.real, 0.0), truncations, 2)]
+def _claim_positivity(chi, s, truncations, w_sums) -> ClaimResult:
+    ws = [w.real for w in w_sums]
     positive = all(w > 0.0 for w in ws)
     finite = all(isfinite(w) for w in ws)
     nondecreasing = not any(b < a for a, b in zip(ws, ws[1:]))
@@ -223,14 +210,22 @@ def _claim_positivity(chi, s, truncations) -> ClaimResult:
 
 
 def _truncation_claims(chi, s, truncations) -> list:
-    """The seven truncation claims, in registry order, from series made once,
-    at the largest N; the profile dies before the factor vectors are built."""
+    """The seven truncation claims, in registry order, from the walks made at
+    its top; the profile dies before the factor vectors are built."""
+    # The widest terms first: chi^2 n^-2s at s (Pappus V) and at (sigma, 0)
+    # (W_N; positivity is a real-axis fact).  Then chi^4 at t = 0, the step
+    # profile, and one factor pair at a time.
+    square_sums = _running_sums(chi, s, truncations, 2)
+    w_sums = _running_sums(chi, complex(s.real, 0.0), truncations, 2)
+    ns, padded = _growth_truncations(truncations)
+    chi4_sums = _running_sums(chi, 0j, ns, 4)
     profile = _profile_sums(step_profile(chi, s, truncations[-1]), truncations)
     claims, sums = [], {}
     for claim_id, variant in (("EQ2_RECONSTRUCT", AMPLITUDE_CHI), ("EQ3_RECONSTRUCT", PHASE_CHI)):
         a_vec, p_vec = build_vectors(chi, s, truncations[-1], variant)
         pairings = ((a_vec, p_vec), (a_vec, a_vec), (p_vec, p_vec))
         dots, aa, pp = (_prefix_sums(map(mul, u, v), truncations) for u, v in pairings)
+        del a_vec, p_vec, pairings  # freed before the next variant's pair is built
         sums[variant] = list(zip(dots, aa, pp))
         evidence = [(n, _relative(abs(d - r), r)) for n, d, (r, *_) in zip(truncations, dots, profile)]
         inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variant": variant}
@@ -250,9 +245,11 @@ def _truncation_claims(chi, s, truncations) -> list:
         evidence.append(tuple(row))
     inputs = {"q": chi.modulus, "s": [s.real, s.imag], "variants": list(VARIANTS)}
     claims.append(_identity_claim("EQ45_FACTORIZATION", inputs, evidence, _IDENTITY_REL_TOL, notes))
-    claims += [_claim_phase_sum(truncations), _claim_chi4_sum(chi, truncations)]
+    phase_evidence = [(n, *phase_series_sums(0.0, n)) for n in ns]
+    claims.append(_growth_claim("PHASE_SUM_DIVERGES_T0", {"t": 0.0}, phase_evidence, "1", padded))
+    claims.append(_claim_chi4_sum(chi, ns, padded, chi4_sums))
     evidence, notes = [], []
-    for n, row, square_sum in zip(truncations, profile, _running_sums(chi, s, truncations, 2)):
+    for n, row, square_sum in zip(truncations, profile, square_sums):
         try:
             evidence.append((n, _pappus_report(*row, square_sum).relative_residual))
         except ZeroAreaError as exc:
@@ -260,7 +257,7 @@ def _truncation_claims(chi, s, truncations) -> list:
             evidence.append((n, None))
     inputs = {"q": chi.modulus, "s": [s.real, s.imag]}
     claims.append(_identity_claim("PAPPUS_IDENTITY", inputs, evidence, _PAPPUS_REL_TOL, notes))
-    return claims + [_claim_positivity(chi, s, truncations)]
+    return claims + [_claim_positivity(chi, s, truncations, w_sums)]
 
 
 def _claim_nonvanishing(chi, grid_step) -> ClaimResult:
@@ -300,8 +297,9 @@ def run_audit(
     The zero scan (``scan_zeros`` on the `grid_step` grid) precedes the
     walks: bad truncations, a NaN or infinite part of s, a bad grid step,
     then a complex chi (NonRealCharacterError) are refused before any series
-    is walked; a term past the float range raises ContinuationRangeError
-    from the walk.  Each raise but the TypeError is a ValueError.
+    is walked.  The widest series, chi^2 n^-2s, is walked first, so a term
+    past the float range raises ContinuationRangeError before any tuple is
+    built.  Each raise but the TypeError is a ValueError.
     """
     s = complex(s)
     truncations = tuple(map(index, truncations))

@@ -298,7 +298,7 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     try:
         scale = q**neg_s
         for x in xs:
-            direct = 0.0 if t == 0.0 else 0j
+            direct = 0.0
             for k in range(shift):
                 direct += (x + q * k) ** neg_s
             w = shift + x / q
@@ -367,7 +367,7 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     table = _residue_table(chi)
     units = [a for a in range(1, q + 1) if table[a % q]]
     zetas, shift = _hurwitz(s, units, tol, q)
-    acc = 0.0 if s.imag == 0.0 and chi.is_real else 0j
+    acc = 0.0
     abs_acc = 0.0
     err = 0.0
     for a, (z, e) in zip(units, zetas):

@@ -116,12 +116,14 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "s,truncations,where",
         [
-            (-40.0, [10, 1000, 100000], "n = 7133, m = 2"),  # W_N's terms n^80
-            (complex(0.5, 1e308), [10, 100], "n = 7, m = 1"),  # the phase t log n
+            # Pappus V's chi^2 terms n^80 at s, walked first
+            (-40.0, [10, 1000, 100000], "the term n^(-m s) with n = 7133, m = 2"),
+            # -2s itself: 2t is past the float range before any term
+            (complex(0.5, 1e308), [10, 100], "-2s = (-1-infj)"),
         ],
     )
     def test_term_past_the_float_range_is_a_domain_error(self, s, truncations, where):
-        message = f"at s = {complex(s)}, the term n^(-m s) with {where} is past the float range"
+        message = f"at s = {complex(s)}, {where} is past the float range"
         with pytest.raises(ContinuationRangeError, match=re.escape(message)):
             run_audit(CHI4, s, truncations, grid_step=0.1)
 
@@ -470,6 +472,26 @@ class TestOneWalkPerSeries:
         assert walks[(CHI4.values, s, 1)] == 1
         assert set(walks.values()) == {1}
         assert len(walks) == 8  # profile, 2 x 2 factors, chi^2 at s and at sigma, chi^4 at 0
+
+    def test_overflow_stops_at_the_first_walk(self, monkeypatch):
+        # chi^2 n^-2s has the widest terms and is walked first, so a point
+        # past the float range is refused before the profile, a factor
+        # vector or any other stream yields a term
+        items = {}
+        real_terms = lseries._terms
+
+        def counting_terms(chi, s, stop, m=1):
+            for term in real_terms(chi, s, stop, m):
+                items[s, m] = items.get((s, m), 0) + 1
+                yield term
+
+        for module in (lseries, rotation, resolution):
+            monkeypatch.setattr(module, "_terms", counting_terms)
+        counts = count_calls(monkeypatch, [rotation.step_profile, resolution.build_vectors])
+        with pytest.raises(ContinuationRangeError, match="n = 7133, m = 2"):
+            run_audit(CHI4, -40.0, [10, 1000, 100000])
+        assert items == {(-40.0 + 0j, 2): 7132}
+        assert counts == {"step_profile": 0, "build_vectors": 0}
 
     @pytest.mark.parametrize(
         ("chi", "s", "error", "match"),
