@@ -31,7 +31,10 @@ Two evaluation routes:
   chi and ``hurwitz_zeta`` add them back once.  ``n_used`` is the shift.
   Off s = 1 the method is ``hurwitz``.  At s = 1 that term is -log w, so
   each zeta(1, a/q) is its finite part -digamma(a/q), from the same pass;
-  the method tag there is ``grouped``.
+  the method tag there is ``grouped``.  The pass depends only on (q, s,
+  tol), never on chi, so the last 8 passes are kept and shared by every
+  character mod q: a group evaluated character by character at a few
+  points runs each pass once.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
@@ -47,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import index
 from typing import Sequence
@@ -191,6 +195,9 @@ _ROUNDOFF = 5e-16
 _EPS = 2.0**-53
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
 _DEFAULT_GRID_STEP = 0.01  # every scan's default sigma spacing (``_scan_grid``)
+# Covers a group evaluated character by character at a few points; a scan's
+# grid walks straight past it, so a survey keeps no pass for long.
+_PASSES_KEPT = 8
 _LOG_4 = math.log(4.0)
 _LOG_TAU = math.log(2.0 * math.pi)
 _LOG_MAX_W = math.log(2.0 * _MAX_SHIFT)  # past it exp() could overflow; no N fits anyway
@@ -325,6 +332,17 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     return results, shift
 
 
+@lru_cache(maxsize=_PASSES_KEPT)
+def _residue_pass(q: int, s: complex, tol: float) -> tuple:
+    """(units a in 1..q, their ``_hurwitz`` pass, its shift), kept for the
+    last _PASSES_KEPT (q, s, tol); an exception is raised anew on each call.
+    s with imaginary part 0.0 or -0.0 is one key, as the pass takes both as
+    the real point.  Every caller gets the same lists and only reads them."""
+    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    zetas, shift = _hurwitz(s, units, tol, q)
+    return units, zetas, shift
+
+
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
     """zeta(s, x) for x in (0, 1], sigma > -1, by Euler-Maclaurin, the pole
     added back to the pass's value.  PoleError at s = 1, ValueError at an x
@@ -342,7 +360,9 @@ def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
 
 def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
     """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
-    Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).
+    Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).  The
+    pass depends only on (q, s, tol): the last 8 are kept and shared by
+    every chi mod q, and each chi sums its own values over them.
 
     The pass drops each residue's pole 1/(s-1), so no two terms of size
     1/(s-1) cancel next to s = 1.  For non-principal chi they sum to zero,
@@ -365,8 +385,7 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     if s == 1 and chi.is_principal:
         raise PoleError("L(s, principal chi) has a pole at s = 1")
     table = _residue_table(chi)
-    units = [a for a in range(1, q + 1) if table[a % q]]
-    zetas, shift = _hurwitz(s, units, tol, q)
+    units, zetas, shift = _residue_pass(q, s, tol)
     acc = 0.0
     abs_acc = 0.0
     err = 0.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from operator import mul
+from operator import index, mul
 
 from .characters import DirichletCharacter
 from .lseries import _prefix_sums, _running_sums, _terms
@@ -103,11 +103,17 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     sum(chi(n)^2 * n^-2s) from the squared character values at 2s (never the
     squared heights), and eta from the barycenter closed form, so the
     residual genuinely compares two computation paths.  Exact zero profile
-    area raises ZeroAreaError (propagated from the barycenter).
+    area raises ZeroAreaError (propagated from the barycenter).  The
+    chi^2 n^-2s stream, whose terms leave the float range first, is walked
+    before the profile is built, so a point past that range builds nothing.
     """
     s = complex(s)
+    n_rects = index(n_rects)
+    if n_rects < 1:
+        raise ValueError(f"need at least one rectangle, got {n_rects}")
+    square_sum = _running_sums(chi, s, [n_rects], 2)[0]
     sums = _profile_sums(step_profile(chi, s, n_rects), [n_rects])[0]
-    return _pappus_report(*sums, _running_sums(chi, s, [n_rects], 2)[0])
+    return _pappus_report(*sums, square_sum)
 
 
 def _pappus_report(area, moment, square, square_sum: complex) -> PappusReport:

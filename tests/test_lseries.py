@@ -606,7 +606,8 @@ def cheapest_plan(s_num, x, tol):
 class TestOnePassPerEvaluation:
     @pytest.mark.parametrize("q", [1, 168])
     def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
-        # the kernel makes its own plan: one call per evaluate, both done
+        # the kernel makes its own plan, and its pass is kept: one call per
+        # distinct (q, s), shared by every character mod q
         calls = []
         kernel = lseries_mod._hurwitz
 
@@ -615,11 +616,11 @@ class TestOnePassPerEvaluation:
             return kernel(*args)
 
         monkeypatch.setattr(lseries_mod, "_hurwitz", counted)
+        points = (0.5, complex(0.5, 14.0), complex(-0.5, 100.0))
         for chi in enumerate_characters(q)[:3]:
-            for s in (0.5, complex(0.5, 14.0), complex(-0.5, 100.0)):
-                calls.clear()
+            for s in points:
                 assert evaluate(chi, s).method == "hurwitz"
-                assert len(calls) == 1
+        assert [args[0] for args in calls] == [complex(s) for s in points]
 
     def test_list_kernel_equals_single_x_calls_bit_for_bit(self):
         rng = random.Random(20261018)
@@ -671,6 +672,82 @@ class TestOnePassPerEvaluation:
             if v
         )
         assert abs(ev.value - complex(ref)) <= ev.err_estimate
+
+
+KEPT_PASS_POINTS = (
+    1, 0.5, complex(0.5, -0.0), complex(0.5, 14.1), -0.5, 2, complex(-0.5, 100.0), 1 + 1e-12
+)
+
+
+def evaluation_or_error(chi, s, **kwargs):
+    try:
+        return repr(evaluate(chi, s, **kwargs))
+    except PoleError as error:
+        return repr(error)
+
+
+class TestKeptPasses:
+    """The pass depends only on (q, s, tol): the last few are kept and shared
+    by every character mod q, and a kept pass changes no output."""
+
+    def count_kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = lseries_mod._hurwitz
+
+        def counted(s, xs, tol, q):
+            calls.append((q, s, tol))
+            return kernel(s, xs, tol, q)
+
+        monkeypatch.setattr(lseries_mod, "_hurwitz", counted)
+        return calls
+
+    @pytest.mark.parametrize("q", [1, 4, 24, 168])
+    def test_warm_pass_gives_the_cold_evaluation(self, q):
+        chars = enumerate_characters(q)
+        for s in KEPT_PASS_POINTS:
+            cold = []
+            for chi in chars:
+                lseries_mod._residue_pass.cache_clear()
+                cold.append(evaluation_or_error(chi, s))
+            hits = lseries_mod._residue_pass.cache_info().hits
+            assert [evaluation_or_error(chi, s) for chi in chars] == cold, s
+            # every character that reaches the pass reads the kept one
+            reached = sum(not (chi.is_principal and s == 1) for chi in chars)
+            assert lseries_mod._residue_pass.cache_info().hits - hits == reached
+
+    def test_real_point_with_either_signed_zero_is_one_pass(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        chi = enumerate_characters(24)[5]
+        assert repr(evaluate(chi, complex(0.5, -0.0))) == repr(evaluate(chi, 0.5))
+        assert len(calls) == 1
+
+    def test_kernel_runs_once_per_q_s_and_tol(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        s = complex(0.5, 14.1)
+        for tol in (1e-10, 1e-6, 1e-10):
+            for chi in enumerate_characters(24):
+                evaluate(chi, s, tol=tol)
+        for chi in enumerate_characters(12):
+            evaluate(chi, s)
+        assert calls == [(24, s, 1e-10), (24, s, 1e-6), (12, s, 1e-10)]
+
+    def test_a_refused_point_is_refused_on_every_call(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        chi = enumerate_characters(3)[1]
+        for _ in range(3):
+            with pytest.raises(ContinuationRangeError, match="Hurwitz power"):
+                evaluate(chi, complex(1000.0, 1e308))
+        assert len(calls) == 3
+        assert lseries_mod._residue_pass.cache_info().currsize == 0
+
+    def test_at_most_the_fixed_number_of_passes_is_kept(self):
+        assert lseries_mod._residue_pass.cache_info().maxsize == lseries_mod._PASSES_KEPT == 8
+        chi = enumerate_characters(5)[2]
+        for k in range(3 * lseries_mod._PASSES_KEPT):
+            evaluate(chi, complex(0.5, k))
+            assert lseries_mod._residue_pass.cache_info().currsize == min(
+                k + 1, lseries_mod._PASSES_KEPT
+            )
 
 
 class TestShiftFromTheEstimate:

@@ -20,6 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lseries_lab import lseries, rotation
 from lseries_lab.audit import run_audit
 from lseries_lab.characters import enumerate_characters, enumerate_real_characters
 from lseries_lab.lseries import ContinuationRangeError, partial_sum
@@ -206,6 +207,37 @@ class TestPappus:
         # the volume's squared terms n^300 leave the float range at n = 11
         with pytest.raises(ContinuationRangeError, match=r"at s = \(-150\+0j\).* n = 11, m = 2"):
             pappus_check(CHI4, -150, 100)
+
+    def test_overflow_stops_before_the_profile_is_built(self, monkeypatch):
+        # chi^2 n^-2s leaves the float range first, at n = 7133 for s = -40,
+        # and is walked first: no profile of 100000 heights is built
+        items = {}
+        real_terms = lseries._terms
+
+        def counting_terms(chi, s, stop, m=1):
+            for term in real_terms(chi, s, stop, m):
+                items[s, m] = items.get((s, m), 0) + 1
+                yield term
+
+        profiles = []
+        real_profile = rotation.step_profile
+
+        def counting_profile(*args):
+            profiles.append(args)
+            return real_profile(*args)
+
+        for module in (lseries, rotation):
+            monkeypatch.setattr(module, "_terms", counting_terms)
+        monkeypatch.setattr(rotation, "step_profile", counting_profile)
+        with pytest.raises(ContinuationRangeError, match="n = 7133, m = 2"):
+            pappus_check(CHI4, -40, 100000)
+        assert items == {(-40.0 + 0j, 2): 7132}
+        assert profiles == []
+
+    @pytest.mark.parametrize("n_rects", [0, -1])
+    def test_no_rectangle_is_rejected_by_count(self, n_rects):
+        with pytest.raises(ValueError, match=f"need at least one rectangle, got {n_rects}"):
+            pappus_check(CHI4, 0.5, n_rects)
 
     def test_report_fields_consistent(self):
         report = pappus_check(CHI4, 0.7, 100)
