@@ -32,9 +32,10 @@ Two evaluation routes:
   Off s = 1 the method is ``hurwitz``.  At s = 1 that term is -log w, so
   each zeta(1, a/q) is its finite part -digamma(a/q), from the same pass;
   the method tag there is ``grouped``.  The pass depends only on (q, s,
-  tol), never on chi, so the last 8 passes are kept and shared by every
-  character mod q: a group evaluated character by character at a few
-  points runs each pass once.
+  tol), never on chi, so the last few passes (``_PASSES_KEPT``) are kept,
+  as each residue's value with the summed sizes and error bounds, and
+  shared by every character mod q: a group evaluated character by
+  character at a few points runs each pass once.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
@@ -195,9 +196,9 @@ _ROUNDOFF = 5e-16
 _EPS = 2.0**-53
 _DEFAULT_TOL = 1e-10  # every L-value's default tolerance, down to zeta(s, x)
 _DEFAULT_GRID_STEP = 0.01  # every scan's default sigma spacing (``_scan_grid``)
-# Covers a group evaluated character by character at a few points; a scan's
-# grid walks straight past it, so a survey keeps no pass for long.
-_PASSES_KEPT = 8
+# One pass per point of a group evaluated character by character at s = 1
+# and two heights (the lvalues benchmark); a scan's grid walks past them.
+_PASSES_KEPT = 3
 _LOG_4 = math.log(4.0)
 _LOG_TAU = math.log(2.0 * math.pi)
 _LOG_MAX_W = math.log(2.0 * _MAX_SHIFT)  # past it exp() could overflow; no N fits anyway
@@ -332,15 +333,27 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
     return results, shift
 
 
+@lru_cache(maxsize=1)
+def _units(q: int) -> list:
+    """The units a = 1..q, in order, for the last q: a scan or a group asks
+    for one q many times."""
+    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+
+
 @lru_cache(maxsize=_PASSES_KEPT)
 def _residue_pass(q: int, s: complex, tol: float) -> tuple:
-    """(units a in 1..q, their ``_hurwitz`` pass, its shift), kept for the
-    last _PASSES_KEPT (q, s, tol); an exception is raised anew on each call.
-    s with imaginary part 0.0 or -0.0 is one key, as the pass takes both as
-    the real point.  Every caller gets the same lists and only reads them."""
-    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-    zetas, shift = _hurwitz(s, units, tol, q)
-    return units, zetas, shift
+    """The ``_hurwitz`` pass over the units mod q as (their values in order,
+    the sums of their sizes and error bounds, the shift), kept for the last
+    _PASSES_KEPT (q, s, tol); an exception is raised anew on each call.  An
+    s with imaginary part 0.0 or -0.0 is one key, the real point to the
+    pass.  Every caller gets the same list and only reads it."""
+    zetas, shift = _hurwitz(s, _units(q), tol, q)
+    abs_sum = 0.0
+    err = 0.0
+    for z, e in zetas:
+        abs_sum += abs(z)
+        err += e
+    return [z for z, _ in zetas], abs_sum, err, shift
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
@@ -361,8 +374,9 @@ def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
 def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
     """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
     Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).  The
-    pass depends only on (q, s, tol): the last 8 are kept and shared by
-    every chi mod q, and each chi sums its own values over them.
+    pass depends only on (q, s, tol): the last few (``_PASSES_KEPT``) are
+    kept and shared by every chi mod q, and each chi sums its own values
+    over them.
 
     The pass drops each residue's pole 1/(s-1), so no two terms of size
     1/(s-1) cancel next to s = 1.  For non-principal chi they sum to zero,
@@ -385,17 +399,13 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     if s == 1 and chi.is_principal:
         raise PoleError("L(s, principal chi) has a pole at s = 1")
     table = _residue_table(chi)
-    units, zetas, shift = _residue_pass(q, s, tol)
+    zetas, abs_acc, err, shift = _residue_pass(q, s, tol)
     acc = 0.0
-    abs_acc = 0.0
-    err = 0.0
-    for a, (z, e) in zip(units, zetas):
+    for a, z in zip(_units(q), zetas):
         acc += table[a % q] * z
-        abs_acc += abs(z)
-        err += e
     if chi.is_principal:
         s_num = s.real if s.imag == 0.0 else s
-        pole = len(units) * q**-s_num / (s_num - 1.0)
+        pole = len(zetas) * q**-s_num / (s_num - 1.0)
         acc += pole
         abs_acc += abs(pole)
     err += _ROUNDOFF * abs_acc

@@ -740,8 +740,18 @@ class TestKeptPasses:
         assert len(calls) == 3
         assert lseries_mod._residue_pass.cache_info().currsize == 0
 
+    def test_a_group_at_three_points_runs_three_passes(self, monkeypatch):
+        # the lvalues benchmark's order: each non-principal character at
+        # s = 1 and two heights
+        calls = self.count_kernel_calls(monkeypatch)
+        points = (complex(1.0), complex(0.5, 3.0), complex(0.5, 700.0))
+        for chi in enumerate_characters(168)[1:]:
+            for s in points:
+                evaluate(chi, s)
+        assert calls == [(168, s, 1e-10) for s in points]
+
     def test_at_most_the_fixed_number_of_passes_is_kept(self):
-        assert lseries_mod._residue_pass.cache_info().maxsize == lseries_mod._PASSES_KEPT == 8
+        assert lseries_mod._residue_pass.cache_info().maxsize == lseries_mod._PASSES_KEPT
         chi = enumerate_characters(5)[2]
         for k in range(3 * lseries_mod._PASSES_KEPT):
             evaluate(chi, complex(0.5, k))
