@@ -35,7 +35,10 @@ Two evaluation routes:
   tol), never on chi, so the last few passes (``_PASSES_KEPT``) are kept,
   as each residue's value with the summed sizes and error bounds, and
   shared by every character mod q: a group evaluated character by
-  character at a few points runs each pass once.
+  character at a few points runs each pass once.  Half of a pass depends
+  only on (q, N), not on s: each unit's w = N + a/q, log w, 1/w^2 and
+  a + qN.  It is built once for the last (q, N) and read by every pass
+  there, so a scan, whose every real point has N = 10, builds it once.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
@@ -222,7 +226,8 @@ def _plan(s_num, x_min: float, tol: float) -> tuple:
     exp(log_c - decay * log w), decay = sigma + 2M - 1, and each M's w is
     solved from it in log space, so no power of s or w is formed.  The cost
     with N not yet rounded up is convex in M, so the walk stops at the first
-    M where it reaches the best cost found.  No N up to _MAX_SHIFT for any
+    M where it reaches the best cost found, or at a best plan with
+    N = _MIN_SHIFT, which no larger M can beat.  No N up to _MAX_SHIFT for any
     M <= _MAX_PAIRS raises ContinuationRangeError."""
     if s_num == 0:
         return _MIN_SHIFT, 1, -math.inf, 1.0  # (s)_2M = 0: the remainder is 0
@@ -244,6 +249,8 @@ def _plan(s_num, x_min: float, tol: float) -> tuple:
         shift = max(_MIN_SHIFT, math.ceil(need))
         if shift + _PAIR_COST * m < best_cost:
             best, best_cost = (shift, m, log_c, decay), shift + _PAIR_COST * m
+            if shift == _MIN_SHIFT:  # every later M costs more than this one
+                break
     if best is None:
         raise ContinuationRangeError(
             f"s = {complex(s_num)} needs an Euler-Maclaurin shift above {_MAX_SHIFT} "
@@ -271,22 +278,27 @@ def _pole_free(s_num, log_w: float):
 
 
 def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
-    """([(q^-s (zeta(s, x/q) - 1/(s-1)), err_estimate) for x in xs], shift),
-    at s = 1 the finite part -digamma(x/q)/q, every x at the plan ``_plan``
-    makes for min(xs)/q; the caller keeps each x/q in (0, 1].  A NaN or
-    infinite part and sigma <= -1 raise first, and a power past the float
-    range in the pass, x^-s the first, ContinuationRangeError.
+    """(values, sum of |value|, sum of err_estimate, shift): the values
+    q^-s (zeta(s, x/q) - 1/(s-1)) in the order of xs, at s = 1 the finite
+    part -digamma(x/q)/q, every x at the plan ``_plan`` makes for
+    min(xs)/q, and both sums taken in that order; the caller keeps each x/q
+    in (0, 1].  A NaN or infinite part and sigma <= -1 raise first, and a
+    power past the float range in the pass, x^-s the first,
+    ContinuationRangeError.
 
     The point is a float on the real axis.  The direct terms are
     (x + q k)^-s, k < N.  With w = N + x/q, the tail q^-s [w^-s/2 + sum of
     B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1), j <= M] is summed as (x + q N)^-s
     [1/2 + sum of B_2j/(2j)! (s)_(2j-1) w^(1-2j)], each correction made
     from the one before, so nothing overflows where L is finite; the pole
-    term is q^-s (w^(1-s) - 1)/(s-1) (``_pole_free``).  The error estimate
-    is the remainder bound at w times q^-sigma, plus 5e-16 per operation on
-    the value, plus 2^-53 (N + |t| log(x + q N)) times G, the summed sizes
-    of the direct terms (on the real axis their sum; off it, its integral
-    bound), for the additions and each term's rounded phase t log n.
+    term is q^-s (w^(1-s) - 1)/(s-1) (``_pole_free``).  What depends on the
+    shift and not on s (w, log w, 1/w^2, x + q N) is read from ``_shifted``;
+    the plan, the correction factors, q^-s and every power are made here.
+    The error estimate is the remainder bound at w times q^-sigma, plus
+    5e-16 per operation on the value, plus 2^-53 (N + |t| log(x + q N))
+    times G, the summed sizes of the direct terms (on the real axis their
+    sum; off it, its integral bound), for the additions and each term's
+    rounded phase t log n.
     """
     _check_finite(s)
     if s.real <= -1.0:
@@ -302,22 +314,21 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
         _B_OVER_FACT[j] / _B_OVER_FACT[j - 1] * (s_num + (2 * j - 1)) * (s_num + 2 * j)
         for j in range(1, pairs)
     ]
-    results = []
+    values = []
+    abs_sum = 0.0
+    err_sum = 0.0
     try:
         scale = q**neg_s
-        for x in xs:
+        for x, w, log_w, inv_w2, wq in zip(*_shifted(tuple(xs), q, shift)):
             direct = 0.0
-            for k in range(shift):
-                direct += (x + q * k) ** neg_s
-            w = shift + x / q
-            log_w = math.log(w)
-            inv_w2 = 1.0 / (w * w)
+            # a unit's bases x + q k are a range; hurwitz_zeta's x is a float
+            for n in range(x, wq, q) if isinstance(x, int) else [x + q * k for k in range(shift)]:
+                direct += n**neg_s
             term = first / w
             tail = 0.5 + term
             for f in factors:
                 term *= f * inv_w2
                 tail += term
-            wq = x + q * shift
             value = direct + wq**neg_s * tail + scale * _pole_free(s_num, log_w)
             if t == 0.0:
                 size, phase = direct, 0.0
@@ -327,33 +338,43 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
                 phase = t * math.log(wq)
             err = bound_scale * math.exp(log_c - decay * log_w)
             err += _ROUNDOFF * (shift + pairs) * abs(value) + _EPS * (shift + phase) * size
-            results.append((value, err))
+            values.append(value)
+            abs_sum += abs(value)
+            err_sum += err
     except (OverflowError, ZeroDivisionError):  # libm's range or domain error in a power
         raise ContinuationRangeError(f"at s = {s}, a Hurwitz power is past the float range") from None
-    return results, shift
+    return values, abs_sum, err_sum, shift
 
 
 @lru_cache(maxsize=1)
-def _units(q: int) -> list:
+def _shifted(xs: tuple, q: int, shift: int) -> tuple:
+    """The s-free half of a pass at shift N, for the last (xs, q, N): (xs,
+    w = N + x/q, log w, 1/w^2, x + q N), each in the order of xs, the floats
+    in arrays of doubles (8 bytes a residue).  Every real point has N = 10,
+    so a scan builds one table; every pass only reads it.  The kernel reads
+    each x back from here, so x and x + q N always match in type; a key
+    equal in value but not in type (1.0 for the unit 1) gives the same
+    terms, since every use but the integer range computes in floats."""
+    ws = array("d", [shift + x / q for x in xs])
+    log_ws = array("d", [math.log(w) for w in ws])
+    inv_w2s = array("d", [1.0 / (w * w) for w in ws])
+    return xs, ws, log_ws, inv_w2s, [x + q * shift for x in xs]
+
+
+@lru_cache(maxsize=1)
+def _units(q: int) -> tuple:
     """The units a = 1..q, in order, for the last q: a scan or a group asks
     for one q many times."""
-    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
 
 @lru_cache(maxsize=_PASSES_KEPT)
 def _residue_pass(q: int, s: complex, tol: float) -> tuple:
-    """The ``_hurwitz`` pass over the units mod q as (their values in order,
-    the sums of their sizes and error bounds, the shift), kept for the last
+    """The ``_hurwitz`` pass over the units mod q, kept for the last
     _PASSES_KEPT (q, s, tol); an exception is raised anew on each call.  An
     s with imaginary part 0.0 or -0.0 is one key, the real point to the
-    pass.  Every caller gets the same list and only reads it."""
-    zetas, shift = _hurwitz(s, _units(q), tol, q)
-    abs_sum = 0.0
-    err = 0.0
-    for z, e in zetas:
-        abs_sum += abs(z)
-        err += e
-    return [z for z, _ in zetas], abs_sum, err, shift
+    pass.  Every caller gets the same list of values and only reads it."""
+    return _hurwitz(s, _units(q), tol, q)
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
@@ -367,7 +388,7 @@ def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
         raise PoleError("zeta(s, x) has a pole at s = 1")
     if not 0 < x <= 1:
         raise ValueError(f"x must lie in (0, 1], got {x}")
-    [(value, _)], _ = _hurwitz(s, [x], tol)
+    [value], _, _, _ = _hurwitz(s, [x], tol)
     return complex(value + 1.0 / (s.real - 1.0 if s.imag == 0.0 else s - 1.0))
 
 

@@ -2,12 +2,17 @@ import pytest
 
 from lseries_lab import lseries
 
+KEPT_WORK = (lseries._residue_pass, lseries._shifted, lseries._units)
+
 
 @pytest.fixture(autouse=True)
 def cold_pass_cache():
-    """Every test starts and ends with no kept Euler-Maclaurin pass, so a
-    kernel a test swaps in never answers a later test from the cache, and a
-    count of kernel calls does not depend on which tests ran before."""
-    lseries._residue_pass.cache_clear()
+    """Every test starts and ends with no kept Euler-Maclaurin pass, shift
+    table or unit list, so a kernel a test swaps in never answers a later
+    test from a memo, and a count of kernel calls or table reads does not
+    depend on which tests ran before."""
+    for memo in KEPT_WORK:
+        memo.cache_clear()
     yield
-    lseries._residue_pass.cache_clear()
+    for memo in KEPT_WORK:
+        memo.cache_clear()

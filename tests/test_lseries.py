@@ -13,9 +13,12 @@ Oracles:
 
 import cmath
 import math
+import operator
 import random
 import re
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -41,6 +44,7 @@ from lseries_lab.lseries import (
     _prefix_sums,
     _residue_table,
     _running_sums,
+    _scan_grid,
     _terms,
     evaluate,
     hurwitz_zeta,
@@ -279,7 +283,7 @@ class TestPointCoercion:
                 _hurwitz(s, [Watched(0.25)], 1e-10)
             with pytest.raises(ContinuationRangeError):
                 evaluate(CHI4, s)
-        assert _hurwitz(complex(0.5, 5.2e6), [1.0], 1e-10)[1] < 1 << 20
+        assert _hurwitz(complex(0.5, 5.2e6), [1.0], 1e-10)[3] < 1 << 20
 
     def test_height_of_the_old_shift_cap_is_finite_or_out_of_range(self):
         # at 0.5 + 8.9e5i the plan takes M near its cap: the product (s)_2M
@@ -385,15 +389,15 @@ class TestHurwitzZeta:
             s = complex(sigma, t)
             if sigma == 1.0 and t == 0.0:
                 continue
-            [(value, err)], _ = _hurwitz(s, [x], 1e-10)
+            [value], _, err, _ = _hurwitz(s, [x], 1e-10)
             ref = mpmath.zeta(mpmath.mpc(sigma, t), x)
             actual = abs(complex(value + 1.0 / (s - 1.0)) - complex(ref))
             assert actual <= 2.0 * err + 1e-12, (sigma, t, x, actual, err)
 
     def test_tighter_tolerance_tightens_the_answer(self):
         # sigma near 0 with small x is the hard corner for the default shift
-        [(loose, loose_err)], _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-6)
-        [(tight, tight_err)], _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-13)
+        [loose], _, loose_err, _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-6)
+        [tight], _, tight_err, _ = _hurwitz(complex(0.05, 0.0), [0.05], 1e-13)
         assert tight_err <= loose_err
         mpmath.mp.dps = 30
         ref = float(mpmath.zeta(0.05, 0.05))
@@ -534,7 +538,7 @@ class TestAtOne:
     @pytest.mark.parametrize("x", [1 / 401, 0.05, 1 / 3, 0.5, 0.9, 1.0])
     def test_kernel_finite_part_is_minus_digamma(self, x):
         mpmath.mp.dps = 30
-        [(value, err)], shift = _hurwitz(complex(1.0), [x], 1e-10)
+        [value], _, err, shift = _hurwitz(complex(1.0), [x], 1e-10)
         want = -float(mpmath.digamma(x))
         assert abs(value - want) <= err, (x, shift, value, want, err)
         assert err <= 1e-10 * max(1.0, abs(want))
@@ -603,6 +607,31 @@ def cheapest_plan(s_num, x, tol):
     return best[1:]
 
 
+def full_walk_plan(s_num, x_min, tol):
+    """``_plan``'s arithmetic at every M up to the cap, with no early exit:
+    the (shift, pairs, log_c, decay) of least cost (the first on a tie), or
+    None where no shift up to the cap meets the target."""
+    if s_num == 0:
+        return 10, 1, -math.inf, 1.0
+    log_target = math.log(max(tol, 5e-16))
+    log_rising = 0.0
+    best, best_cost = None, math.inf
+    for m in range(1, lseries_mod._MAX_PAIRS + 1):
+        log_rising += math.log(abs(s_num + (2 * m - 2))) + math.log(abs(s_num + (2 * m - 1)))
+        decay = s_num.real + (2 * m - 1)
+        log_c = math.log(4.0) + log_rising - 2 * m * math.log(2.0 * math.pi) - math.log(decay)
+        log_w = (log_c - log_target) / decay
+        if log_w >= math.log(2.0 * lseries_mod._MAX_SHIFT):
+            continue
+        need = math.exp(log_w) - x_min
+        if need > lseries_mod._MAX_SHIFT:
+            continue
+        shift = max(10, math.ceil(need))
+        if shift + lseries_mod._PAIR_COST * m < best_cost:
+            best, best_cost = (shift, m, log_c, decay), shift + lseries_mod._PAIR_COST * m
+    return best
+
+
 class TestOnePassPerEvaluation:
     @pytest.mark.parametrize("q", [1, 168])
     def test_shift_and_kernel_run_once_per_evaluate(self, q, monkeypatch):
@@ -631,12 +660,14 @@ class TestOnePassPerEvaluation:
             tol = rng.choice([1e-4, 1e-10, 1e-13])
             units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
             for xs, scale in ((units, q), ([a / q for a in units], 1)):
-                got, shift = _hurwitz(complex(s_num), xs, tol, scale)
+                got = _hurwitz(complex(s_num), xs, tol, scale)
                 plan = lseries_mod._plan(s_num, min(xs) / scale, tol)
                 oracle = [one_x_kernel(s_num, x, plan, scale) for x in xs]
-                oracle = [(value, trunc + roundoff) for value, trunc, roundoff in oracle]
-                assert shift == plan[0]
-                assert repr(got) == repr(oracle), (s_num, q, shift, scale)
+                values = [value for value, _, _ in oracle]
+                errs = [trunc + roundoff for _, trunc, roundoff in oracle]
+                # summed in order from 0.0, as the kernel does (sum() compensates)
+                sums = [reduce(operator.add, terms, 0.0) for terms in (map(abs, values), errs)]
+                assert repr(got) == repr((values, *sums, plan[0])), (s_num, q, scale)
 
     def test_smallest_residue_needs_the_largest_shift(self):
         # the smallest residue 1/q sets the one plan of every residue, and
@@ -648,7 +679,7 @@ class TestOnePassPerEvaluation:
             q = rng.randint(1, 450)
             residues = sorted({1, 2, q // 2 or 1, q - 1 or 1, q})
             plan = lseries_mod._plan(s_num, 1 / q, 1e-10)
-            assert _hurwitz(s, [a / q for a in residues], 1e-10)[1] == plan[0]
+            assert _hurwitz(s, [a / q for a in residues], 1e-10)[3] == plan[0]
             for a in residues:
                 _, trunc, _ = one_x_kernel(s_num, a / q, plan)
                 assert trunc <= 1e-10, (s, q, a, plan[:2], trunc)
@@ -660,7 +691,7 @@ class TestOnePassPerEvaluation:
         chi = enumerate_characters(168)[3]
         s = complex(0.5, 454.65)
         units = [a for a, v in enumerate(chi.values) if v]
-        alone = {a: _hurwitz(s, [a / 168], 1e-10)[1] for a in units}
+        alone = {a: _hurwitz(s, [a / 168], 1e-10)[3] for a in units}
         ev = evaluate(chi, s)
         assert ev.n_used == alone[1]
         assert min(alone.values()) < ev.n_used < max(alone.values())
@@ -760,6 +791,59 @@ class TestKeptPasses:
             )
 
 
+def clear_kept_work():
+    for memo in (lseries_mod._residue_pass, lseries_mod._shifted, lseries_mod._units):
+        memo.cache_clear()
+
+
+class TestShiftedTable:
+    """What a pass needs of the shift and not of s is built once per (units,
+    q, shift) and read by every pass there; a read table changes no output."""
+
+    POINTS = (1, complex(0.5, 14.0), complex(0.5, 50.0), complex(0.5, 500.0))
+
+    def test_warm_table_gives_the_cold_result_bit_for_bit(self):
+        chars = enumerate_characters(168)
+        other = enumerate_characters(24)[1]
+        cold = {}
+        for s in self.POINTS:
+            cold[s] = []
+            for chi in chars:
+                clear_kept_work()
+                cold[s].append(evaluation_or_error(chi, s))
+            evaluate(chars[1], s)  # builds the table at s
+            hits = lseries_mod._shifted.cache_info().hits
+            warm = []
+            for chi in chars:
+                lseries_mod._residue_pass.cache_clear()
+                warm.append(evaluation_or_error(chi, s))
+            assert warm == cold[s], s
+            reached = sum(not (chi.is_principal and s == 1) for chi in chars)
+            assert lseries_mod._shifted.cache_info().hits - hits == reached
+            # another q between two passes at 168 takes the one kept table
+            evaluate(other, s)
+            lseries_mod._residue_pass.cache_clear()
+            assert evaluation_or_error(chars[1], s) == cold[s][1], s
+        # four points, three shifts: s = 1 and 0.5 + 14i share N = 10 and one table
+        assert [evaluate(chars[1], s).n_used for s in self.POINTS] == [10, 10, 16, 103]
+        clear_kept_work()
+        evaluate(chars[1], 1)
+        hits = lseries_mod._shifted.cache_info().hits
+        assert [evaluation_or_error(chi, self.POINTS[1]) for chi in chars] == cold[self.POINTS[1]]
+        assert lseries_mod._shifted.cache_info().hits - hits == 1
+
+    def test_a_table_for_equal_residues_of_another_type_gives_the_same_terms(self):
+        # 1 (the unit mod 1) and 1.0 (hurwitz_zeta's x) are one key
+        for s in (0.5, complex(0.5, 14.0), 2.5):
+            clear_kept_work()
+            cold_zeta = hurwitz_zeta(s, 1.0)
+            clear_kept_work()
+            cold_l = repr(evaluate(CHI0_1, s))
+            assert repr(hurwitz_zeta(s, 1.0)) == repr(cold_zeta)  # after the units' table
+            lseries_mod._residue_pass.cache_clear()
+            assert repr(evaluate(CHI0_1, s)) == cold_l  # after the float's table
+
+
 class TestShiftFromTheEstimate:
     """The plan is solved from Johansson's remainder bound: the cheapest
     (N, M), N >= 10, whose bound meets max(tol, 5e-16) at min(xs)."""
@@ -774,7 +858,7 @@ class TestShiftFromTheEstimate:
             tol = rng.choice(self.TOLS)
             xs = sorted({1 / q, *(rng.randint(1, q) / q for _ in range(4))})
             plan = lseries_mod._plan(s, xs[0], tol)
-            _, shift = _hurwitz(s, xs, tol)
+            *_, shift = _hurwitz(s, xs, tol)
             assert shift == plan[0]
             for x in xs:
                 _, trunc, _ = one_x_kernel(s, x, plan)
@@ -793,6 +877,32 @@ class TestShiftFromTheEstimate:
             _, trunc, _ = one_x_kernel(s, 1 / q, (shift - 1, pairs, log_c, decay))
             assert trunc > max(tol, 5e-16), (s, q, tol, shift, trunc)
 
+    def test_early_exits_give_the_full_walk_plan(self):
+        # the walk stops where the cost can no longer fall, or at a plan with
+        # the floor shift, which no larger M beats: the same plan, bit for
+        # bit, as walking every M, and the same refusal where none fits
+        rng = random.Random(20261020)
+        points = [complex(0.5, 5.3e6), complex(0.5, 1e7), complex(0.5, 1e30), -0.999999, 0.0]
+        for _ in range(6000):
+            sigma = rng.choice([rng.uniform(-1.0, 3.0), -1.0 + 10.0 ** rng.uniform(-9.0, -1.0)])
+            if sigma <= -1.0:
+                continue
+            t = rng.choice([0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 7.0)])
+            points.append(complex(sigma, t) if t else sigma)
+        refused = floor = 0
+        for s_num in points:
+            x_min = rng.choice([1.0 / rng.randint(1, 10**6), rng.uniform(1e-6, 1.0)])
+            tol = 10.0 ** rng.uniform(-17.0, -2.0)
+            want = full_walk_plan(s_num, x_min, tol)
+            if want is None:
+                refused += 1
+                with pytest.raises(ContinuationRangeError, match="shift above 1048575"):
+                    lseries_mod._plan(s_num, x_min, tol)
+                continue
+            floor += want[0] == 10
+            assert repr(lseries_mod._plan(s_num, x_min, tol)) == repr(want), (s_num, x_min, tol)
+        assert refused > 20 and floor > 1000, (refused, floor)
+
     def test_real_axis_shift_is_the_default_at_every_tolerance(self):
         # on the real axis the floor N = 10 meets every tolerance with a few
         # pairs; a smaller tolerance adds pairs, not terms
@@ -802,7 +912,7 @@ class TestShiftFromTheEstimate:
         for sigma in points:
             q = rng.randint(1, 1000)
             tol = 10.0 ** rng.uniform(-300.0, 0.0)
-            assert _hurwitz(complex(sigma), [1 / q], tol)[1] == 10, (sigma, q, tol)
+            assert _hurwitz(complex(sigma), [1 / q], tol)[3] == 10, (sigma, q, tol)
 
     def test_high_t_values_stay_within_their_estimate(self):
         # two characters mod 13 on the critical line: the error is within
@@ -1032,6 +1142,43 @@ class TestScanZeros:
     def test_rejects_bad_window(self, lo, hi):
         with pytest.raises(ValueError):
             scan_zeros(CHI4, lo, hi, 5)
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.1])
+    def test_scan_equals_cold_evaluations(self, grid_step, monkeypatch):
+        # every value and bisection point of a scan is the L-value that a
+        # cold evaluate gives there, with nothing kept from the point before
+        def scans():
+            return [
+                scan_zeros(chi, *_scan_grid(grid_step))
+                for q in range(1, 61)
+                for chi in enumerate_real_characters(q)
+            ]
+
+        warm = scans()
+        evaluate_at = lseries_mod.evaluate
+
+        def cold_evaluate(chi, s, **kwargs):
+            clear_kept_work()
+            return evaluate_at(chi, s, **kwargs)
+
+        monkeypatch.setattr(lseries_mod, "evaluate", cold_evaluate)
+        cold = scans()
+        assert len(cold) == 188
+        for got, want in zip(warm, cold):
+            for field in ("values", "err_estimates", "brackets"):
+                assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+    def test_peak_memory_per_unit(self):
+        # a scan holds the units, the shift's table (three arrays of doubles
+        # and one list of ints), the kept passes and the one being summed
+        chi = enumerate_real_characters(10007)[1]
+        tracemalloc.start()
+        try:
+            scan_zeros(chi, *_scan_grid(0.25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 260 * 10006, peak / 10006
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_exact_zero_at_any_grid_point_is_its_own_bracket(self, at, monkeypatch):
