@@ -213,10 +213,13 @@ def _truncation_claims(chi, s, truncations) -> list:
     """The seven truncation claims, in registry order, from the walks made at
     its top; the profile dies before the factor vectors are built."""
     # The widest terms first: chi^2 n^-2s at s (Pappus V) and at (sigma, 0)
-    # (W_N; positivity is a real-axis fact).  Then chi^4 at t = 0, the step
-    # profile, and one factor pair at a time.
+    # (W_N; positivity is a real-axis fact), one stream bit for bit when
+    # s.imag is 0.0 or -0.0.  Then chi^4 at t = 0, the step profile, and one
+    # factor pair at a time.
     square_sums = _running_sums(chi, s, truncations, 2)
-    w_sums = _running_sums(chi, complex(s.real, 0.0), truncations, 2)
+    w_sums = square_sums
+    if s.imag != 0.0:
+        w_sums = _running_sums(chi, complex(s.real, 0.0), truncations, 2)
     ns, padded = _growth_truncations(truncations)
     chi4_sums = _running_sums(chi, 0j, ns, 4)
     profile = _profile_sums(step_profile(chi, s, truncations[-1]), truncations)

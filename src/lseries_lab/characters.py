@@ -8,8 +8,10 @@ for 2^k.  Each character value is stored exactly -- as an integer in
 pair (d, k) meaning exp(2*pi*i*k/d).  Exact arithmetic is on integer exponents
 e over the group exponent L = lcm(d_i), standing for exp(2*pi*i*e/L), and
 ``from_values`` validates a table by rebuilding it from its generator images.
-No floating point enters until ``_to_number`` converts a value (which
-:meth:`DirichletCharacter.value_complex` and the L-series term tables share).
+No floating point enters until ``_to_number`` converts a value: for
+:meth:`DirichletCharacter.value_complex`, and once per root of unity mod q
+for ``_numbers``, the map of the last q from which the L-series term tables
+read each root's number.
 
 The Kronecker symbol lives here as well; for fundamental discriminants it is
 an independent construction of the real primitive characters and is used to
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -127,6 +130,16 @@ def _to_number(v: CharacterValue):
         return v
     d, k = v
     return cmath.exp(2j * cmath.pi * k / d)
+
+
+@lru_cache(maxsize=1)
+def _numbers(q: int) -> dict:
+    """Each value a character mod q can take, 0 and every exp(2*pi*i*e/L)
+    with L = lcm(d_i) in the stored form, mapped to its ``_to_number``, for
+    the last q: one exponential per root of unity mod q."""
+    group_exponent = lcm(*(d for _, d in unit_group_structure(q)))
+    roots = [_value(e, group_exponent) for e in range(group_exponent)]
+    return {0: 0, **{v: _to_number(v) for v in roots}}
 
 
 def _conductor_of_table(q: int, values: Sequence[CharacterValue]) -> int:

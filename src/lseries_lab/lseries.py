@@ -4,9 +4,11 @@ Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
 ``_terms``: the dense stream chi(n)^m * n**(-m s), n = 1, 2, ..., 0j off the
 units, Python's power of the int n, chi(n)^m read from a residue table
-converted once per call.  A step profile or factor vector is the tuple of
-that stream, and every truncation sum is read from ``_prefix_sums``: one
-running sum over a stream, taken at each of several truncations.
+made once per call, which reads each root of unity's number from the map of
+q (``characters._numbers``) that converts every root mod q once.  A step
+profile or factor vector is the tuple of that stream, and every truncation
+sum is read from ``_prefix_sums``: one running sum over a stream, taken at
+each of several truncations.
 
 A point s = sigma + i*t is a Python complex from entry to kernel: every
 public function takes an int, float or complex and converts it with
@@ -60,7 +62,7 @@ from itertools import accumulate, islice
 from operator import index
 from typing import Sequence
 
-from .characters import DirichletCharacter, _to_number, _value
+from .characters import DirichletCharacter, _numbers, _value
 
 __all__ = [
     "ContinuationRangeError",
@@ -113,12 +115,14 @@ class LEvaluation:
 
 
 def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
-    """chi(a)^m for a in [0, q): the exact power, converted once -- 0 and +/-1
-    stay ints (so real terms stay real), any other root of unity costs one exp."""
+    """chi(a)^m for a in [0, q): the exact power, each entry read as a number
+    from the map of q (``characters._numbers``), which converts every root
+    of unity mod q once -- 0 and +/-1 stay ints (so real terms stay real),
+    and a real chi's table is its exact one."""
     powers = chi.values
     if m > 1:
         powers = [v**m if isinstance(v, int) else _value(v[1] * m, v[0]) for v in powers]
-    return powers if chi.is_real else [_to_number(v) for v in powers]
+    return powers if chi.is_real else list(map(_numbers(chi.modulus).__getitem__, powers))
 
 
 def _check_finite(s: complex) -> None:

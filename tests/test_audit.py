@@ -473,6 +473,22 @@ class TestOneWalkPerSeries:
         assert set(walks.values()) == {1}
         assert len(walks) == 8  # profile, 2 x 2 factors, chi^2 at s and at sigma, chi^4 at 0
 
+    def test_on_the_real_axis_w_n_reads_the_square_walk_at_s(self, monkeypatch):
+        # at t = 0 chi^2 n^-2s at s and at (sigma, 0) are one stream, walked once
+        walks = {}
+        real_terms = lseries._terms
+
+        def counting_terms(chi, s, stop, m=1):
+            key = (chi.values, s, m)
+            walks[key] = walks.get(key, 0) + 1
+            return real_terms(chi, s, stop, m)
+
+        for module in (lseries, rotation, resolution):
+            monkeypatch.setattr(module, "_terms", counting_terms)
+        run_audit(CHI4, 0.5, [10, 100, 1000])
+        assert walks[(CHI4.values, 0.5 + 0j, 2)] == 1
+        assert [n for (_, _, m), n in walks.items() if m == 2] == [1]
+
     def test_overflow_stops_at_the_first_walk(self, monkeypatch):
         # chi^2 n^-2s has the widest terms and is walked first, so a point
         # past the float range is refused before the profile, a factor

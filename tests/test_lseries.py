@@ -25,6 +25,7 @@ import pytest
 
 from lseries_lab import run_audit
 from lseries_lab import lseries as lseries_mod
+from lseries_lab import characters as characters_mod
 from lseries_lab.characters import (
     DirichletCharacter,
     _to_number,
@@ -115,10 +116,42 @@ class TestPartialSum:
 
 
 class TestTermKernel:
+    @staticmethod
+    def exact_power(v, m):
+        """chi(a)^m in the stored form, from the exponent's fraction of a turn."""
+        if isinstance(v, int):
+            return v**m
+        turn = Fraction(v[1] * m, v[0]) % 1
+        return 1 if turn == 0 else -1 if turn == Fraction(1, 2) else (turn.denominator, turn.numerator)
+
     def test_residue_table_is_value_complex_bit_for_bit(self):
-        for chi in enumerate_characters(13) + enumerate_characters(16):
-            table = _residue_table(chi)
-            assert all(complex(table[a]) == chi.value_complex(a) for a in range(chi.modulus))
+        # moduli interleaved, so the kept map of one q never answers another
+        for q in [13, 350, 13, 263, 1009, 263, *range(1, 120)]:
+            group = enumerate_characters(q)
+            for chi in group[:: max(1, len(group) // 16)]:
+                for m in (1, 2, 4):
+                    table = _residue_table(chi, m)
+                    if m == 1:
+                        want = [chi.value_complex(a) for a in range(q)]
+                    else:
+                        want = [complex(_to_number(self.exact_power(v, m))) for v in chi.values]
+                    assert list(map(repr, map(complex, table))) == list(map(repr, want)), (q, m)
+
+    def test_a_group_converts_each_root_of_unity_once(self, monkeypatch):
+        # lambda(263) = 262 roots; one exponential per table entry would be
+        # about 68,000 for the 262 characters mod 263
+        calls = []
+        real_to_number = characters_mod._to_number
+
+        def counting_to_number(v):
+            calls.append(v)
+            return real_to_number(v)
+
+        for module in (characters_mod, lseries_mod):  # wherever the name is bound
+            monkeypatch.setattr(module, "_to_number", counting_to_number, raising=False)
+        for chi in enumerate_characters(263):
+            evaluate(chi, complex(0.5, 14.0))
+        assert 0 < len(calls) <= 262
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("s", [0.5, complex(0.5, 3.0)])
