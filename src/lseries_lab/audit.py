@@ -361,13 +361,14 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
     of the primes dividing q but not the conductor (``_induced_values``).
     So an imprimitive row takes no L-value and no bisection of its own.
     """
+    q_max = index(q_max)
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     grid = _scan_grid(grid_step)
     primitive = {}  # d -> (chi*, its ScanResult), for this call only
     rows = []
     for q in range(1, q_max + 1):
-        for index, chi in enumerate(enumerate_real_characters(q)):
+        for k, chi in enumerate(enumerate_real_characters(q)):
             if chi.is_principal:
                 continue
             # a real primitive chi* is the Kronecker symbol (d/.), and each chi it
@@ -378,7 +379,7 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
             if d not in primitive:
                 raise ArithmeticError(
                     f"no stored primitive character of conductor {chi.conductor} induces "
-                    f"character {index} mod {q}"
+                    f"character {k} mod {q}"
                 )
             star, scan = primitive[d]
             values = _induced_values(chi, star, scan.sigmas, scan.values)
@@ -386,7 +387,7 @@ def nonvanishing_survey(q_max: int, grid_step: float = _DEFAULT_GRID_STEP) -> li
             rows.append(
                 SurveyRow(
                     q=q,
-                    char_index=index,
+                    char_index=k,
                     min_abs=abs(values[i_min]),
                     argmin_sigma=scan.sigmas[i_min],
                     sign_changes=len(scan.brackets),

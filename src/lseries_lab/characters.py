@@ -8,10 +8,7 @@ for 2^k.  Each character value is stored exactly -- as an integer in
 pair (d, k) meaning exp(2*pi*i*k/d).  Exact arithmetic is on integer exponents
 e over the group exponent L = lcm(d_i), standing for exp(2*pi*i*e/L), and
 ``from_values`` validates a table by rebuilding it from its generator images.
-No floating point enters until ``_to_number`` converts a value: for
-:meth:`DirichletCharacter.value_complex`, and once per root of unity mod q
-for ``_numbers``, the map of the last q from which the L-series term tables
-read each root's number.
+No floating point enters until ``_to_number`` converts a value.
 
 The Kronecker symbol lives here as well; for fundamental discriminants it is
 an independent construction of the real primitive characters and is used to
@@ -22,9 +19,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import index
 from typing import Sequence, Union
 
 __all__ = [
@@ -86,6 +83,7 @@ def unit_group_structure(q: int) -> list[tuple[int, int]]:
     then 5 when k >= 3); odd prime-power factors follow in ascending order
     of p, each contributing its smallest generator.  q = 1, 2 give [].
     """
+    q = index(q)
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     gens: list[tuple[int, int]] = []
@@ -132,16 +130,6 @@ def _to_number(v: CharacterValue):
     return cmath.exp(2j * cmath.pi * k / d)
 
 
-@lru_cache(maxsize=1)
-def _numbers(q: int) -> dict:
-    """Each value a character mod q can take, 0 and every exp(2*pi*i*e/L)
-    with L = lcm(d_i) in the stored form, mapped to its ``_to_number``, for
-    the last q: one exponential per root of unity mod q."""
-    group_exponent = lcm(*(d for _, d in unit_group_structure(q)))
-    roots = [_value(e, group_exponent) for e in range(group_exponent)]
-    return {0: 0, **{v: _to_number(v) for v in roots}}
-
-
 def _conductor_of_table(q: int, values: Sequence[CharacterValue]) -> int:
     """Smallest f | q such that n = 1 (mod f), gcd(n, q) = 1 implies chi(n) = 1.
     The f | q with that property are the multiples of the conductor, so dividing
@@ -174,6 +162,7 @@ class DirichletCharacter:
     def from_values(cls, q: int, values: Sequence[CharacterValue]) -> "DirichletCharacter":
         """Build from an explicit table in the stored form (0, +/-1, reduced
         (order, exponent) pairs); ValueError unless it is a character mod q."""
+        q = index(q)
         if q < 1:
             raise ValueError(f"modulus must be >= 1, got {q}")
         if len(values) != q:

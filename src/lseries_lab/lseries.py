@@ -4,11 +4,10 @@ Every series term in the package (partial sums, step profiles, volumes,
 factor vectors, phase and chi^4 sums) comes from one private kernel,
 ``_terms``: the dense stream chi(n)^m * n**(-m s), n = 1, 2, ..., 0j off the
 units, Python's power of the int n, chi(n)^m read from a residue table
-made once per call, which reads each root of unity's number from the map of
-q (``characters._numbers``) that converts every root mod q once.  A step
-profile or factor vector is the tuple of that stream, and every truncation
-sum is read from ``_prefix_sums``: one running sum over a stream, taken at
-each of several truncations.
+made once per call (``_residue_table``).  A step profile or factor vector
+is the tuple of that stream, and every truncation sum is read from
+``_prefix_sums``: one running sum over a stream, taken at each of several
+truncations.
 
 A point s = sigma + i*t is a Python complex from entry to kernel: every
 public function takes an int, float or complex and converts it with
@@ -33,14 +32,22 @@ Two evaluation routes:
   chi and ``hurwitz_zeta`` add them back once.  ``n_used`` is the shift.
   Off s = 1 the method is ``hurwitz``.  At s = 1 that term is -log w, so
   each zeta(1, a/q) is its finite part -digamma(a/q), from the same pass;
-  the method tag there is ``grouped``.  The pass depends only on (q, s,
-  tol), never on chi, so the last few passes (``_PASSES_KEPT``) are kept,
-  as each residue's value with the summed sizes and error bounds, and
-  shared by every character mod q: a group evaluated character by
-  character at a few points runs each pass once.  Half of a pass depends
-  only on (q, N), not on s: each unit's w = N + a/q, log w, 1/w^2 and
-  a + qN.  It is built once for the last (q, N) and read by every pass
-  there, so a scan, whose every real point has N = 10, builds it once.
+  the method tag there is ``grouped``.
+
+Three memos keep what the characters mod q share, each for its last few
+keys only, so none grows with the moduli or points asked:
+
+* ``_modulus(q)``, the last q: the units a = 1..q and the number map of q,
+  which converts a value with ``characters._to_number`` on its first read;
+  so a root of unity is converted once per q, a real chi converts none,
+  and ``evaluate`` reads chi on the units only.
+* ``_residue_pass(q, s, tol)``, the last ``_PASSES_KEPT``: each unit's
+  q^-s (zeta(s, a/q) - 1/(s-1)) with the summed sizes and error bounds;
+  it never depends on chi, so a group evaluated at a few points runs each
+  pass once.
+* ``_shifted(xs, q, N)``, the last one: each unit's w = N + a/q, log w,
+  1/w^2 and a + qN, free of s; every real point has N = 10, so a scan
+  builds it once.
 
 ``scan_zeros`` walks a uniform sigma grid in (0, 1) for a real character,
 brackets sign changes of the (real) L-values and exact zeros at any grid
@@ -62,7 +69,7 @@ from itertools import accumulate, islice
 from operator import index
 from typing import Sequence
 
-from .characters import DirichletCharacter, _numbers, _value
+from .characters import DirichletCharacter, _to_number, _value
 
 __all__ = [
     "ContinuationRangeError",
@@ -115,14 +122,13 @@ class LEvaluation:
 
 
 def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
-    """chi(a)^m for a in [0, q): the exact power, each entry read as a number
-    from the map of q (``characters._numbers``), which converts every root
-    of unity mod q once -- 0 and +/-1 stay ints (so real terms stay real),
-    and a real chi's table is its exact one."""
+    """chi(a)^m for a in [0, q), for the term kernel: the exact power, read
+    as a number from the number map of q; 0 and +/-1 stay ints (so real
+    terms stay real), and a real chi's table is its exact one."""
     powers = chi.values
     if m > 1:
         powers = [v**m if isinstance(v, int) else _value(v[1] * m, v[0]) for v in powers]
-    return powers if chi.is_real else list(map(_numbers(chi.modulus).__getitem__, powers))
+    return powers if chi.is_real else list(map(_modulus(chi.modulus)[1].__getitem__, powers))
 
 
 def _check_finite(s: complex) -> None:
@@ -168,13 +174,19 @@ def _running_sums(chi: DirichletCharacter, s: complex, truncations, m: int = 1) 
     return _prefix_sums(_terms(chi, s, truncations[-1] + 1, m), truncations)
 
 
+def _count(n, what: str) -> int:
+    """A term or rectangle count n as an int: TypeError unless integral, ValueError below 1."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"need at least one {what}, got {n}")
+    return n
+
+
 def partial_sum(chi: DirichletCharacter, s, n_terms: int) -> complex:
     """sum(chi(n) * n^-s) for n = 1..n_terms, summed in index order; a
     non-integral n_terms raises TypeError."""
     s = complex(s)
-    n_terms = index(n_terms)
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
+    n_terms = _count(n_terms, "term")
     return _running_sums(chi, s, [n_terms])[0]
 
 
@@ -354,31 +366,38 @@ def _hurwitz(s: complex, xs: Sequence, tol: float, q: int = 1) -> tuple:
 def _shifted(xs: tuple, q: int, shift: int) -> tuple:
     """The s-free half of a pass at shift N, for the last (xs, q, N): (xs,
     w = N + x/q, log w, 1/w^2, x + q N), each in the order of xs, the floats
-    in arrays of doubles (8 bytes a residue).  Every real point has N = 10,
-    so a scan builds one table; every pass only reads it.  The kernel reads
-    each x back from here, so x and x + q N always match in type; a key
-    equal in value but not in type (1.0 for the unit 1) gives the same
-    terms, since every use but the integer range computes in floats."""
+    in arrays of doubles (8 bytes a residue); every pass only reads it.  The
+    kernel reads each x back from here, so x and x + q N always match in
+    type; a key equal in value but not in type (1.0 for the unit 1) gives
+    the same terms, since every use but the integer range computes in
+    floats."""
     ws = array("d", [shift + x / q for x in xs])
     log_ws = array("d", [math.log(w) for w in ws])
     inv_w2s = array("d", [1.0 / (w * w) for w in ws])
     return xs, ws, log_ws, inv_w2s, [x + q * shift for x in xs]
 
 
+class _Numbers(dict):
+    """Exact character values mapped to their ``_to_number``, each made on its first read."""
+
+    def __missing__(self, v):
+        number = self[v] = _to_number(v)
+        return number
+
+
 @lru_cache(maxsize=1)
-def _units(q: int) -> tuple:
-    """The units a = 1..q, in order, for the last q: a scan or a group asks
-    for one q many times."""
-    return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+def _modulus(q: int) -> tuple:
+    """(the units a = 1..q in order, the number map of q seeded with 0)."""
+    return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1), _Numbers({0: 0})
 
 
 @lru_cache(maxsize=_PASSES_KEPT)
 def _residue_pass(q: int, s: complex, tol: float) -> tuple:
-    """The ``_hurwitz`` pass over the units mod q, kept for the last
-    _PASSES_KEPT (q, s, tol); an exception is raised anew on each call.  An
-    s with imaginary part 0.0 or -0.0 is one key, the real point to the
-    pass.  Every caller gets the same list of values and only reads it."""
-    return _hurwitz(s, _units(q), tol, q)
+    """The ``_hurwitz`` pass over the units mod q; an exception is raised
+    anew on each call.  An s with imaginary part 0.0 or -0.0 is one key, the
+    real point to the pass.  Every caller gets the same list of values and
+    only reads it."""
+    return _hurwitz(s, _modulus(q)[0], tol, q)
 
 
 def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
@@ -398,10 +417,8 @@ def hurwitz_zeta(s, x: float, *, tol: float = _DEFAULT_TOL) -> complex:
 
 def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvaluation:
     """L(s, chi) = q^-s * sum(chi(a) * zeta(s, a/q), a = 1..q), all from one
-    Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation).  The
-    pass depends only on (q, s, tol): the last few (``_PASSES_KEPT``) are
-    kept and shared by every chi mod q, and each chi sums its own values
-    over them.
+    Euler-Maclaurin pass (for q = 1, the Riemann zeta continuation) that
+    every chi mod q shares; chi is read on the units only.
 
     The pass drops each residue's pole 1/(s-1), so no two terms of size
     1/(s-1) cancel next to s = 1.  For non-principal chi they sum to zero,
@@ -423,11 +440,11 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     q = chi.modulus
     if s == 1 and chi.is_principal:
         raise PoleError("L(s, principal chi) has a pole at s = 1")
-    table = _residue_table(chi)
+    units, numbers = _modulus(q)
     zetas, abs_acc, err, shift = _residue_pass(q, s, tol)
     acc = 0.0
-    for a, z in zip(_units(q), zetas):
-        acc += table[a % q] * z
+    for a, z in zip(units, zetas):
+        acc += numbers[chi.values[a % q]] * z
     if chi.is_principal:
         s_num = s.real if s.imag == 0.0 else s
         pole = len(zetas) * q**-s_num / (s_num - 1.0)
@@ -513,6 +530,7 @@ def scan_zeros(chi: DirichletCharacter, lo: float, hi: float, grid_points: int) 
     """
     if not chi.is_real:
         raise NonRealCharacterError("real-axis scanning requires a real character")
+    grid_points = index(grid_points)
     if grid_points < 2:
         raise ScanGridError(f"need at least 2 grid points, got {grid_points}")
     if not (0.0 < lo < hi < 1.0):

@@ -24,10 +24,8 @@ divergence witness the audit module fits.
 
 from __future__ import annotations
 
-from operator import index
-
 from .characters import DirichletCharacter, principal_character
-from .lseries import _check_finite, _running_sums, _terms
+from .lseries import _check_finite, _count, _running_sums, _terms
 
 __all__ = [
     "AMPLITUDE_CHI",
@@ -51,8 +49,7 @@ def build_vectors(chi: DirichletCharacter, s, n_terms: int, variant: str) -> tup
     factor is made."""
     s = complex(s)
     _check_finite(s)
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
+    n_terms = _count(n_terms, "term")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     a_chi, p_chi = (chi, _TRIVIAL) if variant == AMPLITUDE_CHI else (_TRIVIAL, chi)
@@ -67,9 +64,7 @@ def phase_series_sums(t: float, n_terms: int) -> tuple:
     so the sums are (n_terms, 0) by integer counting -- no rounding.  A
     non-integral n_terms raises TypeError.
     """
-    n_terms = index(n_terms)
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
+    n_terms = _count(n_terms, "term")
     if t == 0.0:
         return float(n_terms), 0.0
     total = _running_sums(_TRIVIAL, complex(0.0, t), [n_terms])[0]  # sum of n^-it

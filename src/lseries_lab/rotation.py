@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from operator import index, mul
+from operator import mul
 
 from .characters import DirichletCharacter
-from .lseries import _prefix_sums, _running_sums, _terms
+from .lseries import _count, _prefix_sums, _running_sums, _terms
 
 __all__ = [
     "PappusReport",
@@ -49,8 +49,7 @@ class ZeroAreaError(ValueError):
 
 def step_profile(chi: DirichletCharacter, s, n_rects: int) -> tuple:
     """The truncation profile: the tuple of heights chi(n) * n^-s, n = 1..N."""
-    if n_rects < 1:
-        raise ValueError(f"need at least one rectangle, got {n_rects}")
+    n_rects = _count(n_rects, "rectangle")
     return tuple(_terms(chi, complex(s), n_rects + 1))
 
 
@@ -108,9 +107,7 @@ def pappus_check(chi: DirichletCharacter, s, n_rects: int) -> PappusReport:
     before the profile is built, so a point past that range builds nothing.
     """
     s = complex(s)
-    n_rects = index(n_rects)
-    if n_rects < 1:
-        raise ValueError(f"need at least one rectangle, got {n_rects}")
+    n_rects = _count(n_rects, "rectangle")
     square_sum = _running_sums(chi, s, [n_rects], 2)[0]
     sums = _profile_sums(step_profile(chi, s, n_rects), [n_rects])[0]
     return _pappus_report(*sums, square_sum)

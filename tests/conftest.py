@@ -1,14 +1,14 @@
 import pytest
 
-from lseries_lab import characters, lseries
+from lseries_lab import lseries
 
-KEPT_WORK = (lseries._residue_pass, lseries._shifted, lseries._units, characters._numbers)
+KEPT_WORK = (lseries._residue_pass, lseries._shifted, lseries._modulus)
 
 
 @pytest.fixture(autouse=True)
 def cold_pass_cache():
     """Every test starts and ends with no kept Euler-Maclaurin pass, shift
-    table, unit list or map of root numbers, so a kernel a test swaps in
+    table, or units and number map of a modulus, so a kernel a test swaps in
     never answers a later test from a memo, and a count of kernel calls or
     table reads does not depend on which tests ran before."""
     for memo in KEPT_WORK:

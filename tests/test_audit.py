@@ -19,9 +19,11 @@ from lseries_lab.audit import (
 from lseries_lab import cgeom, lseries, resolution, rotation
 from lseries_lab.cgeom import IsotropicVectorError, bilinear_dot, formal_cosine, formal_norm
 from lseries_lab.characters import (
+    DirichletCharacter,
     enumerate_characters,
     enumerate_real_characters,
     kronecker_symbol,
+    unit_group_structure,
 )
 from lseries_lab.lseries import (
     ContinuationRangeError,
@@ -72,23 +74,40 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_audit(CHI4, 0.5, bad)
 
-    # every term count is an integer: a float is a TypeError, never truncated
-    # to an int or counted as a total
+    # every count is an integer: a float is a TypeError whatever its value
+    # (below 1, integral or not), never truncated to an int or counted as a
+    # total
+    @pytest.mark.parametrize("n", [10.7, 0.5, 2.0])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: resolution.phase_series_sums(0.0, 2.5),
-            lambda: run_audit(CHI4, 0.5, [10.7, 100]),
-            lambda: partial_sum(CHI4, 0.5, 10.7),
-            lambda: rotation.step_profile(CHI4, 0.5, 10.7),
-            lambda: build_vectors(CHI4, 0.5, 10.7, AMPLITUDE_CHI),
-            lambda: pappus_check(CHI4, 0.5, 10.7),
+            lambda n: resolution.phase_series_sums(0.0, n),
+            lambda n: run_audit(CHI4, 0.5, [n, 100]),
+            lambda n: partial_sum(CHI4, 0.5, n),
+            lambda n: rotation.step_profile(CHI4, 0.5, n),
+            lambda n: build_vectors(CHI4, 0.5, n, AMPLITUDE_CHI),
+            lambda n: pappus_check(CHI4, 0.5, n),
+            lambda n: lseries.scan_zeros(CHI4, 0.1, 0.9, n),
+            nonvanishing_survey,
+            unit_group_structure,
+            lambda n: DirichletCharacter.from_values(n, [0, 1]),
         ],
-        ids=["phase_series_sums", "run_audit", "partial_sum", "step_profile", "build_vectors", "pappus_check"],
+        ids=[
+            "phase_series_sums",
+            "run_audit",
+            "partial_sum",
+            "step_profile",
+            "build_vectors",
+            "pappus_check",
+            "scan_zeros",
+            "nonvanishing_survey",
+            "unit_group_structure",
+            "from_values",
+        ],
     )
-    def test_non_integral_count_is_a_type_error(self, call):
+    def test_non_integral_count_is_a_type_error(self, call, n):
         with pytest.raises(TypeError):
-            call()
+            call(n)
 
     # 0.4 and 0.6 are positive but leave a one-point grid in (0, 1); inf
     # leaves no grid at all

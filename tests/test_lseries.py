@@ -149,8 +149,19 @@ class TestTermKernel:
 
         for module in (characters_mod, lseries_mod):  # wherever the name is bound
             monkeypatch.setattr(module, "_to_number", counting_to_number, raising=False)
-        for chi in enumerate_characters(263):
+        group = enumerate_characters(263)
+        for chi in group:
             evaluate(chi, complex(0.5, 14.0))
+        assert 0 < len(calls) <= 262
+        # the lvalues benchmark's order: a few characters, each at s = 1 and
+        # two heights, from a cold memo
+        lseries_mod._modulus.cache_clear()
+        lseries_mod._residue_pass.cache_clear()
+        calls.clear()
+        for chi in group[1::33]:
+            for s in (1, complex(0.5, 14.0), complex(0.5, 500.0)):
+                evaluate(chi, s)
+        assert len(group[1::33]) == 8
         assert 0 < len(calls) <= 262
 
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -814,6 +825,25 @@ class TestKeptPasses:
                 evaluate(chi, s)
         assert calls == [(168, s, 1e-10) for s in points]
 
+    def test_a_kept_pass_reads_the_number_map_on_the_units_only(self, monkeypatch):
+        # phi(300) = 80 reads; a table of every residue would convert 300
+        chi = next(c for c in enumerate_characters(300) if not c.is_real)
+        s = complex(0.5, 14.0)
+        want = evaluate(chi, s)
+        units, numbers = lseries_mod._modulus(300)
+        reads = []
+
+        class CountingNumbers(type(numbers)):
+            def __getitem__(self, v):
+                reads.append(v)
+                return super().__getitem__(v)
+
+        monkeypatch.setattr(lseries_mod, "_modulus", lambda q: (units, CountingNumbers(numbers)))
+        hits = lseries_mod._residue_pass.cache_info().hits
+        assert repr(evaluate(chi, s)) == repr(want)
+        assert lseries_mod._residue_pass.cache_info().hits == hits + 1
+        assert len(reads) == len(units) == 80
+
     def test_at_most_the_fixed_number_of_passes_is_kept(self):
         assert lseries_mod._residue_pass.cache_info().maxsize == lseries_mod._PASSES_KEPT
         chi = enumerate_characters(5)[2]
@@ -825,7 +855,7 @@ class TestKeptPasses:
 
 
 def clear_kept_work():
-    for memo in (lseries_mod._residue_pass, lseries_mod._shifted, lseries_mod._units):
+    for memo in (lseries_mod._residue_pass, lseries_mod._shifted, lseries_mod._modulus):
         memo.cache_clear()
 
 
@@ -1200,6 +1230,11 @@ class TestScanZeros:
         for got, want in zip(warm, cold):
             for field in ("values", "err_estimates", "brackets"):
                 assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+    def test_a_real_scan_converts_no_root(self):
+        chi = enumerate_real_characters(1009)[1]
+        scan_zeros(chi, *_scan_grid(0.25))
+        assert set(lseries_mod._modulus(1009)[1]) == {0, 1, -1}
 
     def test_peak_memory_per_unit(self):
         # a scan holds the units, the shift's table (three arrays of doubles
