@@ -37,10 +37,13 @@ Two evaluation routes:
 Three memos keep what the characters mod q share, each for its last few
 keys only, so none grows with the moduli or points asked:
 
-* ``_modulus(q)``, the last q: the units a = 1..q and the number map of q,
-  which converts a value with ``characters._to_number`` on its first read;
-  so a root of unity is converted once per q, a real chi converts none,
-  and ``evaluate`` reads chi on the units only.
+* ``_modulus(q)``, the last q: the units a = 1..q, their residues a % q
+  (the units themselves past q = 1) and the roots list of q, which the
+  first complex chi mod q to be read fills (``_roots``): entry e is
+  exp(2*pi*i*e/L) as a number, L = lambda(q), converted from its reduced
+  pair, and entry L is 0.  So a root of unity is converted once per q, a
+  real chi (which reads 1 and -1 only) converts none, and ``evaluate``
+  reads chi's exponents on the units only.
 * ``_residue_pass(q, s, tol)``, the last ``_PASSES_KEPT``: each unit's
   q^-s (zeta(s, a/q) - 1/(s-1)) with the summed sizes and error bounds;
   it never depends on chi, so a group evaluated at a few points runs each
@@ -121,14 +124,27 @@ class LEvaluation:
     err_estimate: float
 
 
+def _roots(chi: DirichletCharacter):
+    """What chi's exponents index, entry L (off the units) 0: for a real chi
+    a map of 1 and -1, nothing converted; for a complex one the roots list of
+    its modulus, filled on the first complex read.  The roots are converted
+    from their reduced pairs: exp(2*pi*i*e/L) and exp(2*pi*i*k/d) round
+    differently when L/d is not a power of 2."""
+    L = chi.group_exponent
+    # for L = 1 (q = 1, 2) the key 0 comes twice, and 1 is its last value
+    roots = {L // 2: -1, 0: 1, L: 0} if chi.is_real else _modulus(chi.modulus)[2]
+    if not roots:
+        roots.extend(_to_number(_value(e, L)) for e in range(L + 1))
+    return roots
+
+
 def _residue_table(chi: DirichletCharacter, m: int = 1) -> list:
-    """chi(a)^m for a in [0, q), for the term kernel: the exact power, read
-    as a number from the number map of q; 0 and +/-1 stay ints (so real
-    terms stay real), and a real chi's table is its exact one."""
-    powers = chi.values
-    if m > 1:
-        powers = [v**m if isinstance(v, int) else _value(v[1] * m, v[0]) for v in powers]
-    return powers if chi.is_real else list(map(_modulus(chi.modulus)[1].__getitem__, powers))
+    """chi(a)^m for a in [0, q), for the term kernel: the number of exponent
+    m e mod L (the sentinel L stays) from ``_roots``; 0 and +/-1 stay ints,
+    so real terms stay real."""
+    L = chi.group_exponent
+    exponents = [m * e % L if e < L else L for e in chi.exponents] if m > 1 else chi.exponents
+    return list(map(_roots(chi).__getitem__, exponents))
 
 
 def _check_finite(s: complex) -> None:
@@ -377,18 +393,12 @@ def _shifted(xs: tuple, q: int, shift: int) -> tuple:
     return xs, ws, log_ws, inv_w2s, [x + q * shift for x in xs]
 
 
-class _Numbers(dict):
-    """Exact character values mapped to their ``_to_number``, each made on its first read."""
-
-    def __missing__(self, v):
-        number = self[v] = _to_number(v)
-        return number
-
-
 @lru_cache(maxsize=1)
 def _modulus(q: int) -> tuple:
-    """(the units a = 1..q in order, the number map of q seeded with 0)."""
-    return tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1), _Numbers({0: 0})
+    """(the units a = 1..q in order, their residues a % q, the roots list of
+    q, empty until ``_roots`` fills it)."""
+    units = tuple(a for a in range(1, q + 1) if math.gcd(a, q) == 1)
+    return units, units if q > 1 else (0,), []
 
 
 @lru_cache(maxsize=_PASSES_KEPT)
@@ -440,11 +450,11 @@ def evaluate(chi: DirichletCharacter, s, *, tol: float = _DEFAULT_TOL) -> LEvalu
     q = chi.modulus
     if s == 1 and chi.is_principal:
         raise PoleError("L(s, principal chi) has a pole at s = 1")
-    units, numbers = _modulus(q)
     zetas, abs_acc, err, shift = _residue_pass(q, s, tol)
+    roots, exponents = _roots(chi), chi.exponents
     acc = 0.0
-    for a, z in zip(units, zetas):
-        acc += numbers[chi.values[a % q]] * z
+    for a, z in zip(_modulus(q)[1], zetas):
+        acc += roots[exponents[a]] * z
     if chi.is_principal:
         s_num = s.real if s.imag == 0.0 else s
         pole = len(zetas) * q**-s_num / (s_num - 1.0)

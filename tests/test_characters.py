@@ -15,6 +15,8 @@ Oracles used here and nowhere in the library:
 
 from fractions import Fraction
 from itertools import product
+import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -299,7 +301,9 @@ class TestFromValues:
                 assert DirichletCharacter.from_values(q, chi.values) == chi
                 assert DirichletCharacter.from_values(q, chi.to_json_dict()["values"]) == chi
 
-    @pytest.mark.parametrize("entry", [(0, 1), (3,), "x", 2])
+    # the last four name roots of unity of order dividing 4, but not in the
+    # stored form: (4, 1) is the one value the other entries allow
+    @pytest.mark.parametrize("entry", [(0, 1), (3,), "x", 2, (4, 5), (4, 2), (1, 0), (2, 1)])
     def test_rejects_malformed_entry(self, entry):
         table = [0, 1, entry, (4, 3), -1]
         with pytest.raises(ValueError, match=r"chi\(2\)"):
@@ -322,6 +326,57 @@ class TestFromValues:
         # 2 generates (Z/5Z)^* with order 4, so chi(2) cannot be a primitive 8th root.
         with pytest.raises(ValueError, match="order dividing 4"):
             DirichletCharacter.from_values(5, [0, 1, (8, 1), (4, 3), -1])
+        # 11 = -1 mod 3 has order 2 in (Z/15Z)^*, whose exponent is 4: chi(11) = i
+        # has an order dividing 4, but not 2
+        table = list(next(c for c in enumerate_characters(15) if c.values[2] == (4, 1)).values)
+        table[11] = (4, 1)
+        with pytest.raises(ValueError, match="order dividing 2"):
+            DirichletCharacter.from_values(15, table)
+
+
+class TestStoredTable:
+    """Each character is stored once, as exponents over the group exponent L
+    with the sentinel L off the units; `values` is derived from it."""
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 8, 13, 24, 91])
+    def test_values_are_derived_from_the_exponents(self, q):
+        for chi in enumerate_characters(q):
+            L = chi.group_exponent
+            assert len(chi.exponents) == len(chi.values) == q
+            for n, (e, v) in enumerate(zip(chi.exponents, chi.values)):
+                if gcd(n, q) > 1:
+                    assert e == L and v == 0
+                else:
+                    assert 0 <= e < L
+                    assert rotation(v) == Fraction(e, L)
+
+    def test_a_real_table_costs_one_pointer_per_residue(self):
+        # L = 10006: the exponents 5003 and the sentinel 10006 are past the
+        # small ints, so an int object made afresh per entry would add about
+        # 32 bytes a residue; the derived values are not kept either
+        q = 10007
+        tracemalloc.start()
+        try:
+            chars = enumerate_real_characters(q)
+            held = tracemalloc.get_traced_memory()[0]
+            assert chars[1].values.count(-1) == (q - 1) // 2
+            assert tracemalloc.get_traced_memory()[0] <= held + 1024  # no q-long tuple kept
+        finally:
+            tracemalloc.stop()
+        assert [c.group_exponent for c in chars] == [q - 1, q - 1]
+        assert held <= len(chars) * 8 * q + 4096
+
+    def test_reading_short_tables_leaves_no_blocks_behind(self):
+        # a table read 2400 times over: one freed tuple a read kept on an
+        # interpreter free list would grow the allocated blocks by about 2000
+        chars = enumerate_characters(13)
+        for chi in chars:
+            assert len(chi.values) == 13
+        before = sys.getallocatedblocks()
+        for _ in range(200):
+            for chi in chars:
+                chi.values
+        assert sys.getallocatedblocks() - before < 200
 
 
 class TestKronecker:

@@ -91,7 +91,7 @@ def test_lambda_is_symmetric_within_the_error_estimates(sigma):
 
 def conjugate(chi):
     """conj(chi): every exact exponent k of order d negated."""
-    values = [v if isinstance(v, int) else _value(-v[1], v[0]) for v in chi.values]
+    values = [v if isinstance(v, int) else _value(-v[1] % v[0], v[0]) for v in chi.values]
     return DirichletCharacter.from_values(chi.modulus, values)
 
 
